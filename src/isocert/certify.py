@@ -751,7 +751,7 @@ def _vector_poly(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
     powers: dict[tuple[int, int], VI] = {}
     for mono, coeff in poly.sorted_terms():
         term = None
-        for i, e in enumerate(mono):
+        for i, e in enumerate(poly.exponents(mono)):
             if not e:
                 continue
             key = (i, e)

@@ -13,9 +13,9 @@ Subcommands:
 Every run writes a deterministic JSON array of check records (sorted keys,
 no timestamps); repeated runs with identical inputs are byte-identical.
 Exit codes: 0 all pass, 1 failure, 2 inconclusive, 3 documented
-discrepancy, 64 usage error.  A flat key=value config file can preset any
-flag of the chosen subcommand; explicit flags win, unknown keys are
-rejected.
+discrepancy, 64 usage error, 70 internal error.  A flat key=value config
+file can preset any flag of the chosen subcommand; explicit flags win,
+unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import certify, configsolve, geomex, identities, mollify, reports
+from .exactalg import MonomialOverflowError, PoleError
 from .reports import check_record
 
 THREADS_ENV = "ISOCERT_THREADS"
@@ -450,6 +451,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return reports.EXIT_USAGE
+    except (PoleError, MonomialOverflowError, reports.InternalError) as exc:
+        # Before the ValueError/ZeroDivisionError clause: PoleError is a
+        # ZeroDivisionError, but it is the program's fault, not the input's.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return reports.EXIT_INTERNAL
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return reports.EXIT_USAGE

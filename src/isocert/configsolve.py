@@ -504,14 +504,14 @@ def case_branch_identities(params: ScalarParams) -> dict:
     reduced = MultiPoly.zero(tab)
     i_d = tab.index("d")
     for mono, coeff in p3.terms.items():
-        e = mono[i_d]
-        rest = MultiPoly(tab, {mono[:i_d] + (0,) + mono[i_d + 1 :]: coeff})
+        e, rest_mono = p3.split_exponent(mono, i_d)
+        rest = MultiPoly(tab, {rest_mono: coeff})
         if e % 2 == 1:
             rest = rest * d
         reduced = reduced + rest * d_sq ** (e // 2)
     target = x * (-6) * d_sq
     sym_ok = (reduced - target).is_zero()
-    d_free = all(m[i_d] == 0 for m in reduced.terms)
+    d_free = reduced.degree_in("d") == 0
 
     sign_cert = {
         "expression": "-6 * x * (S/2 - 2*x^2)",

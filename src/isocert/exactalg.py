@@ -4,14 +4,32 @@ Every symbolic check in this package runs on the types defined here.
 
 Representation:
 
-  ExactRational           = fractions.Fraction (arbitrary precision, always
-                            normalized with positive denominator).
+  Coefficients            = Python int whenever integral, otherwise
+                            fractions.Fraction (arbitrary precision, always
+                            normalized with positive denominator).  No
+                            operation turns an int coefficient into a float:
+                            division by a non-unit goes through Fraction.
   SymbolTable             = fixed, ordered tuple of symbol names.  The order
-                            is frozen at construction and induces the graded
-                            lexicographic monomial order used everywhere.
-  MultiPoly.terms         = dict mapping exponent tuples (one entry per
-                            symbol) to nonzero Fraction coefficients.  The
-                            zero polynomial is the empty dict.
+                            is frozen at construction and fixes the packed
+                            monomial layout below.
+  Packed monomial         = one int.  Symbol i of an n-symbol table owns the
+                            8-bit field at bit offset 8*(n-1-i); the total
+                            degree sits above bit 8*n.  Bit 7 of every field
+                            is a guard bit, so an exponent is at most
+                            MAX_EXPONENT = 127.  Multiplying monomials is one
+                            int addition: two fields of at most 127 sum to at
+                            most 254, so no carry crosses into the next
+                            field, and a guard bit left set in a stored
+                            product raises MonomialOverflowError instead of
+                            aliasing another monomial.  Because the degree is
+                            the most significant part and symbol 0 the next,
+                            plain int order is the graded lexicographic order
+                            (total degree, then exponents from symbol 0 on).
+  MultiPoly.terms         = dict mapping packed monomials to nonzero
+                            coefficients.  The zero polynomial is the empty
+                            dict.  Exponents are read back only through
+                            `MultiPoly.exponents`, `MultiPoly.split_exponent`
+                            and `MultiPoly.degree_in`.
   RatFn                   = num / den in normal form: gcd(num, den) = 1 and
                             den is monic under the graded lex order, so two
                             equal rational functions are structurally equal.
@@ -29,15 +47,21 @@ tame without any floating-point shortcuts.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from fractions import Fraction
-from operator import add as _op_add, neg as _op_neg, sub as _op_sub
 from typing import Iterable, Mapping, Sequence, Union
 
 ExactRational = Fraction
 
 Scalar = Union[int, Fraction]
+
+MAX_EXPONENT = 0x7F
+_FIELD_BITS = 8
+_FIELD_MASK = 0xFF
+_GUARD_BIT = 0x80
 
 
 class PoleError(ZeroDivisionError):
@@ -52,15 +76,27 @@ class SymbolMismatchError(ValueError):
     """Raised when operands were built over different symbol tables."""
 
 
+class MonomialOverflowError(ArithmeticError):
+    """Raised when a monomial would need an exponent above MAX_EXPONENT."""
+
+    def __init__(self, detail: str = "a product"):
+        super().__init__(f"monomial overflow: {detail} has an exponent above {MAX_EXPONENT}")
+
+
 class SymbolTable:
     """Ordered, immutable set of symbol names.
 
-    The position of a name in the table is its index in every exponent
-    tuple, so all values built over one table are interoperable and values
-    from different tables never mix silently.
+    The position of a name in the table fixes its field in every packed
+    monomial, so all values built over one table are interoperable and
+    values from different tables never mix silently.
+
+    Layout: `shifts[i]` is the bit offset of symbol i's exponent field,
+    `units[i]` the packed monomial of symbol i to the first power (field
+    plus one unit of total degree), `guard` has bit 7 of every field set and
+    `fields` masks all exponent fields (everything below the degree).
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "shifts", "units", "guard", "fields")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -68,6 +104,12 @@ class SymbolTable:
             raise ValueError("duplicate symbol names")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        n = len(names)
+        self.shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        degree_unit = 1 << (_FIELD_BITS * n)
+        self.units = tuple(degree_unit | (1 << s) for s in self.shifts)
+        self.guard = sum(_GUARD_BIT << s for s in self.shifts)
+        self.fields = degree_unit - 1
 
     def __len__(self) -> int:
         return len(self.names)
@@ -80,6 +122,19 @@ class SymbolTable:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown symbol {name!r}") from None
+
+    def pack(self, exps: Sequence[int]) -> int:
+        """The packed monomial with exponent exps[i] on symbol i."""
+        if len(exps) != len(self.names):
+            raise ValueError(f"expected {len(self.names)} exponents, got {len(exps)}")
+        m = 0
+        for e, unit in zip(exps, self.units):
+            if e < 0:
+                raise ValueError("negative exponent")
+            if e > MAX_EXPONENT:
+                raise MonomialOverflowError("a monomial")
+            m += e * unit
+        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and self.names == other.names
@@ -117,11 +172,10 @@ class SymbolTable:
         return cls(names)
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_fraction(x: Scalar) -> Scalar:
+    """Validate an exact scalar; ints stay ints, Fractions stay Fractions."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -130,9 +184,17 @@ class MultiPoly:
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: SymbolTable, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, table: SymbolTable, terms: Mapping[int, Scalar] | None = None):
         self.table = table
         self.terms = dict(terms) if terms else {}
+
+    @classmethod
+    def _own(cls, table: SymbolTable, terms: dict[int, Scalar]) -> "MultiPoly":
+        """Wrap a freshly built term dict without copying it."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -145,13 +207,11 @@ class MultiPoly:
         value = _as_fraction(value)
         if value == 0:
             return cls(table)
-        return cls(table, {(0,) * len(table): value})
+        return cls._own(table, {0: value})
 
     @classmethod
     def var(cls, table: SymbolTable, name: str) -> "MultiPoly":
-        exp = [0] * len(table)
-        exp[table.index(name)] = 1
-        return cls(table, {tuple(exp): Fraction(1)})
+        return cls._own(table, {table.units[table.index(name)]: 1})
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -165,20 +225,27 @@ class MultiPoly:
     def copy(self) -> "MultiPoly":
         return MultiPoly(self.table, self.terms)
 
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """Exponent of every symbol in the packed monomial m, in table order."""
+        # One byte per field, symbol 0 most significant: big-endian bytes.
+        return tuple((m & self.table.fields).to_bytes(len(self.table.names), "big"))
+
+    def split_exponent(self, m: int, i: int) -> tuple[int, int]:
+        """(e, rest): the exponent of symbol index i in m, and m with it set to 0."""
+        e = (m >> self.table.shifts[i]) & _FIELD_MASK
+        return e, m - e * self.table.units[i]
+
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms, default=0) >> (_FIELD_BITS * len(self.table))
 
     def degree_in(self, name: str) -> int:
-        i = self.table.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        shift = self.table.shifts[self.table.index(name)]
+        return max(((m >> shift) & _FIELD_MASK for m in self.terms), default=0)
 
     def symbols_used(self) -> set[str]:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.table.names[i])
-        return used
+        # Field i of the OR of all monomials is nonzero iff symbol i occurs.
+        support = functools.reduce(operator.or_, self.terms, 0)
+        return {n for n, s in zip(self.table.names, self.table.shifts) if (support >> s) & _FIELD_MASK}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -201,12 +268,12 @@ class MultiPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return MultiPoly(self.table, out)
+        return MultiPoly._own(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.table, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._own(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,30 +292,34 @@ class MultiPoly:
             q = _as_fraction(other)
             if q == 0:
                 return MultiPoly(self.table)
-            return MultiPoly(self.table, {m: c * q for m, c in self.terms.items()})
+            return MultiPoly._own(self.table, {m: c * q for m, c in self.terms.items()})
         if isinstance(other, RatFn):
             return RatFn.from_poly(self) * other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: dict[tuple, Fraction] = {}
-        # Iterate the smaller operand outside; map(add, ...) runs at C speed.
+        # Iterate the smaller operand outside.  A monomial product is one int
+        # add; zero sums are dropped and guard bits checked once per output.
         a_terms, b_terms = self.terms, other.terms
         if len(a_terms) > len(b_terms):
             a_terms, b_terms = b_terms, a_terms
-        for m1, c1 in a_terms.items():
-            for m2, c2 in b_terms.items():
-                m = tuple(map(_op_add, m1, m2))
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return MultiPoly(self.table, out)
+        b_items = list(b_terms.items())
+        if len(a_terms) == 1:
+            ((m1, c1),) = a_terms.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in b_items}
+        else:
+            out = {}
+            get = out.get
+            for m1, c1 in a_terms.items():
+                for m2, c2 in b_items:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+            out = {m: c for m, c in out.items() if c}
+        guard = self.table.guard
+        for m in out:
+            if m & guard:
+                raise MonomialOverflowError()
+        return MultiPoly._own(self.table, out)
 
     __rmul__ = __mul__
 
@@ -293,36 +364,32 @@ class MultiPoly:
 
     # -- canonical order ------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[int, Scalar]]:
+        """Terms in descending graded lexicographic order (int order of monomials)."""
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, reverse=True)]
 
-    def leading(self) -> tuple[tuple, Fraction]:
+    def leading(self) -> tuple[int, Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=lambda e: (sum(e), e))
+        m = max(self.terms)
         return m, self.terms[m]
 
     # -- calculus / evaluation -------------------------------------------
 
     def derivative(self, name: str) -> "MultiPoly":
         i = self.table.index(name)
-        out: dict[tuple, Fraction] = {}
+        shift, unit = self.table.shifts[i], self.table.units[i]
+        out: dict[int, Scalar] = {}
         for m, c in self.terms.items():
-            e = m[i]
-            if not e:
-                continue
-            m2 = m[:i] + (e - 1,) + m[i + 1 :]
-            s = out.get(m2)
-            v = c * e
-            out[m2] = s + v if s is not None else v
-            if not out[m2]:
-                del out[m2]
-        return MultiPoly(self.table, out)
+            e = (m >> shift) & _FIELD_MASK
+            if e:
+                # Distinct monomials stay distinct after lowering one field.
+                out[m - unit] = c * e
+        return MultiPoly._own(self.table, out)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a fully bound rational point."""
-        vals = []
         for name in self.symbols_used():
             if name not in point:
                 raise KeyError(f"unbound symbol {name!r}")
@@ -330,7 +397,7 @@ class MultiPoly:
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.exponents(m)):
                 if e:
                     v *= by_index[i] ** e
             total += v
@@ -339,23 +406,21 @@ class MultiPoly:
     def evaluate_partial(self, point: Mapping[str, Scalar]) -> "MultiPoly":
         """Substitute rational values for a subset of symbols."""
         by_index = {self.table.index(n): _as_fraction(v) for n, v in point.items()}
-        out: dict[tuple, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for m, c in self.terms.items():
             v = c
-            m2 = list(m)
+            key = m
             for i, val in by_index.items():
-                e = m[i]
+                e, key = self.split_exponent(key, i)
                 if e:
                     v *= val ** e
-                    m2[i] = 0
             if not v:
                 continue
-            key = tuple(m2)
             s = out.get(key)
             out[key] = s + v if s is not None else v
             if not out[key]:
                 del out[key]
-        return MultiPoly(self.table, out)
+        return MultiPoly._own(self.table, out)
 
     def substitute(self, mapping: Mapping[str, "RatFn"]) -> "RatFn":
         """Replace symbols by rational functions; exact result.
@@ -370,16 +435,15 @@ class MultiPoly:
             i = self.table.index(name)
             poly = result.num
             den = result.den
-            by_power: dict[int, dict[tuple, Fraction]] = {}
+            by_power: dict[int, dict[int, Scalar]] = {}
             for m, c in poly.terms.items():
-                e = m[i]
-                m2 = m[:i] + (0,) + m[i + 1 :]
-                by_power.setdefault(e, {})[m2] = c
+                e, rest = poly.split_exponent(m, i)
+                by_power.setdefault(e, {})[rest] = c
             if list(by_power) == [0] or not by_power:
                 continue
             acc = RatFn.zero(self.table)
             for e, terms in by_power.items():
-                piece = RatFn.from_poly(MultiPoly(self.table, terms))
+                piece = RatFn.from_poly(MultiPoly._own(self.table, terms))
                 acc = acc + piece * repl ** e
             result = acc / RatFn.from_poly(den)
         return result
@@ -392,14 +456,15 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names = self.table.names
         parts = []
         for m, c in self.sorted_terms():
             factors = []
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.exponents(m)):
                 if e == 1:
-                    factors.append(self.table.names[i])
+                    factors.append(names[i])
                 elif e > 1:
-                    factors.append(f"{self.table.names[i]}^{e}")
+                    factors.append(f"{names[i]}^{e}")
             mono = "*".join(factors)
             if not mono:
                 parts.append(str(c))
@@ -417,7 +482,7 @@ class MultiPoly:
 
 # -- polynomial gcd ----------------------------------------------------------
 
-def _int_content_and_primitive(p: MultiPoly) -> tuple[Fraction, dict[tuple, int]]:
+def _int_content_and_primitive(p: MultiPoly) -> tuple[Fraction, dict[int, int]]:
     """Scale to integer coefficients with content 1; returns (scale, int terms)."""
     if not p.terms:
         return Fraction(0), {}
@@ -430,8 +495,7 @@ def _int_content_and_primitive(p: MultiPoly) -> tuple[Fraction, dict[tuple, int]
         v = c.numerator * (den_lcm // c.denominator)
         ints[m] = v
         num_gcd = math.gcd(num_gcd, abs(v))
-    lead = max(ints, key=lambda e: (sum(e), e))
-    sign = 1 if ints[lead] > 0 else -1
+    sign = 1 if ints[max(ints)] > 0 else -1
     scale = Fraction(sign * num_gcd, den_lcm)
     ints = {m: v // (sign * num_gcd) for m, v in ints.items()}
     return scale, ints
@@ -442,15 +506,22 @@ def _primitive_part(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     _, ints = _int_content_and_primitive(p)
-    return MultiPoly(p.table, {m: Fraction(v) for m, v in ints.items()})
+    return MultiPoly._own(p.table, ints)
 
 
 def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     """Exact quotient a / b, or None when b does not divide a.
 
     Leading monomials of the shrinking remainder come from a lazy max-heap
-    (descending graded lex), so each elimination step costs O(|b| log n)
-    instead of a full scan.
+    of packed monomials, so each elimination step costs O(|b| log n)
+    instead of a full scan.  The remainder's lead m is divisible by b's
+    lead iff every field of d = (m | guard) - lead keeps its guard bit:
+    with the guards set no field can borrow from its neighbour.
+
+    A product q_m * b_m with an exponent above MAX_EXPONENT proves that b
+    does not divide a: every q_m taken so far is a term of the quotient if
+    one exists, and deg_x(q) + deg_x(b) = deg_x(a) <= MAX_EXPONENT for every
+    symbol x.  Such a division returns None before the product is stored.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -459,50 +530,59 @@ def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     a._check(b)
     lead_b, lc_b = b.leading()
     other_b = [(m, c) for m, c in b.terms.items() if m != lead_b]
+    guard = a.table.guard
     rem = dict(a.terms)
-    heap = [(-sum(m), tuple(map(_op_neg, m)), m) for m in rem]
+    heap = [-m for m in rem]
     heapq.heapify(heap)
-    q: dict[tuple, Fraction] = {}
+    q: dict[int, Scalar] = {}
     while heap:
-        _, _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = rem.pop(m, None)
         if c is None:
             continue
-        qm = tuple(map(_op_sub, m, lead_b))
-        if min(qm) < 0:
+        if ((m | guard) - lead_b) & guard != guard:
             return None
-        coeff = c / lc_b
+        qm = m - lead_b
+        if lc_b == 1:
+            coeff = c
+        elif lc_b == -1:
+            coeff = -c
+        else:
+            coeff = Fraction(c) / lc_b
         q[qm] = coeff
         for mb, cb in other_b:
-            key = tuple(map(_op_add, qm, mb))
+            key = qm + mb
+            if key & guard:
+                return None
             prev = rem.get(key)
             new = (prev if prev is not None else 0) - coeff * cb
             if new:
                 rem[key] = new
                 if prev is None:
-                    heapq.heappush(heap, (-sum(key), tuple(map(_op_neg, key)), key))
+                    heapq.heappush(heap, -key)
             elif prev is not None:
                 del rem[key]
-    return MultiPoly(a.table, q) if not rem else None
+    return MultiPoly._own(a.table, q) if not rem else None
 
 
 def _to_univar(p: MultiPoly, i: int) -> list[MultiPoly]:
     """Dense coefficient list of p viewed as a polynomial in symbol i."""
-    deg = max((m[i] for m in p.terms), default=0)
-    coeffs = [dict() for _ in range(deg + 1)]
+    deg = p.degree_in(p.table.names[i])
+    coeffs: list[dict[int, Scalar]] = [dict() for _ in range(deg + 1)]
     for m, c in p.terms.items():
-        m2 = m[:i] + (0,) + m[i + 1 :]
-        coeffs[m[i]][m2] = c
-    return [MultiPoly(p.table, d) for d in coeffs]
+        e, rest = p.split_exponent(m, i)
+        coeffs[e][rest] = c
+    return [MultiPoly._own(p.table, d) for d in coeffs]
 
 
 def _from_univar(coeffs: Sequence[MultiPoly], i: int, table: SymbolTable) -> MultiPoly:
-    out: dict[tuple, Fraction] = {}
+    # Each coefficient is free of symbol i and e <= the input degree in i.
+    unit = table.units[i]
+    out: dict[int, Scalar] = {}
     for e, poly in enumerate(coeffs):
         for m, c in poly.terms.items():
-            key = m[:i] + (e,) + m[i + 1 :]
-            out[key] = c
-    return MultiPoly(table, out)
+            out[m + e * unit] = c
+    return MultiPoly._own(table, out)
 
 
 def _uv_mul_scalar(coeffs: list[MultiPoly], s: MultiPoly) -> list[MultiPoly]:
@@ -552,11 +632,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a
     if divexact(a, b) is not None:
         return b
-    shared = [
-        i
-        for i in range(len(a.table))
-        if any(m[i] for m in a.terms) and any(m[i] for m in b.terms)
-    ]
+    common = a.symbols_used() & b.symbols_used()
+    shared = [i for i, name in enumerate(a.table.names) if name in common]
     if not shared:
         return MultiPoly.const(a.table, 1)
     # Main variable: smallest minimum degree keeps the remainder chain short.

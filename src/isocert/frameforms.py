@@ -315,7 +315,6 @@ def _build_diagonal_map() -> dict[str, FactoredFn]:
 
 _DIAGONAL_MAP = _build_diagonal_map()
 _DIAGONAL_NAMES = frozenset(_DIAGONAL_MAP)
-_DIAGONAL_INDEX = {GEOMETRY.index(n): n for n in _DIAGONAL_NAMES}
 
 
 def _substitute_poly(num: MultiPoly, mapping: Mapping[str, FactoredFn]) -> FactoredFn:
@@ -324,13 +323,12 @@ def _substitute_poly(num: MultiPoly, mapping: Mapping[str, FactoredFn]) -> Facto
     for name, repl in mapping.items():
         idx = GEOMETRY.index(name)
         poly = acc.num
-        if not any(m[idx] for m in poly.terms):
+        if not poly.degree_in(name):
             continue
-        by_power: dict[int, dict[tuple, Fraction]] = {}
+        by_power: dict[int, dict[int, Fraction]] = {}
         for m, c in poly.terms.items():
-            e = m[idx]
-            m2 = m[:idx] + (0,) + m[idx + 1 :]
-            by_power.setdefault(e, {})[m2] = c
+            e, rest = poly.split_exponent(m, idx)
+            by_power.setdefault(e, {})[rest] = c
         new = GAP_BASE.zero()
         for e, terms in by_power.items():
             piece = GAP_BASE.from_poly(MultiPoly(GEOMETRY, terms))
@@ -345,7 +343,7 @@ def reduce_diagonal(form: Form) -> Form:
     """Eliminate h_11i, h_22i, h_33i from all coefficients via h_44i."""
     out: dict[tuple[int, ...], FactoredFn] = {}
     for m, c in form.terms.items():
-        if any(mono[idx] for mono in c.num.terms for idx in _DIAGONAL_INDEX):
+        if not _DIAGONAL_NAMES.isdisjoint(c.num.symbols_used()):
             c = _substitute_poly(c.num, _DIAGONAL_MAP)
             c = FactoredFn(GAP_BASE, c.num, tuple(a + b for a, b in zip(c.den, form.terms[m].den)))
         if not c.is_zero():

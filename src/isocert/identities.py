@@ -231,8 +231,6 @@ class IdentityReport:
     mode: str
     residual_is_zero: bool
     residual_term_count: int
-    engine: str
-    target: str
     extracted: dict = field(default_factory=dict)
 
     @property
@@ -259,8 +257,6 @@ def _report(name: str, mode: str, engine: FactoredFn, target: FactoredFn, extrac
         mode=mode,
         residual_is_zero=residual.is_zero(),
         residual_term_count=len(residual.num.terms),
-        engine=str(engine.to_ratfn()),
-        target=str(target.to_ratfn()),
         extracted=extracted or {},
     )
 

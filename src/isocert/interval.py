@@ -166,7 +166,7 @@ def interval_eval(expr: Union[MultiPoly, RatFn], box: Mapping[str, Interval]) ->
     names = expr.table.names
     for mono, coeff in expr.sorted_terms():
         term = Interval.from_fraction(coeff)
-        for i, e in enumerate(mono):
+        for i, e in enumerate(expr.exponents(mono)):
             if e:
                 term = term * box[names[i]].power(e)
         total = total + term

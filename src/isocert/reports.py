@@ -4,7 +4,9 @@ A run produces a JSON array of records, one per check, each carrying the
 schema version, a stable claim identifier, a status, and a payload.  The
 serialization is byte-deterministic: keys sorted, no timestamps, floats
 through repr.  Exit codes: 0 all pass, 1 any failure, 2 any inconclusive
-certificate, 3 any documented discrepancy, 64 usage error.
+certificate, 3 any documented discrepancy, 64 usage error (bad input),
+70 internal error (a fault of the program itself, such as a pole met
+mid-computation, a monomial exponent overflow or a malformed record).
 """
 
 from __future__ import annotations
@@ -19,14 +21,25 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_DOCUMENTED_DISCREPANCY = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 _FAIL_STATUSES = {"fail", "failed", "violated", "error"}
 _OK_STATUSES = {"pass", "proved", "trivial", "hypothesis_not_met", "info"}
 
 
+class InternalError(RuntimeError):
+    """A fault of the program, not of its input; the CLI exits EXIT_INTERNAL."""
+
+
 def check_record(name: str, status: str, payload: dict | None = None) -> dict:
+    """One record; a payload may repeat a header key only with the same value."""
     rec = {"schema_version": SCHEMA_VERSION, "name": name, "status": status}
     if payload:
+        for key in sorted(rec.keys() & payload.keys()):
+            if payload[key] != rec[key]:
+                raise InternalError(
+                    f"record {name!r}: payload {key!r} = {payload[key]!r} "
+                    f"contradicts the record's {rec[key]!r}")
         rec.update(payload)
     return rec
 

@@ -5,6 +5,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from isocert import cli, identities, reports
+from isocert.exactalg import MonomialOverflowError, PoleError
+
 ENTRY = [sys.executable, "-m", "isocert"]
 
 
@@ -144,6 +149,14 @@ def test_golden_identity_report():
     assert out.stdout == (GOLDEN / "dtheta_12_symbolic.json").read_text()
 
 
+def test_golden_gap_identity_report():
+    # The extracted B_i/G_i strings are the report bytes that depend on the
+    # monomial order and on how coefficients print.
+    out = run_cli("verify-identities", "--which", "dg_df_phi", "--mode", "symbolic", "--quiet")
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / "dg_df_phi_symbolic.json").read_text()
+
+
 def test_golden_band_sign_certificate():
     out = run_cli("certify", "band", "--quantity", "B1g", "--S", "8", "--A3", "1",
                   "--eps0", "1/10", "--delta1", "1/20", "--quiet")
@@ -157,3 +170,28 @@ def test_summary_goes_to_stdout_with_out_file(tmp_path):
     assert out.returncode == 0
     assert "proved" in out.stdout          # human summary on stdout
     assert json.loads(path.read_text())[0]["status"] == "proved"
+
+
+@pytest.mark.parametrize("fault", [
+    PoleError("l1 - l2"),
+    MonomialOverflowError(),
+    reports.InternalError("record 'x': payload 'status' contradicts the record"),
+])
+def test_internal_faults_exit_70(monkeypatch, capsys, fault):
+    def broken(name, mode="symbolic"):
+        raise fault
+
+    monkeypatch.setattr(identities, "verify_identity", broken)
+    code = cli.main(["verify-identities", "--which", "dtheta_12", "--mode", "symbolic", "--quiet"])
+    assert code == reports.EXIT_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert "internal error" in err and "usage error" not in err
+
+
+def test_record_payload_cannot_contradict_header():
+    rec = reports.check_record("c", "proved", {"status": "proved", "cells": 3})
+    assert rec == {"schema_version": reports.SCHEMA_VERSION, "name": "c",
+                   "status": "proved", "cells": 3}
+    for key, value in (("name", "other"), ("status", "failed"), ("schema_version", "0.9")):
+        with pytest.raises(reports.InternalError):
+            reports.check_record("c", "proved", {key: value})

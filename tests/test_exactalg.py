@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isocert.exactalg import (
+    MAX_EXPONENT,
     FactorBase,
     FactoredFn,
+    MonomialOverflowError,
     MultiPoly,
     PoleError,
     RatFn,
@@ -240,3 +242,151 @@ def test_gcd_handles_layered_denominators():
     total = ra + rb
     recombined = total * RatFn.from_poly(den_a) - RatFn.from_poly(p)
     assert recombined == ratfn_reduce(q * (x - y), MultiPoly.const(_small_table, 1))
+
+
+# -- coefficient types and packed monomials -------------------------------------
+#
+# The references below are written independently of the engine: tuple-keyed
+# exponent vectors and Fraction-only coefficients.
+
+def _ref(p):
+    """Tuple-keyed, Fraction-valued copy of p."""
+    return {p.exponents(m): Fraction(c) for m, c in p.terms.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_div(a, b):
+    """Exact quotient by leading-term elimination in graded lex order, or None."""
+    order = lambda e: (sum(e), e)  # noqa: E731
+    lead = max(b, key=order)
+    rem, q = dict(a), {}
+    while rem:
+        m = max(rem, key=order)
+        d = tuple(x - y for x, y in zip(m, lead))
+        if min(d) < 0:
+            return None
+        c = rem[m] / b[lead]
+        q[d] = c
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(d, eb))
+            v = rem.get(e, Fraction(0)) - c * cb
+            if v:
+                rem[e] = v
+            else:
+                rem.pop(e, None)
+    return q
+
+
+def _exact_types(p):
+    return all(type(c) is int or type(c) is Fraction for c in p.terms.values())
+
+
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@st.composite
+def typed_polys(draw, exps=st.integers(0, 3), max_terms=4, int_only=False):
+    coeffs = st.integers(-6, 6) if int_only else _scalars
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        c = draw(coeffs)
+        if c:
+            terms[_small_table.pack([draw(exps) for _ in range(3)])] = c
+    return MultiPoly(_small_table, terms)
+
+
+@given(typed_polys(), typed_polys(), _scalars.filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_coefficients_stay_exact(a, b, s):
+    ra, rb = _ref(a), _ref(b)
+    assert _exact_types(a + b) and _ref(a + b) == _ref_add(ra, rb)
+    assert _exact_types(a - b) and _ref(a - b) == _ref_add(ra, rb, -1)
+    assert _exact_types(a * b) and _ref(a * b) == _ref_mul(ra, rb)
+    assert _exact_types(a / s) and _ref(a / s) == {e: c / s for e, c in ra.items()}
+    if not b.is_zero():
+        # A non-unit leading coefficient takes the Fraction route in divexact.
+        lead_m, lead_c = b.leading()
+        if lead_c in (1, -1):
+            b = b * 3
+            rb = _ref(b)
+        prod = a * b
+        q = divexact(prod, b)
+        assert q is not None and _exact_types(q) and _ref(q) == ra
+        r = ratfn_reduce(a, b)
+        assert _exact_types(r.num) and _exact_types(r.den)
+        assert _ref_mul(_ref(r.num), rb) == _ref_mul(ra, _ref(r.den))
+
+
+@given(typed_polys(int_only=True), typed_polys(int_only=True))
+@settings(max_examples=40, deadline=None)
+def test_integer_coefficients_stay_int(a, b):
+    for p in (a + b, a - b, a * b, -a, a * 7):
+        assert all(type(c) is int for c in p.terms.values())
+
+
+def test_monomial_order_is_graded_lex():
+    # Total degree first, then exponents from the first symbol on.
+    x, y, z = _vars
+    p = z ** 3 + x * y + y ** 2 + x ** 2 + x * z + 1
+    assert str(p) == "z^3 + x^2 + x*y + x*z + y^2 + 1"
+    assert p.leading() == (_small_table.pack([0, 0, 3]), 1)
+
+
+# Exponents near the 127 limit, so sums overflow often.
+_high_exps = st.one_of(st.integers(0, 3), st.integers(60, MAX_EXPONENT))
+
+
+@given(typed_polys(_high_exps, 3), typed_polys(_high_exps, 3))
+@settings(max_examples=150, deadline=None)
+def test_packed_multiply_matches_tuple_reference(a, b):
+    ref = _ref_mul(_ref(a), _ref(b))
+    if any(e > MAX_EXPONENT for mono in ref for e in mono):
+        with pytest.raises(MonomialOverflowError):
+            a * b
+    else:
+        assert _ref(a * b) == ref
+
+
+@given(typed_polys(_high_exps, 3), typed_polys(_high_exps, 3),
+       typed_polys(st.one_of(st.integers(0, 3), st.integers(40, 63)), 3),
+       typed_polys(st.one_of(st.integers(0, 3), st.integers(40, 63)), 3))
+@settings(max_examples=150, deadline=None)
+def test_packed_divide_matches_tuple_reference(a, b, q, d):
+    # Random pairs (mostly not divisible) and exact products q*d.
+    for num, den in ((a, b), (q * d, d)):
+        if den.is_zero():
+            continue
+        expected = _ref_div(_ref(num), _ref(den))
+        got = divexact(num, den)
+        assert (None if got is None else _ref(got)) == expected
+
+
+def test_exponent_overflow_raises():
+    x, y, _ = _vars
+    with pytest.raises(MonomialOverflowError):
+        x ** 100 * x ** 28
+    with pytest.raises(MonomialOverflowError):
+        (x ** 64 + y) * (x ** 64 - y)
+    with pytest.raises(MonomialOverflowError):
+        _small_table.pack([MAX_EXPONENT + 1, 0, 0])
+    assert (x ** 100 * x ** 27).degree_in("x") == MAX_EXPONENT
+    # The overflowing partial product x^127 * x^2 proves non-divisibility.
+    assert divexact(x ** 126 * y ** 3, y ** 3 + x ** 2) is None
