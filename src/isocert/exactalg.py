@@ -79,8 +79,8 @@ class SymbolMismatchError(ValueError):
 class MonomialOverflowError(ArithmeticError):
     """Raised when a monomial would need an exponent above MAX_EXPONENT."""
 
-    def __init__(self, detail: str = "a product"):
-        super().__init__(f"monomial overflow: {detail} has an exponent above {MAX_EXPONENT}")
+    def __init__(self):
+        super().__init__(f"monomial overflow: a product has an exponent above {MAX_EXPONENT}")
 
 
 class SymbolTable:
@@ -122,19 +122,6 @@ class SymbolTable:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown symbol {name!r}") from None
-
-    def pack(self, exps: Sequence[int]) -> int:
-        """The packed monomial with exponent exps[i] on symbol i."""
-        if len(exps) != len(self.names):
-            raise ValueError(f"expected {len(self.names)} exponents, got {len(exps)}")
-        m = 0
-        for e, unit in zip(exps, self.units):
-            if e < 0:
-                raise ValueError("negative exponent")
-            if e > MAX_EXPONENT:
-                raise MonomialOverflowError("a monomial")
-            m += e * unit
-        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymbolTable) and self.names == other.names
@@ -304,17 +291,13 @@ class MultiPoly:
         if len(a_terms) > len(b_terms):
             a_terms, b_terms = b_terms, a_terms
         b_items = list(b_terms.items())
-        if len(a_terms) == 1:
-            ((m1, c1),) = a_terms.items()
-            out = {m1 + m2: c1 * c2 for m2, c2 in b_items}
-        else:
-            out = {}
-            get = out.get
-            for m1, c1 in a_terms.items():
-                for m2, c2 in b_items:
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
-            out = {m: c for m, c in out.items() if c}
+        out = {}
+        get = out.get
+        for m1, c1 in a_terms.items():
+            for m2, c2 in b_items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
         guard = self.table.guard
         for m in out:
             if m & guard:
