@@ -4,7 +4,7 @@ computations behind constrained principal-curvature rigidity.
 Layers, bottom up: exact rational polynomial algebra (exactalg, upoly,
 algebraic), the coframe rewriting engine and its target identities
 (frameforms, identities), configuration enumeration (configsolve),
-interval certificates (interval, vinterval, certify), auxiliary smooth
+interval certificates (vinterval, certify), auxiliary smooth
 functions (mollify), the model catalog (geomex), and the report/CLI layer
 (reports, cli).
 """

@@ -39,10 +39,6 @@ class QuadExt:
     def rational(cls, a) -> "QuadExt":
         return cls.make(a)
 
-    @classmethod
-    def sqrt_of(cls, d) -> "QuadExt":
-        return cls.make(0, 1, d)
-
     def _join(self, other: "QuadExt") -> Fraction:
         if self.d and other.d and self.d != other.d:
             raise ValueError("mixed radicands")

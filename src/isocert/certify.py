@@ -32,13 +32,11 @@ import numpy as np
 from . import identities
 from .algebraic import QuadExt, _sqrt_bounds
 from .exactalg import MultiPoly, RatFn
-from .interval import Interval, PossiblePoleError, interval_eval  # scalar surface
 from .vinterval import VI
 
 __all__ = [
-    "Certificate", "Chamber", "CellBatch", "Interval", "PossiblePoleError",
-    "interval_eval", "certify_Li_negative", "certify_okumura",
-    "certify_band_bounds", "band_quantity_names", "default_band_suite",
+    "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
+    "certify_band_bounds", "band_quantity_names",
     "sample_Li_cross_check", "okumura_equality_case_exact",
 ]
 
@@ -770,12 +768,3 @@ def _vector_poly(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
         else:
             total = total + term * VI.scalar(c_lo, c_hi, n)
     return total
-
-
-# -- composite runs ---------------------------------------------------------------
-
-def default_band_suite(S, A3, eps0, delta1, max_depth=30) -> list[Certificate]:
-    return [
-        certify_band_bounds(q, S, A3, eps0, delta1, max_depth=max_depth)
-        for q in band_quantity_names()
-    ]

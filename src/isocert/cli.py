@@ -13,9 +13,14 @@ Subcommands:
 Every run writes a deterministic JSON array of check records (sorted keys,
 no timestamps); repeated runs with identical inputs are byte-identical.
 Exit codes: 0 all pass, 1 failure, 2 inconclusive, 3 documented
-discrepancy, 64 usage error, 70 internal error.  A flat key=value config
-file can preset any flag of the chosen subcommand; explicit flags win,
-unknown keys are rejected.
+discrepancy, 64 usage error, 70 internal error.  Any exception that is not
+recognised as bad input (a pole met mid-computation, a monomial overflow,
+a malformed record, or any unexpected crash) exits 70 with the traceback
+on stderr, so a crash never reads as a failed check.  A flat key=value
+config file can preset any flag of the chosen subcommand; explicit flags
+win, unknown keys are rejected.  The worker count comes from --threads,
+else $ISOCERT_THREADS, else 1; a value that is not a positive integer is a
+usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -40,11 +46,18 @@ IDENTITY_GROUPS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _default_threads() -> int:
+def _worker_count(flag) -> int:
+    """--threads, else $ISOCERT_THREADS, else 1; must be a positive integer."""
+    source, raw = ("--threads", flag) if flag is not None else (
+        f"${THREADS_ENV}", os.environ.get(THREADS_ENV) or "1")
+    bad = UsageError(f"{source} must be a positive integer, got {raw!r}")
     try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        raise bad from None
+    if n < 1:
+        raise bad
+    return n
 
 
 def _identity_record(group: str, modes: tuple[str, ...]) -> dict:
@@ -317,8 +330,8 @@ class UsageError(Exception):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report array to this path")
     p.add_argument("--config", help="flat key=value file presetting this subcommand's flags")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help=f"worker threads (default from ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads, at least 1 (default from ${THREADS_ENV} or 1)")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
@@ -445,6 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         return reports.EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         _apply_config(args, parser, argv)
+        args.threads = _worker_count(args.threads)
         if args.command == "certify" and args.max_depth is None:
             args.max_depth = {"li": 20, "okumura": 50, "band": 30}[args.kind]
         recs, code = _RUNNERS[args.command](args)
@@ -459,6 +473,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return reports.EXIT_USAGE
+    except Exception as exc:
+        # Last: any other crash is the program's fault; exit 1 would read
+        # as a failed verification.
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return reports.EXIT_INTERNAL
     if recs:
         text = reports.render(recs)
         to_file = getattr(args, "out", None)

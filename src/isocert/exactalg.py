@@ -30,31 +30,32 @@ Representation:
                             dict.  Exponents are read back only through
                             `MultiPoly.exponents`, `MultiPoly.split_exponent`
                             and `MultiPoly.degree_in`.
-  RatFn                   = num / den in normal form: gcd(num, den) = 1 and
-                            den is monic under the graded lex order, so two
-                            equal rational functions are structurally equal.
+  FactoredFn              = num over a product of powers of the monic
+                            irreducible factors of a FactorBase, the powers
+                            kept as an exponent tuple; no operation needs a
+                            polynomial gcd.
+  RatFn                   = num / den in normal form, as emitted by
+                            `FactoredFn.to_ratfn`: every base factor that
+                            divides num has been cancelled and den is the
+                            expanded product of the remaining factors.  The
+                            factors are monic and irreducible, so num and den
+                            are coprime, den is monic under the graded lex
+                            order, and two equal rational functions are
+                            structurally equal.
 
 Index conventions for the curvature problem are handled at symbol-interning
 time: second-derivative symbols h_ijk are fully symmetric, so `SymbolTable.h`
 sorts the indices before building the name.  No rewrite rules are needed
 downstream.
-
-Polynomial gcd is computed over the integers (after clearing denominators)
-with content / primitive-part extraction and a subresultant remainder
-sequence in the most convenient variable.  This keeps coefficient growth
-tame without any floating-point shortcuts.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
-
-ExactRational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -209,9 +210,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "MultiPoly":
-        return MultiPoly(self.table, self.terms)
-
     def exponents(self, m: int) -> tuple[int, ...]:
         """Exponent of every symbol in the packed monomial m, in table order."""
         # One byte per field, symbol 0 most significant: big-endian bytes.
@@ -221,9 +219,6 @@ class MultiPoly:
         """(e, rest): the exponent of symbol index i in m, and m with it set to 0."""
         e = (m >> self.table.shifts[i]) & _FIELD_MASK
         return e, m - e * self.table.units[i]
-
-    def total_degree(self) -> int:
-        return max(self.terms, default=0) >> (_FIELD_BITS * len(self.table))
 
     def degree_in(self, name: str) -> int:
         shift = self.table.shifts[self.table.index(name)]
@@ -239,8 +234,6 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.table, other)
-        if isinstance(other, RatFn):
-            return RatFn.from_poly(self) + other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -265,8 +258,6 @@ class MultiPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.table, other)
-        if isinstance(other, RatFn):
-            return RatFn.from_poly(self) - other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self + (-other)
@@ -280,8 +271,6 @@ class MultiPoly:
             if q == 0:
                 return MultiPoly(self.table)
             return MultiPoly._own(self.table, {m: c * q for m, c in self.terms.items()})
-        if isinstance(other, RatFn):
-            return RatFn.from_poly(self) * other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
@@ -308,7 +297,7 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            return RatFn.from_poly(self) ** n
+            raise ValueError("negative power of a polynomial")
         out = MultiPoly.const(self.table, 1)
         base = self
         while n:
@@ -324,15 +313,6 @@ class MultiPoly:
             if q == 0:
                 raise ZeroDivisionError("division by zero scalar")
             return self * (Fraction(1) / q)
-        if isinstance(other, MultiPoly):
-            return ratfn_reduce(self, other)
-        if isinstance(other, RatFn):
-            return RatFn.from_poly(self) / other
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ratfn_reduce(MultiPoly.const(self.table, other), self)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -386,51 +366,6 @@ class MultiPoly:
             total += v
         return total
 
-    def evaluate_partial(self, point: Mapping[str, Scalar]) -> "MultiPoly":
-        """Substitute rational values for a subset of symbols."""
-        by_index = {self.table.index(n): _as_fraction(v) for n, v in point.items()}
-        out: dict[int, Scalar] = {}
-        for m, c in self.terms.items():
-            v = c
-            key = m
-            for i, val in by_index.items():
-                e, key = self.split_exponent(key, i)
-                if e:
-                    v *= val ** e
-            if not v:
-                continue
-            s = out.get(key)
-            out[key] = s + v if s is not None else v
-            if not out[key]:
-                del out[key]
-        return MultiPoly._own(self.table, out)
-
-    def substitute(self, mapping: Mapping[str, "RatFn"]) -> "RatFn":
-        """Replace symbols by rational functions; exact result.
-
-        Substitution targets must not themselves involve the replaced
-        symbols (true for every use in this package).
-        """
-        result = RatFn.from_poly(self)
-        for name, repl in mapping.items():
-            if name not in self.table:
-                continue
-            i = self.table.index(name)
-            poly = result.num
-            den = result.den
-            by_power: dict[int, dict[int, Scalar]] = {}
-            for m, c in poly.terms.items():
-                e, rest = poly.split_exponent(m, i)
-                by_power.setdefault(e, {})[rest] = c
-            if list(by_power) == [0] or not by_power:
-                continue
-            acc = RatFn.zero(self.table)
-            for e, terms in by_power.items():
-                piece = RatFn.from_poly(MultiPoly._own(self.table, terms))
-                acc = acc + piece * repl ** e
-            result = acc / RatFn.from_poly(den)
-        return result
-
     # -- display ---------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -461,35 +396,6 @@ class MultiPoly:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-# -- polynomial gcd ----------------------------------------------------------
-
-def _int_content_and_primitive(p: MultiPoly) -> tuple[Fraction, dict[int, int]]:
-    """Scale to integer coefficients with content 1; returns (scale, int terms)."""
-    if not p.terms:
-        return Fraction(0), {}
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    ints = {}
-    for m, c in p.terms.items():
-        v = c.numerator * (den_lcm // c.denominator)
-        ints[m] = v
-        num_gcd = math.gcd(num_gcd, abs(v))
-    sign = 1 if ints[max(ints)] > 0 else -1
-    scale = Fraction(sign * num_gcd, den_lcm)
-    ints = {m: v // (sign * num_gcd) for m, v in ints.items()}
-    return scale, ints
-
-
-def _primitive_part(p: MultiPoly) -> MultiPoly:
-    """Integer-primitive representative with positive leading coefficient."""
-    if p.is_zero():
-        return p
-    _, ints = _int_content_and_primitive(p)
-    return MultiPoly._own(p.table, ints)
 
 
 def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
@@ -548,162 +454,28 @@ def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
     return MultiPoly._own(a.table, q) if not rem else None
 
 
-def _to_univar(p: MultiPoly, i: int) -> list[MultiPoly]:
-    """Dense coefficient list of p viewed as a polynomial in symbol i."""
-    deg = p.degree_in(p.table.names[i])
-    coeffs: list[dict[int, Scalar]] = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        e, rest = p.split_exponent(m, i)
-        coeffs[e][rest] = c
-    return [MultiPoly._own(p.table, d) for d in coeffs]
-
-
-def _from_univar(coeffs: Sequence[MultiPoly], i: int, table: SymbolTable) -> MultiPoly:
-    # Each coefficient is free of symbol i and e <= the input degree in i.
-    unit = table.units[i]
-    out: dict[int, Scalar] = {}
-    for e, poly in enumerate(coeffs):
-        for m, c in poly.terms.items():
-            out[m + e * unit] = c
-    return MultiPoly._own(table, out)
-
-
-def _uv_mul_scalar(coeffs: list[MultiPoly], s: MultiPoly) -> list[MultiPoly]:
-    return [c * s for c in coeffs]
-
-
-def _uv_pseudo_rem(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:
-    """Pseudo-remainder of dense coefficient lists (main variable implicit)."""
-    table = b[-1].table
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    for k in range(da - db, -1, -1):
-        if len(r) - 1 < db + k:
-            r = _uv_mul_scalar(r, lb)
-            continue
-        lr = r[-1]
-        r = _uv_mul_scalar(r[:-1], lb)
-        for j in range(db):
-            r[j + k] = r[j + k] - lr * b[j]
-        while r and r[-1].is_zero():
-            r.pop()
-        if not r:
-            break
-    return r
-
-
-def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd over the rationals, returned integer-primitive with positive lead.
-
-    Contents are split off per main variable once; the primitive parts run
-    through the subresultant remainder sequence, whose coefficient growth
-    is removed by exact division with the predicted g * h^delta factors, so
-    no recursive gcds happen inside the remainder loop.
-    """
-    a._check(b)
-    if a.is_zero():
-        return _primitive_part(b)
-    if b.is_zero():
-        return _primitive_part(a)
-    a = _primitive_part(a)
-    b = _primitive_part(b)
-    if a == b:
-        return a
-    # Cheap exits: one operand divides the other (common in reduced chains).
-    if divexact(b, a) is not None:
-        return a
-    if divexact(a, b) is not None:
-        return b
-    common = a.symbols_used() & b.symbols_used()
-    shared = [i for i, name in enumerate(a.table.names) if name in common]
-    if not shared:
-        return MultiPoly.const(a.table, 1)
-    # Main variable: smallest minimum degree keeps the remainder chain short.
-    x = min(shared, key=lambda i: min(a.degree_in(a.table.names[i]), b.degree_in(b.table.names[i])))
-    ua = _to_univar(a, x)
-    ub = _to_univar(b, x)
-    if len(ua) < len(ub):
-        ua, ub = ub, ua
-    cont_a = _poly_gcd_list(ua)
-    cont_b = _poly_gcd_list(ub)
-    ua = [divexact(c, cont_a) for c in ua]
-    ub = [divexact(c, cont_b) for c in ub]
-    cont = poly_gcd(cont_a, cont_b)
-    tail = _subresultant_prs(ua, ub, a.table)
-    if tail is None:
-        prim = MultiPoly.const(a.table, 1)
-    else:
-        tail_cont = _poly_gcd_list(tail)
-        tail = [divexact(c, tail_cont) for c in tail]
-        prim = _from_univar(tail, x, a.table)
-    return _primitive_part(cont * prim)
-
-
-def _subresultant_prs(ua: list[MultiPoly], ub: list[MultiPoly], table: SymbolTable) -> list[MultiPoly] | None:
-    """Last nonzero member of the subresultant sequence, or None when the
-    sequence terminates in a unit (gcd trivial in the main variable)."""
-    one = MultiPoly.const(table, 1)
-    g = one
-    h = one
-    A, B = ua, ub
-    while True:
-        delta = (len(A) - 1) - (len(B) - 1)
-        R = _uv_pseudo_rem(A, B)
-        if not R:
-            return B
-        if len(R) == 1:
-            return None
-        divisor = g * h**delta
-        R = [divexact(c, divisor) for c in R]
-        A, B = B, R
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = divexact(g**delta, h ** (delta - 1))
-
-
-def _poly_gcd_list(polys: Sequence[MultiPoly]) -> MultiPoly:
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        raise ValueError("gcd of all-zero list")
-    g = nonzero[0]
-    one = None
-    for p in nonzero[1:]:
-        g = poly_gcd(g, p)
-        if one is None:
-            one = MultiPoly.const(g.table, 1)
-        if g == one:
-            return g
-    return _primitive_part(g)
-
-
 # -- rational functions ------------------------------------------------------
 
 class RatFn:
-    """Rational function in normal form: coprime parts, monic denominator."""
+    """Rational function in normal form: coprime parts, monic denominator.
+
+    Built only by `FactoredFn.to_ratfn`, `from_poly` and `zero`, which all
+    emit the normal form, so structural equality decides equality.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly, _normalized: bool = False):
-        if not _normalized:
-            r = ratfn_reduce(num, den)
-            num, den = r.num, r.den
+    def __init__(self, num: MultiPoly, den: MultiPoly):
         self.num = num
         self.den = den
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "RatFn":
-        return cls(p, MultiPoly.const(p.table, 1), _normalized=True)
+        return cls(p, MultiPoly.const(p.table, 1))
 
     @classmethod
     def zero(cls, table: SymbolTable) -> "RatFn":
         return cls.from_poly(MultiPoly.zero(table))
-
-    @classmethod
-    def const(cls, table: SymbolTable, value: Scalar) -> "RatFn":
-        return cls.from_poly(MultiPoly.const(table, value))
 
     @property
     def table(self) -> SymbolTable:
@@ -715,79 +487,13 @@ class RatFn:
     def is_poly(self) -> bool:
         return self.den == MultiPoly.const(self.table, 1)
 
-    def _coerce(self, other) -> "RatFn | None":
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFn.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFn.const(self.table, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return ratfn_reduce(self.num + o.num, self.den)
-        return ratfn_reduce(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den, _normalized=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ratfn_reduce(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return ratfn_reduce(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return RatFn.const(self.table, 1)
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("zero rational function to negative power")
-            return RatFn(self.den, self.num) ** (-n)
-        return RatFn(self.num ** n, self.den ** n)
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RatFn):
             return NotImplemented
-        # Normal form makes structural equality decide functional equality.
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return self.num == other.num and self.den == other.den
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
+        """Exact value; raises PoleError when the denominator vanishes."""
         dv = self.den.evaluate(point)
         if dv == 0:
             raise PoleError(str(self.den))
@@ -803,36 +509,6 @@ class RatFn:
         if self.is_poly():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-
-def ratfn_reduce(num: MultiPoly, den: MultiPoly) -> RatFn:
-    """Normal form of num/den: cancel the gcd, make the denominator monic."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    num._check(den)
-    if num.is_zero():
-        return RatFn(num, MultiPoly.const(num.table, 1), _normalized=True)
-    g = poly_gcd(num, den)
-    if g.total_degree() > 0 or g.leading()[1] != 1:
-        num = divexact(num, g)
-        den = divexact(den, g)
-    _, lc = den.leading()
-    if lc != 1:
-        inv = Fraction(1) / lc
-        num = num * inv
-        den = den * inv
-    return RatFn(num, den, _normalized=True)
-
-
-def poly_arith(a: MultiPoly, b: MultiPoly, op: str) -> MultiPoly:
-    """Exact add/sub/mul on polynomials sharing one symbol table."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 class FactoredFn:
@@ -897,7 +573,7 @@ class FactoredFn:
         """Exact normal-form RatFn (no gcd search needed)."""
         r = self.normalize()
         den_poly = self.base.factor_power(r.den)
-        return RatFn(r.num, den_poly, _normalized=True)
+        return RatFn(r.num, den_poly)
 
     def __repr__(self) -> str:
         return f"FactoredFn(({self.num}) / {self.den})"
@@ -940,13 +616,3 @@ class FactorBase:
 
     def from_poly(self, p: MultiPoly) -> FactoredFn:
         return FactoredFn(self, p, self.zero_den)
-
-    def fraction(self, num: MultiPoly, factor_index: int, power: int = 1) -> FactoredFn:
-        den = list(self.zero_den)
-        den[factor_index] = power
-        return FactoredFn(self, num, tuple(den))
-
-
-def evaluate(expr: RatFn | MultiPoly, point: Mapping[str, Scalar]) -> Fraction:
-    """Exact evaluation; raises PoleError when a denominator vanishes."""
-    return expr.evaluate(point)

@@ -261,17 +261,6 @@ def connection_form(i: int, j: int) -> Form:
     return out
 
 
-def gauss_component(i: int, j: int, k: int, l: int) -> RatFn:
-    """Curvature of the induced metric for a diagonal shape operator."""
-    for idx in (i, j, k, l):
-        if idx not in _W:
-            raise ValueError("indices must lie in 1..4")
-    coeff = (1 if (i == k and j == l) else 0) - (1 if (i == l and j == k) else 0)
-    if coeff == 0:
-        return RatFn.zero(GEOMETRY)
-    return RatFn.from_poly((_POLY_ONE + lam(i) * lam(j)) * coeff)
-
-
 def _gauss_factor(i: int, j: int, mode: str) -> MultiPoly:
     """R_ijij (i < j) as a symbol or expanded through the Gauss equation."""
     if mode == "symbolic":

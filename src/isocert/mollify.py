@@ -236,14 +236,6 @@ class Cutoff:
         return _step_slope((float(t) - self.lo) / self.span) / self.span
 
 
-def build_mollifier(delta: float) -> Mollifier:
-    return Mollifier(delta)
-
-
-def build_cutoff(eps: float) -> Cutoff:
-    return Cutoff(eps)
-
-
 # -- property sweeps -------------------------------------------------------------
 
 def _golden_points(n: int, lo: float, hi: float) -> list[float]:

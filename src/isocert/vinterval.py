@@ -1,10 +1,11 @@
 """Vectorized interval arithmetic over batches of cells.
 
-Endpoints are numpy float64 arrays; every operation widens each computed
-endpoint one representable float outward (np.nextafter), so containment
-holds exactly as in the scalar case while whole cell frontiers are
-processed per call.  Used by the branch-and-bound certifiers, where the
-per-cell Python overhead would otherwise dominate.
+This is the package's one floating-point interval type.  Endpoints are
+numpy float64 arrays; every operation widens each computed endpoint one
+representable float outward (np.nextafter), which over-approximates
+directed rounding without touching the FPU mode, so x in X and y in Y
+imply x op y in X op Y.  Whole cell frontiers are processed per call, so
+the branch-and-bound certifiers pay no per-cell Python overhead.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class VI:
         hi = np.maximum(lo_p, hi_p)
         # Squares are nonnegative, so clamping the widened bound at zero is sound.
         return VI(np.maximum(down(lo), 0.0), up(hi))
-
-    def pow3(self) -> "VI":
-        return VI(down(self.lo**3), up(self.hi**3))
 
     def sqrt_clamped(self) -> "VI":
         """sqrt with negative lower parts clamped to zero (for discriminants)."""

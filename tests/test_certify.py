@@ -1,11 +1,15 @@
 """Branch-and-bound certificates: proofs, cross-checks, determinism."""
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocert import certify as ct
 from isocert import identities as idn
+from isocert.vinterval import VI
 
 
 def test_li_certificate_wide_collar():
@@ -83,6 +87,46 @@ def test_band_bounds_all_quantities():
         assert cert.status == "proved", q
         if q.startswith("G") or q in ("m0", "m1"):
             assert cert.bound is not None and cert.bound < 1e5
+
+
+_BAND_RATFNS = [(side, key, expr) for side in ("g", "f")
+                for key, expr in idn.gap_band_quantities(side).items()]
+
+
+@st.composite
+def _rational_cells(draw):
+    """A batch of random rational boxes in l1..l4 and one point in each."""
+    n = draw(st.integers(1, 6))
+    lo = {f"l{i}": [] for i in range(1, 5)}
+    hi = {f"l{i}": [] for i in range(1, 5)}
+    points = []
+    for _ in range(n):
+        pt = {}
+        for name in lo:
+            den = draw(st.integers(1, 7))
+            a = F(draw(st.integers(-3 * den, 3 * den)), den)
+            b = a + F(draw(st.integers(0, den)), den * draw(st.integers(1, 4)))
+            pt[name] = a + (b - a) * F(draw(st.integers(0, 6)), 6)
+            # Rational endpoints enter as floats rounded outward.
+            lo[name].append(np.nextafter(float(a), -np.inf))
+            hi[name].append(np.nextafter(float(b), np.inf))
+        points.append(pt)
+    box = {name: VI(lo[name], hi[name]) for name in lo}
+    return SimpleNamespace(n=n, **box), points
+
+
+@given(_rational_cells())
+@settings(max_examples=40, deadline=None)
+def test_band_quantity_enclosures_contain_exact_values(cells):
+    """Every cell _vector_ratfn marks ok encloses the exact value at its point."""
+    ch, points = cells
+    assert len(_BAND_RATFNS) == 14
+    for side, key, expr in _BAND_RATFNS:
+        val, ok = ct._vector_ratfn(expr, ch)
+        for k, pt in enumerate(points):
+            if ok[k]:
+                exact = expr.evaluate(pt)
+                assert float(val.lo[k]) <= exact <= float(val.hi[k]), (side, key, pt)
 
 
 def test_band_empty_region_trivial():

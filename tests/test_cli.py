@@ -176,6 +176,8 @@ def test_summary_goes_to_stdout_with_out_file(tmp_path):
     PoleError("l1 - l2"),
     MonomialOverflowError(),
     reports.InternalError("record 'x': payload 'status' contradicts the record"),
+    KeyError("x"),
+    RuntimeError("sampler acceptance rate too low"),
 ])
 def test_internal_faults_exit_70(monkeypatch, capsys, fault):
     def broken(name, mode="symbolic"):
@@ -186,6 +188,15 @@ def test_internal_faults_exit_70(monkeypatch, capsys, fault):
     assert code == reports.EXIT_INTERNAL == 70
     err = capsys.readouterr().err
     assert "internal error" in err and "usage error" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_bad_worker_counts_are_usage_errors(monkeypatch, capsys, value):
+    argv = ["examples", "--list", "--quiet"]
+    assert cli.main(argv + ["--threads", value]) == reports.EXIT_USAGE
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    assert cli.main(argv) == reports.EXIT_USAGE
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_record_payload_cannot_contradict_header():

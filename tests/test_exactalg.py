@@ -16,9 +16,6 @@ from isocert.exactalg import (
     SymbolMismatchError,
     SymbolTable,
     divexact,
-    poly_arith,
-    poly_gcd,
-    ratfn_reduce,
 )
 
 T = SymbolTable.geometry()
@@ -41,11 +38,11 @@ def test_symbol_table_rejects_duplicates():
 def test_additive_inverse():
     p = L[1] + L[2]
     assert (p + (-p)).is_zero()
-    assert poly_arith(p, -p, "add").is_zero()
+    assert (p - p).is_zero()
 
 
 def test_difference_of_squares():
-    assert poly_arith(L[2] - L[1], L[2] + L[1], "mul") == L[2] ** 2 - L[1] ** 2
+    assert (L[2] - L[1]) * (L[2] + L[1]) == L[2] ** 2 - L[1] ** 2
 
 
 def test_gap_product_at_probe():
@@ -56,24 +53,25 @@ def test_gap_product_at_probe():
 def test_mismatched_tables_rejected():
     other = SymbolTable(["x", "y"])
     with pytest.raises(SymbolMismatchError):
-        poly_arith(L[1], MultiPoly.var(other, "x"), "add")
+        L[1] + MultiPoly.var(other, "x")
+
+
+# Monic gap factors: l_i is more significant than l_j for i < j.
+GAPS = FactorBase([L[1] - L[2], L[1] - L[3], L[2] - L[3]])
 
 
 def test_ratfn_cancels_common_factor():
-    r = ratfn_reduce(L[2] ** 2 - L[1] ** 2, L[2] - L[1])
-    assert r == RatFn.from_poly(L[2] + L[1])
+    # The expanded numerator hides the factor (l1 - l2); to_ratfn finds it.
+    r = FactoredFn(GAPS, L[1] ** 2 - L[2] ** 2, (1, 0, 0)).to_ratfn()
+    assert r == RatFn.from_poly(L[1] + L[2])
     assert r.is_poly()
 
 
 def test_ratfn_zero_numerator():
-    r = ratfn_reduce(MultiPoly.zero(T), L[3] - L[2])
+    r = FactoredFn(GAPS, MultiPoly.zero(T), (0, 1, 2)).to_ratfn()
     assert r.is_zero()
     assert r.den == MultiPoly.const(T, 1)
-
-
-def test_ratfn_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        ratfn_reduce(L[1], MultiPoly.zero(T))
+    assert r == RatFn.zero(T)
 
 
 def test_gamma_L1_over_gamma_at_probe():
@@ -82,7 +80,9 @@ def test_gamma_L1_over_gamma_at_probe():
         - (L[4] - L[2]) * (L[3] - L[2]) * (L[2] - L[1]) ** 2
     assert gL1.evaluate(PROBE) == -256
     assert gamma.evaluate(PROBE) == 256
-    assert ratfn_reduce(gL1, gamma).evaluate(PROBE) == -1
+    r = FactoredFn(GAPS, gL1, (2, 2, 2)).to_ratfn()
+    assert r.den == gamma
+    assert r.evaluate(PROBE) == -1
 
 
 def test_evaluate_trace_and_square_sum():
@@ -91,7 +91,7 @@ def test_evaluate_trace_and_square_sum():
 
 
 def test_evaluate_pole_names_denominator():
-    r = MultiPoly.const(T, 1) / (L[2] - L[1])
+    r = FactoredFn(GAPS, MultiPoly.const(T, 1), (1, 0, 0)).to_ratfn()
     with pytest.raises(PoleError) as err:
         r.evaluate({"l1": 0, "l2": 0})
     assert "l1 - l2" in str(err.value)
@@ -110,26 +110,15 @@ def test_divexact_round_trip():
     assert divexact(L[1] + 1, L[2]) is None
 
 
-def test_poly_gcd_common_factor():
-    common = L[1] + L[2]
-    g = poly_gcd(common * (L[1] - L[3]) ** 2, common * (L[2] + L[4]))
-    assert g == common
-    # Coprime inputs give a unit.
-    assert poly_gcd(L[1] + 1, L[2] + 2) == MultiPoly.const(T, 1)
-
-
 def test_ratfn_subtraction_cross_cancel():
-    # (a/b) - (a/b) must be the canonical zero.
-    r = (L[1] ** 2 + L[2]) / ((L[3] - L[2]) * (L[2] - L[1]))
-    assert (r - r).is_zero()
+    # (a/b) - (a/b) must be the canonical zero, denominator 1.
+    r = FactoredFn(GAPS, L[1] ** 2 + L[2], (1, 0, 1))
+    assert (r - r).to_ratfn() == RatFn.zero(T)
 
 
-def test_poly_substitution_by_rational_functions():
-    # Replace l1 by l2/(l3 - l2) inside a quadratic; exact rational result.
-    target = L[2] / (L[3] - L[2])
-    out = (L[1] ** 2 + L[4] * L[1]).substitute({"l1": target})
-    direct = target * target + RatFn.from_poly(L[4]) * target
-    assert out == direct
+def test_negative_power_rejected():
+    with pytest.raises(ValueError):
+        L[1] ** -1
 
 
 # -- property tests -------------------------------------------------------------
@@ -161,12 +150,17 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(small_polys(), small_polys(), small_polys())
+_small_base = FactorBase([_vars[0] - _vars[1], _vars[0] + 1])
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@given(small_polys(), _exps, _exps)
 @settings(max_examples=40, deadline=None)
-def test_canonical_form_of_quotients(p, q, r):
-    if q.is_zero() or r.is_zero():
-        return
-    assert ratfn_reduce(p * r, q * r) == ratfn_reduce(p, q)
+def test_canonical_form_of_quotients(p, den, extra):
+    # Multiplying through by common base factors leaves one normal form.
+    padded = FactoredFn(_small_base, p * _small_base.factor_power(extra),
+                        tuple(d + e for d, e in zip(den, extra)))
+    assert padded.to_ratfn() == FactoredFn(_small_base, p, den).to_ratfn()
 
 
 @given(small_polys(), small_polys(),
@@ -176,32 +170,23 @@ def test_evaluate_is_a_homomorphism(a, b, pt):
     point = dict(zip(("x", "y", "z"), pt))
     assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
     assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-    bv = b.evaluate(point)
-    if not b.is_zero() and bv != 0:
-        assert (a / b).evaluate(point) == a.evaluate(point) / bv
-
-
-@given(small_polys(), small_polys())
-@settings(max_examples=40, deadline=None)
-def test_gcd_divides_both(a, b):
-    if a.is_zero() and b.is_zero():
-        return
-    g = poly_gcd(a, b)
-    if not a.is_zero():
-        assert divexact(a, g) is not None
-    if not b.is_zero():
-        assert divexact(b, g) is not None
+    assert (a / 3).evaluate(point) == a.evaluate(point) / 3
 
 
 # -- factored-denominator pipeline ---------------------------------------------
+
+def _same_quotient(r, num, den):
+    """r == num / den as rational functions, decided by cross-multiplication."""
+    return r.num * den == num * r.den
+
 
 def test_factored_fn_matches_ratfn():
     base = FactorBase([L[1] - L[2], L[2] - L[3]])
     x = FactoredFn(base, L[1] + L[2], (1, 0))
     y = FactoredFn(base, L[3] ** 2, (0, 2))
     total = (x + y).to_ratfn()
-    direct = (L[1] + L[2]) / (L[1] - L[2]) + RatFn.from_poly(L[3] ** 2) / ((L[2] - L[3]) ** 2)
-    assert total == direct
+    num = (L[1] + L[2]) * (L[2] - L[3]) ** 2 + L[3] ** 2 * (L[1] - L[2])
+    assert _same_quotient(total, num, (L[1] - L[2]) * (L[2] - L[3]) ** 2)
 
 
 def test_factored_fn_normalizes_removable_factors():
@@ -211,37 +196,25 @@ def test_factored_fn_normalizes_removable_factors():
     assert r == RatFn.from_poly((L[1] - L[2]) * L[3])
 
 
-@given(small_polys(), small_polys(), st.integers(0, 1), st.integers(0, 1),
-       st.integers(0, 1), st.integers(0, 1))
+@given(small_polys(), small_polys(), _exps, _exps)
 @settings(max_examples=30, deadline=None)
-def test_factored_fn_field_ops_match_ratfn(p, q, e1, e2, f1, f2):
+def test_factored_fn_field_ops_match_ratfn(p, q, ea, eb):
+    # Layered denominators: each base factor up to the second power.
     x, y = _vars[0], _vars[1]
-    base = FactorBase([x - y, x + 1])
-    a = FactoredFn(base, p, (e1, e2))
-    b = FactoredFn(base, q, (f1, f2))
+    (e1, e2), (f1, f2) = ea, eb
+    a = FactoredFn(_small_base, p, ea)
+    b = FactoredFn(_small_base, q, eb)
     den_a = (x - y) ** e1 * (x + 1) ** e2
     den_b = (x - y) ** f1 * (x + 1) ** f2
-    ra = ratfn_reduce(p, den_a)
-    rb = ratfn_reduce(q, den_b)
-    assert (a + b).to_ratfn() == ra + rb
-    assert (a * b).to_ratfn() == ra * rb
-    assert (a - b).to_ratfn() == ra - rb
-
-
-def test_gcd_handles_layered_denominators():
-    # Regression: mixed gap/offset denominators once drove the remainder
-    # sequence into recursive content blowup; the subresultant route keeps
-    # every division exact and predictable.
-    x, y, z = _vars
-    p = 2 * x ** 2 * z - y * z ** 2 + Fraction(3, 2) * x
-    q = x * y ** 2 - 4 * z + 1
-    den_a = (x - y) ** 2 * (x + 1) ** 2
-    den_b = (x - y) * (x + 1) ** 2
-    ra = ratfn_reduce(p, den_a)
-    rb = ratfn_reduce(q, den_b)
-    total = ra + rb
-    recombined = total * RatFn.from_poly(den_a) - RatFn.from_poly(p)
-    assert recombined == ratfn_reduce(q * (x - y), MultiPoly.const(_small_table, 1))
+    for r, num in (((a + b).to_ratfn(), p * den_b + q * den_a),
+                   ((a * b).to_ratfn(), p * q),
+                   ((a - b).to_ratfn(), p * den_b - q * den_a)):
+        assert _same_quotient(r, num, den_a * den_b)
+        # Normal form: monic denominator, no base factor left on both sides.
+        assert r.den.leading()[1] == 1
+        for f in _small_base.factors:
+            if divexact(r.den, f) is not None:
+                assert divexact(r.num, f) is None
 
 
 # -- coefficient types and packed monomials -------------------------------------
@@ -338,9 +311,6 @@ def test_coefficients_stay_exact(a, b, s):
         prod = a * b
         q = divexact(prod, b)
         assert q is not None and _exact_types(q) and _ref(q) == ra
-        r = ratfn_reduce(a, b)
-        assert _exact_types(r.num) and _exact_types(r.den)
-        assert _ref_mul(_ref(r.num), rb) == _ref_mul(ra, _ref(r.den))
 
 
 @given(typed_polys(int_only=True), typed_polys(int_only=True))

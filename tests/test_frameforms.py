@@ -14,7 +14,7 @@ import pytest
 
 from isocert import frameforms as ff
 from isocert import identities as idn
-from isocert.exactalg import MultiPoly, RatFn, SymbolTable, ratfn_reduce
+from isocert.exactalg import MultiPoly, RatFn, SymbolTable, divexact
 
 L = {i: ff.lam(i) for i in range(1, 5)}
 PROBE = {"l1": -3, "l2": -1, "l3": 1, "l4": 3}
@@ -29,8 +29,9 @@ def test_connection_antisymmetry():
 
 def test_connection_coefficients():
     w12 = ff.connection_form(1, 2)
-    expected = RatFn.from_poly(ff.hsym(1, 2, 3)) / RatFn.from_poly(L[1] - L[2])
-    assert w12.coefficient((3,)) == expected
+    c = w12.coefficient((3,))
+    # c == h123 / (l1 - l2), decided by cross-multiplication.
+    assert c.num * (L[1] - L[2]) == ff.hsym(1, 2, 3) * c.den
 
 
 def test_connection_value_at_probe():
@@ -41,18 +42,22 @@ def test_connection_value_at_probe():
 
 
 def test_gauss_components():
+    # The curvature term of d w_12 is -R_1212 w1^w2, and the Gauss equation
+    # expands R_1212 = 1 + l1 l2.
     one = MultiPoly.const(ff.GEOMETRY, 1)
-    assert ff.gauss_component(1, 2, 1, 2) == RatFn.from_poly(one + L[1] * L[2])
-    assert ff.gauss_component(1, 2, 2, 1) == RatFn.from_poly(-(one + L[1] * L[2]))
-    assert ff.gauss_component(1, 2, 3, 4).is_zero()
+    for mode, r12 in (("symbolic", ff.rsym(1, 2)), ("expanded", one + L[1] * L[2])):
+        d = ff.exterior_derivative(ff.connection_generator(1, 2), mode=mode, raw=True)
+        assert d.coefficient((1, 2)) == RatFn.from_poly(-r12)
+        assert d.coefficient((2, 1)) == RatFn.from_poly(r12)
+        assert d.coefficient((3, 4)).is_zero()
 
 
-def _vandermonde_oracle(i: int) -> dict[str, RatFn]:
+def _vandermonde_oracle(i: int) -> dict[str, tuple[MultiPoly, MultiPoly]]:
     """Solve sum_j h_jji = sum_j l_j h_jji = sum_j l_j^2 h_jji = 0 directly.
 
     Cramer's rule on the 3x3 system for (h_11i, h_22i, h_33i) with the
     h_44i column moved to the right-hand side; fully independent of the
-    engine's printed coefficients.
+    engine's printed coefficients.  Returns (numerator, determinant) pairs.
     """
     cols = [L[1], L[2], L[3]]
     rhs = L[4]
@@ -73,7 +78,7 @@ def _vandermonde_oracle(i: int) -> dict[str, RatFn]:
         Aj = [row[:] for row in A]
         for r in range(3):
             Aj[r][j] = b[r]
-        out[SymbolTable.h_name(j + 1, j + 1, i)] = ratfn_reduce(det3(Aj), det)
+        out[SymbolTable.h_name(j + 1, j + 1, i)] = (det3(Aj), det)
     return out
 
 
@@ -83,7 +88,8 @@ def test_diagonal_relations_match_independent_solve(i):
     oracle = _vandermonde_oracle(i)
     assert set(printed) == set(oracle)
     for name in printed:
-        assert printed[name] == oracle[name]
+        num, den = oracle[name]
+        assert printed[name].num * den == num * printed[name].den
 
 
 def test_diagonal_relations_at_probe():
@@ -96,19 +102,24 @@ def test_diagonal_relations_at_probe():
 
 def test_diagonal_relations_satisfy_linear_constraints():
     # After substitution, the three differentiated power-sum constraints
-    # vanish identically as rational functions.
+    # vanish identically as rational functions.  Multiplied through by the
+    # Vandermonde determinant of l1, l2, l3, every coefficient of h_44i is a
+    # polynomial and each constraint a polynomial identity.
+    vdm = (L[2] - L[1]) * (L[3] - L[1]) * (L[3] - L[2])
     for i in range(1, 5):
         rel = ff.diagonal_derivative_relations(i)
-        h44 = RatFn.from_poly(ff.hsym(4, 4, i))
-        terms = [rel[SymbolTable.h_name(j, j, i)] * h44 for j in (1, 2, 3)] + [h44]
-        for weight in (None, "l", "l2"):
-            total = RatFn.zero(ff.GEOMETRY)
+        h44 = ff.hsym(4, 4, i)
+        terms = []
+        for j in (1, 2, 3):
+            r = rel[SymbolTable.h_name(j, j, i)]
+            cleared = divexact(r.num * vdm, r.den)
+            assert cleared is not None
+            terms.append(cleared * h44)
+        terms.append(vdm * h44)
+        for power in (0, 1, 2):
+            total = MultiPoly.zero(ff.GEOMETRY)
             for j, t in enumerate(terms, start=1):
-                if weight == "l":
-                    t = t * RatFn.from_poly(L[j])
-                elif weight == "l2":
-                    t = t * RatFn.from_poly(L[j] * L[j])
-                total = total + t
+                total = total + t * L[j] ** power
             assert total.is_zero()
 
 
@@ -153,8 +164,9 @@ def test_coefficient_access_respects_orientation():
     form = ff.omega(1).wedge(ff.omega(2))
     c12 = form.coefficient((1, 2))
     c21 = form.coefficient((2, 1))
-    assert c12 == RatFn.const(ff.GEOMETRY, 1)
-    assert c21 == RatFn.const(ff.GEOMETRY, -1)
+    one = MultiPoly.const(ff.GEOMETRY, 1)
+    assert c12 == RatFn.from_poly(one)
+    assert c21 == RatFn.from_poly(-one)
     assert form.coefficient((1, 1)).is_zero()
 
 
@@ -209,13 +221,19 @@ def test_dphi_isoparametric_specialization():
     # With every second-derivative symbol sent to zero the volume
     # coefficient of d(Phi) is minus the sum of the six curvature symbols.
     engine = ff.exterior_derivative(ff.phi(), mode="symbolic").vol_coefficient()
-    h_zero = {name: 0 for name in ff.GEOMETRY.names if name.startswith("h")}
-    specialized = engine.num.evaluate_partial(h_zero)
+    num = engine.num
+    h_fields = [i for i, name in enumerate(ff.GEOMETRY.names) if name.startswith("h")]
+    specialized = MultiPoly(ff.GEOMETRY, {
+        m: c for m, c in num.terms.items()
+        if not any(num.exponents(m)[i] for i in h_fields)
+    })
     expected = MultiPoly.zero(ff.GEOMETRY)
     for i in range(1, 5):
         for j in range(i + 1, 5):
             expected = expected - ff.rsym(i, j)
-    assert ratfn_reduce(specialized, engine.den) == RatFn.from_poly(expected)
+    # The denominator is a product of gaps, free of every h symbol.
+    assert not any(n.startswith("h") for n in engine.den.symbols_used())
+    assert specialized == expected * engine.den
 
 
 def test_gamma_Li_all_minus_one_at_probe():
@@ -224,7 +242,7 @@ def test_gamma_Li_all_minus_one_at_probe():
     assert gamma.evaluate(PROBE) == 256
     for i in range(1, 5):
         assert gL[i].evaluate(PROBE) == -256
-        assert ratfn_reduce(gL[i], gamma).evaluate(PROBE) == -1
+        assert gL[i].evaluate(PROBE) / gamma.evaluate(PROBE) == -1
 
 
 def test_gamma_Li_negated_monomial_forms():

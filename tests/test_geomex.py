@@ -1,5 +1,6 @@
 """Model catalog landmarks, all by exact arithmetic."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +127,18 @@ def test_theorem_2_documented_discrepancy():
     assert "note" in rep and "boundary" in rep["note"]
     # The bookkeeping extra confirms S in {0, 4} for the vanishing-h case.
     assert any(e["holds"] for e in rep.get("extras", []))
+
+
+def test_unrelated_note_does_not_excuse_a_failed_conclusion():
+    # g4's catalog note is about off-diagonal h, not about any theorem's
+    # conclusion; a spectrum with S = 10 fails "S in {0, 4, 12}".
+    g4 = gx.isoparametric_g4()
+    assert g4.notes
+    spectrum = tuple(_rat(v) for v in (-2, -1, 1, 2))
+    model = dataclasses.replace(g4, spectrum=spectrum)
+    rep = gx.check_model(model, 1)
+    assert rep["status"] == "violated"
+    assert "note" not in rep
 
 
 def test_theorem_3():

@@ -9,7 +9,7 @@ from isocert import mollify as mf
 
 @pytest.fixture(scope="module")
 def moll():
-    return mf.build_mollifier(0.5)
+    return mf.Mollifier(0.5)
 
 
 def test_equals_abs_outside_window(moll):
@@ -42,7 +42,7 @@ def test_upper_and_lower_envelopes(moll):
 def test_second_derivative_finite_difference_agreement():
     # Fourth-derivative scale ~ 1/delta^3 drives the finite-difference
     # error, so the 1e-6 agreement target is checked on a unit-scale width.
-    m = mf.build_mollifier(2.0)
+    m = mf.Mollifier(2.0)
     step = 1e-3
     for t in (-0.6, -0.2, 0.0, 0.3, 0.7):
         fd = (m.value(t + step, True) - 2 * m.value(t, True) + m.value(t - step, True)) / step**2
@@ -51,9 +51,9 @@ def test_second_derivative_finite_difference_agreement():
 
 def test_rejects_bad_width():
     with pytest.raises(ValueError):
-        mf.build_mollifier(0.0)
+        mf.Mollifier(0.0)
     with pytest.raises(ValueError):
-        mf.build_mollifier(-1)
+        mf.Mollifier(-1)
 
 
 def test_property_report_passes(moll):
@@ -89,7 +89,7 @@ def test_K_smoothed_regime(moll):
 
 
 def test_K_requires_small_delta():
-    wide = mf.build_mollifier(2.0)
+    wide = mf.Mollifier(2.0)
     with pytest.raises(ValueError):
         mf.build_K(mf.GapPair(1, 1, 0.5), wide)
 
@@ -104,7 +104,7 @@ def test_K_equals_min_everywhere_when_gap_separated():
     # If |f - g| >= delta0 for every pair, the kernel with delta = delta0/2
     # reproduces min(f, g) exactly on all of them.
     delta0 = 0.2
-    m = mf.build_mollifier(delta0 / 2)
+    m = mf.Mollifier(delta0 / 2)
     import random
 
     rng = random.Random(11)
@@ -120,7 +120,7 @@ def test_K_equals_min_everywhere_when_gap_separated():
 
 
 def test_cutoff_endpoint_values():
-    c = mf.build_cutoff(0.3)
+    c = mf.Cutoff(0.3)
     assert c.value(0.1) == 0.0
     assert c.value(0.3) == 1.0
     assert c.value(0.05) == 0.0
@@ -136,7 +136,7 @@ def test_cutoff_properties():
 
 
 def test_cutoff_monotone():
-    c = mf.build_cutoff(1.0)
+    c = mf.Cutoff(1.0)
     prev = -1.0
     for k in range(300):
         t = k / 200.0
@@ -144,4 +144,4 @@ def test_cutoff_monotone():
         assert v >= prev - 1e-15
         prev = v
     with pytest.raises(ValueError):
-        mf.build_cutoff(0)
+        mf.Cutoff(0)
