@@ -15,10 +15,11 @@ of cells is processed as numpy batches (see vinterval); cells split on
 their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
 
-The four gamma*L_i products are evaluated in factored gap form (tight for
-intervals); the factored forms are proved equal to the engine-extracted
-polynomials by the symbolic test suite, so certifying one certifies the
-other.
+The gamma*L_i products and the gap slopes m0/m1 are written once, in
+`identities`, generic over the ring of gap values: the certifiers evaluate
+them over intervals, the exact cross-check over integers extended by
+sqrt(disc).  The tests check the gap form equal to the printed products
+exactly and every enclosure against exact rational values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import identities
 from .algebraic import QuadExt, _sqrt_bounds
 from .exactalg import MultiPoly, RatFn
-from .vinterval import VI
+from .vinterval import VI, float_down
 
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
@@ -174,51 +175,6 @@ class Chamber:
         return self.disc.hi >= 0
 
 
-def _gamma_L_factored(ch: Chamber, gap_floor: float = 0.0) -> list[VI]:
-    """gamma*L_i as sums of negated gap monomials.
-
-    Substituting the chain relations g31 = g32+g21, g42 = g43+g32,
-    g41 = g43+g32+g21 into the printed products turns every gamma*L_i into
-    minus a sum of monomials in the three primitive gaps, so the interval
-    enclosure has no cancellation and certifies negativity as soon as a
-    cell's feasible gap ranges are known.  The equivalence with the printed
-    polynomials is verified exactly by the symbolic test suite.
-
-    With a positive gap_floor the primitive gap enclosures are intersected
-    with [floor, inf), sound when the certified claim quantifies only over
-    points with gaps >= floor.
-    """
-    g21 = ch.g21.floor_at(gap_floor)
-    g32 = ch.g32.floor_at(gap_floor)
-    g43 = ch.g43.floor_at(gap_floor)
-    g31 = g32 + g21
-    g21sq = g21.sq()
-    g32sq = g32.sq()
-    g43sq = g43.sq()
-    g31sq = g31.sq()
-    s31_32 = g31 + g32
-    mix = g31sq + g31 * g32 + g32sq
-    gL1 = -(
-        g43sq.sq() + (g43sq * g43 * g31).scale(2.0) + g43sq * g31sq
-        + g32 * g43sq * g43 + (g32 * g43sq * g31).scale(2.0)
-        + g43 * g32 * g21sq + g32sq * g21sq
-    )
-    gL2 = -(
-        g43sq.sq() + (g43sq * g43 * g32).scale(2.0) + g43sq * g32sq
-        + g31 * g43sq * g43 + (g31 * g43sq * g32).scale(2.0)
-        + g43 * g31 * g21sq + g31sq * g21sq
-    )
-    gL3 = -(
-        g21sq * mix + g43 * g21sq * s31_32
-        + (g43 + g31) * (g43 + g32) * g43sq
-    )
-    gL4 = -(
-        g43sq * g21sq + (g43 * g21sq * s31_32).scale(2.0)
-        + g21sq * mix + g31 * g32 * g43sq
-    )
-    return [gL1, gL2, gL3, gL4]
-
-
 def _upper_sqrt(x: Fraction) -> float:
     lo, hi = _sqrt_bounds(Fraction(x), Fraction(1, 10**9))
     return float(Fraction(hi)) * (1 + 1e-12)
@@ -240,7 +196,7 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
                          " (the products vanish on the chamber boundary)")
     bound = _upper_sqrt(S)
     sb = _s_bounds(S)
-    tau2 = tau * tau
+    tau2 = float_down(Fraction(tau) ** 2)
     cells = CellBatch.root(-bound, 0.0, -bound, bound)
     depth = 0
     processed = 0
@@ -255,7 +211,9 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
             & (ch.g32.hi >= tau)
             & (ch.disc.hi >= tau2)
         )
-        vals = _gamma_L_factored(ch, gap_floor=tau)
+        # Sound because the claim quantifies only over points with gaps >= tau.
+        vals = identities.gamma_L_gap_form(
+            ch.g21.floor_at(tau), ch.g32.floor_at(tau), ch.g43.floor_at(tau))
         all_hi = np.maximum.reduce([v.hi for v in vals])
         proved = feasible & (all_hi <= -margin)
         if proved.any():
@@ -299,6 +257,24 @@ def _pair_sign(a: int, b: int, D: int) -> int:
     return -1 if lhs > rhs else 1
 
 
+class _QuadInt:
+    """a + b*sqrt(D) with integers a, b: the exact ring of the Li cross-check."""
+
+    __slots__ = ("a", "b", "D")
+
+    def __init__(self, a: int, b: int, D: int):
+        self.a, self.b, self.D = a, b, D
+
+    def __add__(self, o: "_QuadInt") -> "_QuadInt":
+        return _QuadInt(self.a + o.a, self.b + o.b, self.D)
+
+    def __sub__(self, o: "_QuadInt") -> "_QuadInt":
+        return _QuadInt(self.a - o.a, self.b - o.b, self.D)
+
+    def __mul__(self, o: "_QuadInt") -> "_QuadInt":
+        return _QuadInt(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D)
+
+
 def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
     """Exact-arithmetic spot check: gamma*L_i < 0 at random feasible points.
 
@@ -335,47 +311,19 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
         # g43 = sqrt(D)/q >= tau  <=>  D td^2 >= tn^2 q^2.
         if D <= 0 or D * td * td < tn * tn * q * q:
             continue
-        # All gaps scaled by 2q: value = a + b sqrt(D).
-        g21a = 2 * (P2 - P1)
-        g32a, g32b = s_num - 2 * P2, -1
-        # g32 >= tau  <=>  (g32a td - 2 q tn) + g32b td sqrt(D) >= 0.
-        if _pair_sign(g32a * td - two_q * tn, g32b * td, D) < 0:
+        # All gaps scaled by 2q: value = a + b sqrt(D); g32 = g32a - sqrt(D).
+        g32a = s_num - 2 * P2
+        # g32 >= tau  <=>  (g32a td - 2 q tn) - td sqrt(D) >= 0.
+        if _pair_sign(g32a * td - two_q * tn, -td, D) < 0:
             continue
-        g31a, g31b = g32a + g21a, g32b
-        g42a, g42b = g32a, g32b + 2
-        g41a, g41b = g31a, g31b + 2
         accepted += 1
-
-        def mul(xa, xb, ya, yb):
-            return xa * ya + xb * yb * D, xa * yb + xb * ya
-
-        def sub(xa, xb, ya, yb):
-            return xa - ya, xb - yb
-
-        g21 = (g21a, 0)
-        g32 = (g32a, g32b)
-        g43 = (0, 2)
-        g31 = (g31a, g31b)
-        g42 = (g42a, g42b)
-        g41 = (g41a, g41b)
-        g21sq = mul(*g21, *g21)
-        g31sq = mul(*g31, *g31)
-        g32sq = mul(*g32, *g32)
-        g42sq = mul(*g42, *g42)
-        g41sq = mul(*g41, *g41)
-        g43sq = mul(*g43, *g43)
-        vals = (
-            sub(*mul(*g43, *sub(*mul(*g31sq, *g32), *mul(*g42, *g41sq))),
-                *mul(*mul(*g42, *g32), *g21sq)),
-            sub(*mul(*g43, *sub(*mul(*g32sq, *g31), *mul(*g41, *g42sq))),
-                *mul(*mul(*g41, *g31), *g21sq)),
-            sub(*mul(*g21, *sub(*mul(*g32sq, *g42), *mul(*g41, *g31sq))),
-                *mul(*mul(*g41, *g42), *g43sq)),
-            sub(*mul(*g21, *sub(*mul(*g42sq, *g32), *mul(*g31, *g41sq))),
-                *mul(*mul(*g31, *g32), *g43sq)),
-        )
-        for i, (va, vb) in enumerate(vals, start=1):
-            if _pair_sign(va, vb, D) >= 0:
+        g21 = _QuadInt(2 * (P2 - P1), 0, D)
+        g32 = _QuadInt(g32a, -1, D)
+        g43 = _QuadInt(0, 2, D)
+        g31, g42 = g32 + g21, g43 + g32
+        vals = identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
+        for i, v in enumerate(vals, start=1):
+            if _pair_sign(v.a, v.b, D) >= 0:
                 violations.append({"i": i, "P1": P1, "P2": P2, "q": q})
     return {"samples": accepted, "violations": violations, "seed": seed}
 
@@ -545,18 +493,6 @@ def band_quantity_names() -> tuple[str, ...]:
     return tuple(_BAND_QUANTITIES)
 
 
-_B_FACTORS = {
-    ("g", "B1"): ("-1", "m0 >= 0", "lam4-lam3 >= 0", "lam4-lam1 >= 0",
-                  "1/((lam3-lam2)(lam2-lam1)^2) > 0"),
-    ("g", "B2"): ("-1", "m0 >= 0", "lam4-lam3 >= 0", "lam4-lam2 >= 0",
-                  "1/((lam3-lam1)(lam2-lam1)^2) > 0"),
-    ("f", "B2"): ("m1 <= 0", "lam4-lam2 >= 0", "lam4-lam1 >= 0",
-                  "1/((lam3-lam1)(lam3-lam2)^2) > 0"),
-    ("f", "B3"): ("m1 <= 0", "lam4-lam3 >= 0", "lam4-lam1 >= 0",
-                  "1/((lam2-lam1)(lam3-lam2)^2) > 0"),
-}
-
-
 def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Certificate:
     """Certify sign or boundedness of one gap-band quantity.
 
@@ -595,7 +531,7 @@ def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Cer
         return _b_sign_certificate(quantity, side, key, region)
     a3_lo, a3_hi = (float(x) for x in A3.interval(Fraction(1, 10**15)))
     a3_lo, a3_hi = np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf)
-    sqrt_eps0_lo = float(_sqrt_bounds(eps0, Fraction(1, 10**12))[0])
+    sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, Fraction(1, 10**12))[0])
     sqrt_delta1_hi = float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12)
     expr = None if key == "m" else identities.gap_band_quantities(side)[key]
     bound = _upper_sqrt(S)
@@ -680,14 +616,22 @@ def _band_region(side, S, A3, eps0, delta1) -> dict:
 def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Certificate:
     """Nonpositivity of a singular band coefficient by factor signs.
 
-    On the sorted chamber every gap is nonnegative and the slope has a
-    fixed sign (m0 = 2(lam4-lam3)(...) >= 0, m1 = -2(lam4-lam1)(...) <= 0
-    with positive bracket entries), so the displayed product is <= 0 on the
-    whole band and strictly negative on its interior where all gaps are
-    positive.  The factorization itself is verified against the engine by
-    the symbolic identity suite, so no subdivision is needed here.
+    B_i is m * sign * (numerator gaps) / (denominator gaps), built by
+    `identities.gap_band_quantities` from the entry of
+    `identities.BAND_SINGULAR_TERMS` that the notes are rendered from.
+    Every gap there is lam_i - lam_j with i > j, so nonnegative on the sorted
+    chamber, and `identities.gap_slope_form` makes m0 = 2 g43 (g41/g32 +
+    g42/g31) >= 0 and m1 = -2 g41 (g42/g31 + g43/g21) <= 0; with the entry's
+    sign the product is <= 0 on the whole band and strictly negative where
+    all gaps are positive.  The test suite multiplies the rendered factors
+    back out and checks them equal to B_i exactly, so no subdivision is needed.
     """
-    factors = _B_FACTORS[(side, key)]
+    sign, num, den = identities.BAND_SINGULAR_TERMS[(side, int(key[1:]))]
+    factors = (["-1"] if sign < 0 else []) + ["m0 >= 0" if side == "g" else "m1 <= 0"]
+    factors += [f"lam{i}-lam{j} >= 0" for i, j in num]
+    powers = "".join(f"(lam{i}-lam{j})" + (f"^{den.count((i, j))}" if den.count((i, j)) > 1 else "")
+                     for i, j in dict.fromkeys(den))
+    factors.append(f"1/({powers}) > 0")
     return Certificate(
         claim=f"band_{quantity}",
         region=region,
@@ -709,20 +653,13 @@ def _band_value(key, side, ch: Chamber, expr: RatFn | None, floor: float) -> tup
     bounded away from zero); unresolved cells must be subdivided.
     """
     if key == "m":
-        if side == "g":
-            g32 = ch.g32.floor_at(floor)
-            g31 = ch.g31.floor_at(floor)
-            g41 = ch.g41.floor_at(0.0)
-            g42 = ch.g42.floor_at(0.0)
-            val = (g41.divide_by_positive(g32) + g42.divide_by_positive(g31)) * ch.g43.floor_at(0.0)
-            val = val.scale(2.0)
-        else:
-            g21 = ch.g21.floor_at(floor)
-            g31 = ch.g31.floor_at(floor)
-            g42 = ch.g42.floor_at(0.0)
-            g41 = ch.g41.floor_at(0.0)
-            val = (g42.divide_by_positive(g31) + ch.g43.floor_at(0.0).divide_by_positive(g21)) * g41
-            val = val.scale(-2.0)
+        def gap(i, j):
+            return getattr(ch, f"g{i}{j}")
+
+        # Every slope denominator is at least the band's wide gap, >= sqrt(eps0).
+        val = identities.gap_slope_form(
+            side, lambda i, j: gap(i, j).floor_at(0.0),
+            lambda x, pair: x.divide_by_positive(gap(*pair).floor_at(floor)))
         ok = np.isfinite(val.lo) & np.isfinite(val.hi)
         return val, ok
     val, ok = _vector_ratfn(expr, ch)

@@ -167,10 +167,17 @@ def _emit_csv(rows: list[list], header: list[str], path: str | None) -> None:
         lines.append(",".join(repr(float(v)) for v in row))
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_out(path, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file: {exc}") from None
 
 
 def run_mollifier(args) -> tuple[list[dict], int]:
@@ -414,6 +421,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     known = set(vars(args))
     for i, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -423,19 +432,38 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
             raise UsageError(f"config line {i}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("command", "config"):
+        # Only flags can be preset; the subcommand and its positionals cannot.
+        action = actions.get(dest) if dest in known else None
+        if action is None or not action.option_strings or dest == "config":
             raise UsageError(f"config line {i}: unknown key {key!r}")
         if dest in explicit:
             continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
+        if isinstance(action, argparse._StoreTrueAction):
             setattr(args, dest, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
-        else:
-            setattr(args, dest, value.strip("\"'"))
+            continue
+        bad = UsageError(f"config line {i}: invalid value for {key!r}")
+        try:
+            # Convert like the flag itself, also where the default is None.
+            value = (action.type or str)(value.strip("\"'"))
+        except ValueError:
+            raise bad from None
+        if action.choices and value not in action.choices:
+            raise bad
+        setattr(args, dest, value)
+
+
+def _emit_report(recs: list[dict], args: argparse.Namespace) -> None:
+    text = reports.render(recs)
+    to_file = getattr(args, "out", None)
+    if to_file:
+        _write_out(to_file, text)
+    else:
+        sys.stdout.write(text)
+    if not getattr(args, "quiet", False) and getattr(args, "format", "text") != "json":
+        # Keep stdout pure JSON when it carries the report array; with
+        # --out the summary can use standard output directly.
+        stream = sys.stdout if to_file else sys.stderr
+        stream.write(reports.summarize(recs))
 
 
 _RUNNERS = {
@@ -462,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "certify" and args.max_depth is None:
             args.max_depth = {"li": 20, "okumura": 50, "band": 30}[args.kind]
         recs, code = _RUNNERS[args.command](args)
+        if recs:
+            _emit_report(recs, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return reports.EXIT_USAGE
@@ -479,21 +509,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return reports.EXIT_INTERNAL
-    if recs:
-        text = reports.render(recs)
-        to_file = getattr(args, "out", None)
-        if to_file:
-            with open(to_file, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        if not getattr(args, "quiet", False):
-            fmt = getattr(args, "format", "text")
-            if fmt != "json":
-                # Keep stdout pure JSON when it carries the report array;
-                # with --out the summary can use standard output directly.
-                stream = sys.stdout if to_file else sys.stderr
-                stream.write(reports.summarize(recs))
     return code
 
 

@@ -17,6 +17,7 @@ Gauss equation.  Both must pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,19 +41,63 @@ def gamma_polynomial() -> MultiPoly:
     return (l2 - l1) ** 2 * (l3 - l1) ** 2 * (l3 - l2) ** 2
 
 
+def gamma_L_printed(g21, g31, g32, g41, g42, g43):
+    """The four printed products gamma * L_i in the gaps g_ij = l_i - l_j.
+
+    Generic over any ring of gap values: only +, - and * are used.
+    """
+    g21sq, g31sq, g32sq = g21 * g21, g31 * g31, g32 * g32
+    g41sq, g42sq, g43sq = g41 * g41, g42 * g42, g43 * g43
+    return (
+        g43 * (g31sq * g32 - g42 * g41sq) - g42 * g32 * g21sq,
+        g43 * (g32sq * g31 - g41 * g42sq) - g41 * g31 * g21sq,
+        g21 * (g32sq * g42 - g41 * g31sq) - g41 * g42 * g43sq,
+        g21 * (g42sq * g32 - g31 * g41sq) - g31 * g32 * g43sq,
+    )
+
+
+def gamma_L_gap_form(g21, g32, g43):
+    """gamma * L_i as minus sums of monomials in the three primitive gaps.
+
+    Substituting g31 = g32+g21, g42 = g43+g32, g41 = g43+g32+g21 into the
+    printed products leaves no cancellation, so an interval evaluation on
+    nonnegative gaps is tight and proves negativity directly.  Doubling is
+    written x + x and squaring x * x, so the function stays generic.
+    """
+    g31 = g32 + g21
+    g21sq, g32sq, g43sq, g31sq = g21 * g21, g32 * g32, g43 * g43, g31 * g31
+    s31_32, mix = g31 + g32, g31sq + g31 * g32 + g32sq
+    a1, a2, b1, b2 = g43sq * g43 * g31, g32 * g43sq * g31, g43sq * g43 * g32, g31 * g43sq * g32
+    c4 = g43 * g21sq * s31_32
+    return (
+        -(g43sq * g43sq + (a1 + a1) + g43sq * g31sq + g32 * g43sq * g43 + (a2 + a2)
+          + g43 * g32 * g21sq + g32sq * g21sq),
+        -(g43sq * g43sq + (b1 + b1) + g43sq * g32sq + g31 * g43sq * g43 + (b2 + b2)
+          + g43 * g31 * g21sq + g31sq * g21sq),
+        -(g21sq * mix + g43 * g21sq * s31_32 + (g43 + g31) * (g43 + g32) * g43sq),
+        -(g43sq * g21sq + (c4 + c4) + g21sq * mix + g31 * g32 * g43sq),
+    )
+
+
+def gap_slope_form(which: str, gap, over):
+    """The slope m with d(gap^2) = m * h_44i w_i: m0 for g, m1 for f.
+
+    gap(i, j) gives l_i - l_j in the caller's ring and over(x, (i, j))
+    divides x by that gap.
+    """
+    if which == "g":
+        t = (over(gap(4, 1), (3, 2)) + over(gap(4, 2), (3, 1))) * gap(4, 3)
+        return t + t
+    if which == "f":
+        t = (over(gap(4, 2), (3, 1)) + over(gap(4, 3), (2, 1))) * gap(4, 1)
+        return -(t + t)
+    raise ValueError("which must be 'g' or 'f'")
+
+
 def gamma_L_polynomials() -> dict[int, MultiPoly]:
     """The four printed products gamma * L_i, as exact polynomials."""
-    l1, l2, l3, l4 = (_L[i] for i in range(1, 5))
-    return {
-        1: (l4 - l3) * ((l3 - l1) ** 2 * (l3 - l2) - (l4 - l2) * (l4 - l1) ** 2)
-        - (l4 - l2) * (l3 - l2) * (l2 - l1) ** 2,
-        2: (l4 - l3) * ((l3 - l2) ** 2 * (l3 - l1) - (l4 - l1) * (l4 - l2) ** 2)
-        - (l4 - l1) * (l3 - l1) * (l2 - l1) ** 2,
-        3: (l2 - l1) * ((l3 - l2) ** 2 * (l4 - l2) - (l4 - l1) * (l3 - l1) ** 2)
-        - (l4 - l1) * (l4 - l2) * (l4 - l3) ** 2,
-        4: (l2 - l1) * ((l4 - l2) ** 2 * (l3 - l2) - (l3 - l1) * (l4 - l1) ** 2)
-        - (l3 - l1) * (l3 - l2) * (l4 - l3) ** 2,
-    }
+    gaps = (ff.gap(i, j) for i, j in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)))
+    return dict(enumerate(gamma_L_printed(*gaps), start=1))
 
 
 def _rsym_or_gauss(i: int, j: int, mode: str) -> FactoredFn:
@@ -171,30 +216,19 @@ def contraction_bracket(i: int) -> FactoredFn:
 
 def gap_slope(which: str) -> FactoredFn:
     """The scalar m with d(gap^2) = m * h_44i w_i: m0 for g, m1 for f."""
-    l1, l2, l3, l4 = (_L[k] for k in range(1, 5))
-    og = ff.over_gaps
-    if which == "g":
-        return og(2 * (l4 - l3) * (l4 - l1), [(3, 2)]) + og(2 * (l4 - l3) * (l4 - l2), [(3, 1)])
-    if which == "f":
-        return og(-2 * (l4 - l1) * (l4 - l2), [(3, 1)]) + og(-2 * (l4 - l1) * (l4 - l3), [(2, 1)])
-    raise ValueError("which must be 'g' or 'f'")
+    return gap_slope_form(which, lambda i, j: ff.GAP_BASE.from_poly(ff.gap(i, j)),
+                          lambda x, pair: x * ff.over_gaps(1, [pair]))
 
 
-def _band_dangerous_terms(which: str) -> dict[int, FactoredFn]:
-    """The bracket terms that blow up on the respective vanishing-gap band."""
-    l1, l2, l3, l4 = (_L[k] for k in range(1, 5))
-    og = ff.over_gaps
-    if which == "g":
-        return {
-            1: og(-(l4 - l3) * (l4 - l1), [(3, 2), (2, 1), (2, 1)]),
-            2: og(-(l4 - l3) * (l4 - l2), [(3, 1), (2, 1), (2, 1)]),
-        }
-    if which == "f":
-        return {
-            2: og((l4 - l2) * (l4 - l1), [(3, 1), (3, 2), (3, 2)]),
-            3: og((l4 - l3) * (l4 - l1), [(3, 2), (3, 2), (2, 1)]),
-        }
-    raise ValueError("which must be 'g' or 'f'")
+# The bracket terms that blow up on each side's vanishing-gap band, as
+# (side, i): (sign, numerator gaps, denominator gaps); a gap (i, j) is
+# l_i - l_j with i > j, so nonnegative on the sorted chamber.
+BAND_SINGULAR_TERMS: dict[tuple[str, int], tuple[int, tuple, tuple]] = {
+    ("g", 1): (-1, ((4, 3), (4, 1)), ((3, 2), (2, 1), (2, 1))),
+    ("g", 2): (-1, ((4, 3), (4, 2)), ((3, 1), (2, 1), (2, 1))),
+    ("f", 2): (1, ((4, 2), (4, 1)), ((3, 1), (3, 2), (3, 2))),
+    ("f", 3): (1, ((4, 3), (4, 1)), ((2, 1), (3, 2), (3, 2))),
+}
 
 
 def gap_band_quantities(which: str) -> dict[str, RatFn]:
@@ -210,12 +244,12 @@ def gap_band_quantities(which: str) -> dict[str, RatFn]:
 @lru_cache(maxsize=2)
 def _gap_band_quantities_cached(which: str) -> tuple[tuple[str, RatFn], ...]:
     m = gap_slope(which)
-    dangerous = _band_dangerous_terms(which)
     out: list[tuple[str, RatFn]] = [("m", m.to_ratfn())]
     for i in range(1, 5):
         full = m * contraction_bracket(i)
-        if i in dangerous:
-            b = m * dangerous[i]
+        if (which, i) in BAND_SINGULAR_TERMS:
+            sign, num, den = BAND_SINGULAR_TERMS[which, i]
+            b = m * ff.over_gaps(math.prod((ff.gap(*pair) for pair in num), start=sign), den)
             out.append((f"B{i}", b.to_ratfn()))
             out.append((f"G{i}", (full - b).to_ratfn()))
         else:
@@ -289,7 +323,6 @@ def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
         return _report(name, mode, engine, target)
     if name in ("dg_phi", "df_phi"):
         which = "g" if name == "dg_phi" else "f"
-        l2, l1 = _L[2], _L[1]
         sq = (_L[2] - _L[1]) ** 2 if which == "g" else (_L[3] - _L[2]) ** 2
         engine = _pure_vol_coeff(ff.scalar_differential(sq).wedge(ff.phi()))
         m = gap_slope(which)

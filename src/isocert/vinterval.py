@@ -10,6 +10,8 @@ the branch-and-bound certifiers pay no per-cell Python overhead.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 _INF = np.inf
@@ -21,6 +23,18 @@ def down(x: np.ndarray) -> np.ndarray:
 
 def up(x: np.ndarray) -> np.ndarray:
     return np.nextafter(x, _INF)
+
+
+def float_down(q: Fraction) -> float:
+    """The largest float <= q (float() rounds to nearest, so one step at most)."""
+    f = float(q)
+    return f if Fraction(f) <= q else float(down(f))
+
+
+def float_up(q: Fraction) -> float:
+    """The smallest float >= q."""
+    f = float(q)
+    return f if Fraction(f) >= q else float(up(f))
 
 
 class VI:

@@ -1,5 +1,6 @@
 """Branch-and-bound certificates: proofs, cross-checks, determinism."""
 
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isocert import certify as ct
+from isocert import frameforms as ff
 from isocert import identities as idn
-from isocert.vinterval import VI
+from isocert.exactalg import MultiPoly
+from isocert.vinterval import VI, float_down, float_up
 
 
 def test_li_certificate_wide_collar():
@@ -155,23 +158,107 @@ def test_certificates_deterministic():
     assert c == d
 
 
-def test_factored_forms_match_engine_extraction():
-    """Dual-route guard: the interval certifier evaluates factored gap
-    forms; they must agree with the engine-extracted polynomials, which the
-    frameforms suite separately proves equal to the printed targets."""
-    gL = idn.gamma_L_polynomials()
-    probe = {"l1": F(-3, 2), "l2": F(-1, 4), "l3": F(3, 4), "l4": F(1)}
-    from isocert.certify import CellBatch, Chamber, _gamma_L_factored, _s_bounds
+@st.composite
+def _gap_cells(draw):
+    """A positive rational floor and random rational boxes [a, b] with a >= 0
+    for the primitive gaps g21, g32, g43, with one point in each box."""
+    floor = F(1, draw(st.integers(1, 20)))
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        cell = []
+        for _ in range(3):
+            den = draw(st.integers(1, 7))
+            a = F(draw(st.integers(0, 4 * den)), den)
+            b = a + F(draw(st.integers(0, den)), den * draw(st.integers(1, 4)))
+            cell.append((a, b, a + (b - a) * F(draw(st.integers(0, 6)), 6)))
+        cells.append(cell)
+    return floor, cells
 
-    S = sum(v * v for v in probe.values())
-    cb = CellBatch.root(float(probe["l1"]), float(probe["l1"]),
-                        float(probe["l2"]), float(probe["l2"]))
-    ch = Chamber(cb, _s_bounds(S))
-    vals = _gamma_L_factored(ch)
-    for i in range(1, 5):
-        exact = gL[i].evaluate({k: v for k, v in probe.items()})
-        lo, hi = float(vals[i - 1].lo[0]), float(vals[i - 1].hi[0])
-        assert lo - 1e-9 <= float(exact) <= hi + 1e-9
+
+_PRIMITIVE = ((2, 1), (3, 2), (4, 3))
+_ALL_GAPS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))
+
+
+def _chamber_gaps(cells, floor, raised):
+    """All six gap boxes, derived from the primitive ones as Chamber does,
+    and the exact gaps at each cell's point; the primitive gaps named in
+    `raised` are shifted up by the floor."""
+    boxes, points = {}, [{} for _ in cells]
+    for k, pair in enumerate(_PRIMITIVE):
+        shift = floor if pair in raised else 0
+        boxes[pair] = VI([float_down(c[k][0] + shift) for c in cells],
+                         [float_up(c[k][1] + shift) for c in cells])
+        for pt, c in zip(points, cells):
+            pt[pair] = c[k][2] + shift
+    g21, g32, g43 = (boxes[p] for p in _PRIMITIVE)
+    ch = SimpleNamespace(n=len(cells), g21=g21, g32=g32, g43=g43,
+                         g31=g32 + g21, g42=g43 + g32, g41=g43 + g32 + g21)
+    for pt in points:
+        pt[3, 1] = pt[3, 2] + pt[2, 1]
+        pt[4, 2] = pt[4, 3] + pt[3, 2]
+        pt[4, 1] = pt[4, 2] + pt[2, 1]
+    return ch, points
+
+
+def _lams(pt):
+    return {"l1": 0, "l2": pt[2, 1], "l3": pt[3, 1], "l4": pt[4, 1]}
+
+
+@given(_gap_cells())
+@settings(max_examples=40, deadline=None)
+def test_factored_forms_match_engine_extraction(drawn):
+    """Dual-route guard: the generic gamma*L_i and m0/m1 formulas evaluated
+    over Fractions at a point of each box agree with the engine-side
+    polynomials there and lie inside the interval enclosures the certifiers
+    compute on the box (positive gaps for gamma*L_i, the band's floors for
+    the slopes)."""
+    floor, cells = drawn
+    gL = idn.gamma_L_polynomials()
+    ch, points = _chamber_gaps(cells, floor, raised=_PRIMITIVE)
+    enc = idn.gamma_L_gap_form(ch.g21, ch.g32, ch.g43)
+    for k, pt in enumerate(points):
+        exact = idn.gamma_L_gap_form(*(pt[p] for p in _PRIMITIVE))
+        assert exact == idn.gamma_L_printed(*(pt[p] for p in _ALL_GAPS))
+        for i in range(4):
+            assert exact[i] == gL[i + 1].evaluate(_lams(pt))
+            assert float(enc[i].lo[k]) <= exact[i] <= float(enc[i].hi[k]), (i, pt)
+    for side, wide in (("g", (3, 2)), ("f", (2, 1))):
+        ch, points = _chamber_gaps(cells, floor, raised=(wide,))
+        val, ok = ct._band_value("m", side, ch, None, float_down(floor))
+        assert ok.all()
+        slope = idn.gap_band_quantities(side)["m"]
+        for k, pt in enumerate(points):
+            exact = idn.gap_slope_form(side, lambda i, j: pt[i, j], lambda x, pair: x / pt[pair])
+            assert exact == slope.evaluate(_lams(pt))
+            assert float(val.lo[k]) <= exact <= float(val.hi[k]), (side, pt)
+
+
+def test_band_sign_factors_multiply_out_to_B():
+    """The rendered factors of each B certificate are gaps lam_i - lam_j with
+    i > j, nonnegative on the sorted chamber, with a sign that makes B <= 0;
+    multiplied back out with the slope they give B exactly."""
+    for quantity in ("B1g", "B2g", "B2f", "B3f"):
+        side, key = quantity[-1], quantity[:-1]
+        cert = ct.certify_band_bounds(quantity, 8, 1, F(1, 10), F(1, 20))
+        assert cert.status == "proved" and cert.notes[1].startswith("factors: ")
+        factors = cert.notes[1].removeprefix("factors: ").split("; ")
+        sign = -1 if factors[0] == "-1" else 1
+        factors = factors[1:] if sign < 0 else factors
+        slope_sign = {"m0 >= 0": 1, "m1 <= 0": -1}[factors[0]]
+        assert factors[0][1] == {"g": "0", "f": "1"}[side]
+        assert sign * slope_sign == -1
+        num = [tuple(map(int, re.fullmatch(r"lam(\d)-lam(\d) >= 0", f).groups()))
+               for f in factors[1:-1]]
+        inner = re.fullmatch(r"1/\((.*)\) > 0", factors[-1]).group(1)
+        den_groups = re.findall(r"\(lam(\d)-lam(\d)\)(?:\^(\d))?", inner)
+        assert "".join(f"(lam{i}-lam{j})" + (f"^{e}" if e else "") for i, j, e in den_groups) == inner
+        den = [(int(i), int(j)) for i, j, e in den_groups for _ in range(int(e or 1))]
+        assert all(i > j for i, j in num + den)
+        poly = MultiPoly.const(ff.GEOMETRY, sign)
+        for i, j in num:
+            poly = poly * ff.gap(i, j)
+        product = idn.gap_slope(side) * ff.over_gaps(poly, den)
+        assert product.to_ratfn() == idn.gap_band_quantities(side)[key]
 
 
 def test_chamber_constraints_hold_exactly():

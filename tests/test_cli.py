@@ -118,10 +118,35 @@ def test_config_file_presets_flags(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_flag = 1\n")
-    out = run_cli("certify", "li", "--config", str(cfg))
-    assert out.returncode == 64
-    assert "unknown key" in out.stderr
+    for line in ("no_such_flag = 1", "kind = okumura", "command = solve"):
+        cfg.write_text(line + "\n")
+        out = run_cli("certify", "li", "--config", str(cfg))
+        assert out.returncode == 64, line
+        assert "unknown key" in out.stderr
+
+
+def test_config_values_take_the_option_type(tmp_path):
+    # --max-depth defaults to None; its config value must still become an int.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_depth = 20\n")
+    argv = ["certify", "band", "--quantity", "G1g", "--S", "8", "--A3", "1", "--quiet"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(a)]) == 0
+    assert cli.main(argv + ["--max-depth", "20", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    cfg.write_text("max_depth = deep\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == reports.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "--list"],
+    ["mollifier", "--delta", "0.1", "--samples", "5", "--emit", "csv"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main(argv + ["--out", str(path)]) == reports.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "internal error" not in err
 
 
 def test_identity_reports_byte_identical_across_threads():

@@ -17,6 +17,7 @@ from isocert.exactalg import (
     SymbolTable,
     divexact,
 )
+from isocert.identities import gamma_L_printed
 
 T = SymbolTable.geometry()
 L = {i: MultiPoly.var(T, f"l{i}") for i in range(1, 5)}
@@ -76,8 +77,8 @@ def test_ratfn_zero_numerator():
 
 def test_gamma_L1_over_gamma_at_probe():
     gamma = (L[2] - L[1]) ** 2 * (L[3] - L[1]) ** 2 * (L[3] - L[2]) ** 2
-    gL1 = (L[4] - L[3]) * ((L[3] - L[1]) ** 2 * (L[3] - L[2]) - (L[4] - L[2]) * (L[4] - L[1]) ** 2) \
-        - (L[4] - L[2]) * (L[3] - L[2]) * (L[2] - L[1]) ** 2
+    gap = {(i, j): L[i] - L[j] for i in range(1, 5) for j in range(1, i)}
+    gL1 = gamma_L_printed(*(gap[p] for p in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))))[0]
     assert gL1.evaluate(PROBE) == -256
     assert gamma.evaluate(PROBE) == 256
     r = FactoredFn(GAPS, gL1, (2, 2, 2)).to_ratfn()

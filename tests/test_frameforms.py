@@ -246,23 +246,11 @@ def test_gamma_Li_all_minus_one_at_probe():
 
 
 def test_gamma_Li_negated_monomial_forms():
-    """The certifier's cancellation-free gap forms equal the printed ones."""
-    g21, g32, g43 = L[2] - L[1], L[3] - L[2], L[4] - L[3]
-    g31 = g32 + g21
-    mix = g31 ** 2 + g31 * g32 + g32 ** 2
-    forms = {
-        1: -(g43 ** 4 + 2 * g43 ** 3 * g31 + g43 ** 2 * g31 ** 2 + g32 * g43 ** 3
-             + 2 * g32 * g43 ** 2 * g31 + g43 * g32 * g21 ** 2 + g32 ** 2 * g21 ** 2),
-        2: -(g43 ** 4 + 2 * g43 ** 3 * g32 + g43 ** 2 * g32 ** 2 + g31 * g43 ** 3
-             + 2 * g31 * g43 ** 2 * g32 + g43 * g31 * g21 ** 2 + g31 ** 2 * g21 ** 2),
-        3: -(g21 ** 2 * mix + g43 * g21 ** 2 * (g31 + g32)
-             + (g43 + g31) * (g43 + g32) * g43 ** 2),
-        4: -(g43 ** 2 * g21 ** 2 + 2 * g43 * g21 ** 2 * (g31 + g32)
-             + g21 ** 2 * mix + g31 * g32 * g43 ** 2),
-    }
+    """The certifier's cancellation-free gap form equals the printed products."""
+    forms = idn.gamma_L_gap_form(ff.gap(2, 1), ff.gap(3, 2), ff.gap(4, 3))
     gL = idn.gamma_L_polynomials()
     for i in range(1, 5):
-        assert (forms[i] - gL[i]).is_zero()
+        assert forms[i - 1] == gL[i]
 
 
 def test_contraction_identity_w1():

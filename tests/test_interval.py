@@ -6,15 +6,16 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from isocert.certify import _vector_poly, _vector_ratfn
 from isocert.exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
-from isocert.vinterval import VI
+from isocert.identities import gamma_L_polynomials
+from isocert.vinterval import VI, float_down, float_up
 
 T = SymbolTable.geometry()
 L = {i: MultiPoly.var(T, f"l{i}") for i in range(1, 5)}
-GAMMA_L1 = (L[4] - L[3]) * ((L[3] - L[1]) ** 2 * (L[3] - L[2]) - (L[4] - L[2]) * (L[4] - L[1]) ** 2) \
-    - (L[4] - L[2]) * (L[3] - L[2]) * (L[2] - L[1]) ** 2
+GAMMA_L1 = gamma_L_polynomials()[1]
 
 
 def _box(**bounds) -> dict[str, VI]:
@@ -103,3 +104,14 @@ def test_power_tightness():
 def test_sqrt_clamps_tiny_negative():
     r = VI([-1e-18], [4.0]).sqrt_clamped()
     assert r.lo[0] == 0.0 and r.hi[0] >= 2.0
+
+
+@given(st.fractions(min_value=-10**9, max_value=10**9)
+       | st.floats(allow_nan=False, allow_infinity=False).map(F))
+def test_float_down_up_bracket_fractions(q):
+    lo, hi = float_down(q), float_up(q)
+    assert F(lo) <= q <= F(hi)
+    if F(float(q)) == q:
+        assert lo == hi == float(q)
+    else:
+        assert hi == np.nextafter(lo, np.inf)
