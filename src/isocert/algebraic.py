@@ -89,22 +89,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0 or d == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 with b^2 d.
-        lhs, rhs = a * a, b * b * d
-        if lhs == rhs:
-            return 0
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return quad_sign(self.a, self.b, self.d)
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -149,6 +134,19 @@ class QuadExt:
         if self.b == 0:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.d})"
+
+
+def quad_sign(a, b, d) -> int:
+    """Exact sign of a + b*sqrt(d) for rational a, b (int or Fraction), d >= 0."""
+    sa = (a > 0) - (a < 0)
+    if not b or not d:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa != -sb:  # a is zero or has the sign of b
+        return sb
+    # Opposite signs: the term of larger square wins.
+    diff = a * a - b * b * d
+    return sa if diff > 0 else sb if diff < 0 else 0
 
 
 def _coerce(x) -> QuadExt:

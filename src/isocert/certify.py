@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import identities
-from .algebraic import QuadExt, _sqrt_bounds
+from .algebraic import QuadExt, _sqrt_bounds, quad_sign
 from .exactalg import MultiPoly, RatFn
 from .vinterval import VI, float_down
 
@@ -239,24 +239,6 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
     )
 
 
-def _pair_sign(a: int, b: int, D: int) -> int:
-    """Exact sign of a + b*sqrt(D) for integers with D >= 0."""
-    if b == 0 or D == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * D
-    if lhs == rhs:
-        return 0
-    if a > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
 class _QuadInt:
     """a + b*sqrt(D) with integers a, b: the exact ring of the Li cross-check."""
 
@@ -314,7 +296,7 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
         # All gaps scaled by 2q: value = a + b sqrt(D); g32 = g32a - sqrt(D).
         g32a = s_num - 2 * P2
         # g32 >= tau  <=>  (g32a td - 2 q tn) - td sqrt(D) >= 0.
-        if _pair_sign(g32a * td - two_q * tn, -td, D) < 0:
+        if quad_sign(g32a * td - two_q * tn, -td, D) < 0:
             continue
         accepted += 1
         g21 = _QuadInt(2 * (P2 - P1), 0, D)
@@ -323,7 +305,7 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
         g31, g42 = g32 + g21, g43 + g32
         vals = identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
         for i, v in enumerate(vals, start=1):
-            if _pair_sign(v.a, v.b, D) >= 0:
+            if quad_sign(v.a, v.b, D) >= 0:
                 violations.append({"i": i, "P1": P1, "P2": P2, "q": q})
     return {"samples": accepted, "violations": violations, "seed": seed}
 

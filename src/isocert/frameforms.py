@@ -14,13 +14,17 @@ The exterior derivative is defined structurally:
 
 after which connection generators are expanded through
 
-    w_ij = sum_k h_ijk w_k / (l_i - l_j)
+    w_ij = sum_k h_ijk w_k / (l_i - l_j).
 
-and the diagonal derivative family h_jji (j in 1..3) is eliminated in favor
-of h_44i using the three linear constraints that come from differentiating
-the constant power sums.  The result is a pure coframe form whose top-degree
-coefficient can be compared, exactly, against an independently transcribed
-target formula.
+The diagonal derivative family h_jji (j in 1..3) is eliminated in favor of
+h_44i using the three linear constraints that come from differentiating the
+constant power sums.  The elimination is applied where an h symbol is
+created (h_coeff, called by the d l_j rule and the connection expansion), so
+no form ever carries h_11i, h_22i or h_33i; this is sound because the
+substitution commutes with sums, wedges and scaling and d never
+differentiates an h symbol.  The result is a pure coframe form whose
+top-degree coefficient can be compared, exactly, against an independently
+transcribed target formula.
 
 Every denominator that can occur on this pipeline is a product of the six
 curvature gaps l_i - l_j, so coefficients are carried as FactoredFn over
@@ -196,9 +200,6 @@ class Form:
                         out[key] = s
         return Form(out)
 
-    def normalize(self) -> "Form":
-        return Form({m: c.normalize() for m, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
@@ -252,12 +253,17 @@ def connection_generator(i: int, j: int) -> Form:
 
 
 def connection_form(i: int, j: int) -> Form:
-    """w_ij expanded on the coframe: sum_k h_ijk w_k / (l_i - l_j)."""
+    """w_ij expanded on the coframe: sum_k h_ijk w_k / (l_i - l_j).
+
+    The k = i and k = j terms are diagonal derivatives; those with index
+    below 4 enter already rewritten as multiples of h_44i (see h_coeff).
+    """
     if i == j:
         raise ValueError("w_ii is undefined: the expansion requires i != j")
     out = Form.zero()
+    inv_gap = over_gaps(1, [(i, j)])
     for k in _W:
-        out = out + Form.monomial((k,), over_gaps(hsym(i, j, k), [(i, j)]))
+        out = out + Form.monomial((k,), h_coeff(i, j, k) * inv_gap)
     return out
 
 
@@ -303,41 +309,16 @@ def _build_diagonal_map() -> dict[str, FactoredFn]:
 
 
 _DIAGONAL_MAP = _build_diagonal_map()
-_DIAGONAL_NAMES = frozenset(_DIAGONAL_MAP)
 
 
-def _substitute_poly(num: MultiPoly, mapping: Mapping[str, FactoredFn]) -> FactoredFn:
-    """Replace symbols of num by FactoredFn values (targets symbol-disjoint)."""
-    acc = GAP_BASE.from_poly(num)
-    for name, repl in mapping.items():
-        idx = GEOMETRY.index(name)
-        poly = acc.num
-        if not poly.degree_in(name):
-            continue
-        by_power: dict[int, dict[int, Fraction]] = {}
-        for m, c in poly.terms.items():
-            e, rest = poly.split_exponent(m, idx)
-            by_power.setdefault(e, {})[rest] = c
-        new = GAP_BASE.zero()
-        for e, terms in by_power.items():
-            piece = GAP_BASE.from_poly(MultiPoly(GEOMETRY, terms))
-            for _ in range(e):
-                piece = piece * repl
-            new = new + piece
-        acc = FactoredFn(GAP_BASE, new.num, tuple(a + b for a, b in zip(new.den, acc.den)))
-    return acc
+def h_coeff(i: int, j: int, k: int) -> FactoredFn:
+    """h_ijk as a coefficient, with h_11i, h_22i, h_33i already eliminated via h_44i.
 
-
-def reduce_diagonal(form: Form) -> Form:
-    """Eliminate h_11i, h_22i, h_33i from all coefficients via h_44i."""
-    out: dict[tuple[int, ...], FactoredFn] = {}
-    for m, c in form.terms.items():
-        if not _DIAGONAL_NAMES.isdisjoint(c.num.symbols_used()):
-            c = _substitute_poly(c.num, _DIAGONAL_MAP)
-            c = FactoredFn(GAP_BASE, c.num, tuple(a + b for a, b in zip(c.den, form.terms[m].den)))
-        if not c.is_zero():
-            out[m] = c
-    return Form(out)
+    Every h symbol the engine creates comes from here, so no form ever
+    carries the eliminated diagonal family.
+    """
+    sub = _DIAGONAL_MAP.get(SymbolTable.h_name(i, j, k))
+    return sub if sub is not None else GAP_BASE.from_poly(hsym(i, j, k))
 
 
 def substitute_connections(form: Form) -> Form:
@@ -359,27 +340,20 @@ def substitute_connections(form: Form) -> Form:
 _LAMBDA_NAMES = frozenset(f"l{i}" for i in _W)
 
 
-def scalar_differential(expr: MultiPoly, reduce: bool = True) -> Form:
-    """d of a function of the principal curvatures, as a coframe 1-form.
+def scalar_differential(expr: MultiPoly) -> Form:
+    """d of a polynomial in the principal curvatures, as a coframe 1-form.
 
-    Applies d l_j = sum_i h_jji w_i; with reduce=True the diagonal family is
-    eliminated so each w_i coefficient becomes a multiple of h_44i.
+    Applies d l_j = sum_i h_jji w_i with the diagonal family already
+    eliminated, so each w_i coefficient is a multiple of h_44i.
     """
-    extra = expr.symbols_used() - _LAMBDA_NAMES
-    if extra:
-        raise ValueError(f"coefficient depends on non-curvature symbols {sorted(extra)}")
-    out = Form.zero()
-    for j in _W:
-        dj = expr.derivative(f"l{j}")
-        if dj.is_zero():
-            continue
-        for i in _W:
-            out = out + Form.monomial((i,), dj * hsym(j, j, i))
-    return reduce_diagonal(out) if reduce else out
+    return _d_coeff(GAP_BASE.from_poly(expr))
 
 
 def _d_coeff(coeff: FactoredFn) -> Form:
-    """Scalar exterior derivative of a coefficient rational in l1..l4 only."""
+    """Scalar exterior derivative of a coefficient rational in l1..l4 only.
+
+    d l_j = sum_i h_jji w_i, with h_jji taken from h_coeff.
+    """
     extra = coeff.num.symbols_used() - _LAMBDA_NAMES
     if extra:
         raise ValueError(f"cannot differentiate symbols {sorted(extra)}")
@@ -408,7 +382,7 @@ def _d_coeff(coeff: FactoredFn) -> Form:
         for p in pieces[1:]:
             dj = dj + p
         for i in _W:
-            out = out + Form.monomial((i,), dj * hsym(j, j, i))
+            out = out + Form.monomial((i,), dj * h_coeff(j, j, i))
     return out
 
 
@@ -435,7 +409,8 @@ def exterior_derivative(form: Form, mode: str = "symbolic", raw: bool = False) -
     """d on the closure of {w_i, w_ij, curvature scalars} under wedge and sum.
 
     With raw=True the mixed-generator result is returned before connection
-    substitution and diagonal reduction (used by the derivation-law tests).
+    substitution (used by the derivation-law tests); its coefficients
+    already carry h_44i in place of h_11i, h_22i, h_33i.
     """
     out = Form.zero()
     for m, coeff in form.terms.items():
@@ -448,7 +423,7 @@ def exterior_derivative(form: Form, mode: str = "symbolic", raw: bool = False) -
             out = out + piece.scale(coeff * sign)
     if raw:
         return out
-    return reduce_diagonal(substitute_connections(out))
+    return substitute_connections(out)
 
 
 # -- the 3-form built from the six theta blocks ------------------------------

@@ -295,11 +295,6 @@ def _report(name: str, mode: str, engine: FactoredFn, target: FactoredFn, extrac
     )
 
 
-def _pure_vol_coeff(form: ff.Form) -> FactoredFn:
-    reduced = ff.reduce_diagonal(ff.substitute_connections(form))
-    return reduced.vol_coefficient_raw()
-
-
 def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
     """Run one named identity check; residual must be exactly zero to pass."""
     if mode not in ff.MODES:
@@ -318,13 +313,13 @@ def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
         return _report(name, mode, engine, dphi_target(mode), extracted)
     if name.startswith("w") and name.endswith("_phi"):
         i = int(name[1])
-        engine = _pure_vol_coeff(ff.omega(i).wedge(ff.phi()))
+        engine = ff.substitute_connections(ff.omega(i).wedge(ff.phi())).vol_coefficient_raw()
         target = contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i))
         return _report(name, mode, engine, target)
     if name in ("dg_phi", "df_phi"):
         which = "g" if name == "dg_phi" else "f"
         sq = (_L[2] - _L[1]) ** 2 if which == "g" else (_L[3] - _L[2]) ** 2
-        engine = _pure_vol_coeff(ff.scalar_differential(sq).wedge(ff.phi()))
+        engine = ff.substitute_connections(ff.scalar_differential(sq).wedge(ff.phi())).vol_coefficient_raw()
         m = gap_slope(which)
         target = ff.GAP_BASE.zero()
         for i in range(1, 5):

@@ -6,11 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isocert import certify as ct
 from isocert import frameforms as ff
 from isocert import identities as idn
+from isocert.algebraic import QuadExt
 from isocert.exactalg import MultiPoly
 from isocert.vinterval import VI, float_down, float_up
 
@@ -272,3 +273,50 @@ def test_chamber_constraints_hold_exactly():
     assert p1.lo[0] <= 0 <= p1.hi[0]
     p2 = ch.l1.sq() + ch.l2.sq() + ch.l3.sq() + ch.l4.sq()
     assert p2.lo[0] <= 8 <= p2.hi[0]
+
+
+@st.composite
+def _chart_cells(draw):
+    """A rational S in (0, 12], random float cells of the chart scaled to
+    sqrt(S), and a rational point (x1, x2) in each cell."""
+    den = draw(st.integers(1, 40))
+    S = F(draw(st.integers(1, 12 * den)), den)
+    r = float(S) ** 0.5
+    coord = st.floats(-1.5, 1.5).map(lambda u: u * r)
+    width = st.floats(0.0, 0.5).map(lambda u: u * r)
+    cols = ([], [], [], [])
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        a1, a2 = draw(coord), draw(coord)
+        b1, b2 = a1 + draw(width), a2 + draw(width)
+        for col, v in zip(cols, (a1, b1, a2, b2)):
+            col.append(v)
+        t1, t2 = (F(draw(st.integers(0, 12)), 12) for _ in range(2))
+        points.append((F(a1) + (F(b1) - F(a1)) * t1, F(a2) + (F(b2) - F(a2)) * t2))
+    return S, ct.CellBatch(*cols), points
+
+
+@given(_chart_cells())
+@settings(max_examples=200, deadline=None)
+def test_chamber_encloses_exact_chart_values(drawn):
+    """At every chart point with disc >= 0, l3, l4, the six gaps (exact in
+    Q(sqrt(disc))) and p3 (rational) lie inside the Chamber enclosures."""
+    S, cells, points = drawn
+    ch = ct.Chamber(cells, S)
+    checked = 0
+    for k, (x1, x2) in enumerate(points):
+        s = -(x1 + x2)
+        disc = 2 * (S - x1 * x1 - x2 * x2) - s * s
+        if disc < 0:
+            continue
+        checked += 1
+        l1, l2 = QuadExt.rational(x1), QuadExt.rational(x2)
+        l3, l4 = QuadExt.make(s / 2, F(-1, 2), disc), QuadExt.make(s / 2, F(1, 2), disc)
+        p3 = (l1 ** 3 + l2 ** 3 + l3 ** 3 + l4 ** 3).rational_value()
+        exact = {"l3": l3, "l4": l4, "g21": l2 - l1, "g31": l3 - l1, "g32": l3 - l2,
+                 "g41": l4 - l1, "g42": l4 - l2, "g43": l4 - l3, "p3": p3}
+        for name, value in exact.items():
+            enc = ch.p3() if name == "p3" else getattr(ch, name)
+            lo, hi = QuadExt.rational(F(enc.lo[k])), QuadExt.rational(F(enc.hi[k]))
+            assert lo <= value <= hi, (name, S, x1, x2)
+    assume(checked)

@@ -9,6 +9,7 @@ engine-extracted polynomials.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -121,6 +122,27 @@ def test_diagonal_relations_satisfy_linear_constraints():
             for j, t in enumerate(terms, start=1):
                 total = total + t * L[j] ** power
             assert total.is_zero()
+
+
+_ELIMINATED = frozenset(SymbolTable.h_name(j, j, i) for j in (1, 2, 3) for i in range(1, 5))
+
+
+def _eliminated_symbols(form):
+    return set().union(*(c.num.symbols_used() for c in form.terms.values())) & _ELIMINATED
+
+
+def test_no_form_carries_eliminated_diagonal_symbols():
+    # h_11i, h_22i, h_33i are replaced where they are created, so no engine
+    # output mentions them, with or without connection substitution.
+    assert len(_ELIMINATED) == 12
+    forms = [ff.connection_form(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+    forms += [ff.scalar_differential((L[2] - L[1]) ** 2), ff.scalar_differential((L[3] - L[2]) ** 2)]
+    for source in [ff.theta(i, j) for i, j in combinations(range(1, 5), 2)] + [ff.phi()]:
+        forms += [ff.exterior_derivative(source, raw=True), ff.exterior_derivative(source)]
+    assert len(forms) == 12 + 2 + 14
+    for form in forms:
+        assert not form.is_zero()
+        assert not _eliminated_symbols(form), form
 
 
 def test_scalar_differential_of_constant_power_sums():

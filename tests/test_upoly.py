@@ -3,9 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber, QuadExt
+from isocert.algebraic import AlgebraicNumber, QuadExt, quad_sign
 
 
 def test_isolate_sqrt_two():
@@ -97,6 +98,20 @@ def test_quadext_arithmetic_and_sign():
     lo, hi = a.interval(F(1, 10**12))
     assert hi - lo <= F(1, 10**12)
     assert lo <= F(24142135623731, 10**13) <= hi
+
+
+_RATIONALS = st.integers(-10**6, 10**6) | st.fractions(max_denominator=10**4)
+
+
+@given(_RATIONALS, st.integers(0, 10**3) | st.fractions(min_value=0, max_denominator=50),
+       st.sampled_from([0, 1, -1, F(1, 10**9), F(-1, 10**9)]) | _RATIONALS)
+def test_quad_sign_matches_square_radicand(b, k, value):
+    """With d = k^2, a + b*sqrt(d) is the rational a + b*k; a is chosen so
+    that this value is drawn directly, often zero or tiny."""
+    a = value - b * k
+    expected = (value > 0) - (value < 0)
+    assert quad_sign(a, b, k * k) == expected
+    assert QuadExt.make(a, b, k * k).sign() == expected
 
 
 def test_quadext_division():
