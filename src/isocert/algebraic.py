@@ -172,9 +172,10 @@ def _sqrt_bounds(d: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
 class AlgebraicNumber:
     """Root of an exact polynomial, pinned down by an isolating interval.
 
-    The defining polynomial need not be irreducible; it must be squarefree
-    on the isolating interval (sign change at the endpoints).  Refinement
-    is plain bisection with exact sign evaluation.
+    The defining polynomial need not be irreducible; the interval must hold
+    exactly one of its distinct real roots (a sign change at the endpoints
+    and a Sturm count of 1).  Refinement is plain bisection with exact sign
+    evaluation.
     """
 
     __slots__ = ("poly", "lo", "hi")
@@ -189,9 +190,18 @@ class AlgebraicNumber:
                 raise ValueError("point interval is not a root")
         elif fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
             raise ValueError("endpoints must bracket exactly one sign change")
+        elif up.sturm_count(up.sturm_chain(up.squarefree_part(poly)), lo, hi) != 1:
+            raise ValueError("interval holds more than one root")
         self.poly = poly
         self.lo = lo
         self.hi = hi
+
+    @classmethod
+    def _unchecked(cls, poly: up.UPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
+        """A sub-interval of an isolating interval: it still isolates the root."""
+        out = object.__new__(cls)
+        out.poly, out.lo, out.hi = poly, lo, hi
+        return out
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicNumber":
@@ -218,7 +228,7 @@ class AlgebraicNumber:
         if self.is_point() or self.hi - self.lo <= eps:
             return self
         lo, hi = up.refine(self.poly, (self.lo, self.hi), Fraction(eps))
-        return AlgebraicNumber(self.poly, lo, hi)
+        return AlgebraicNumber._unchecked(self.poly, lo, hi)
 
     def interval(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         r = self.refine(eps)

@@ -1,6 +1,13 @@
-"""Interval branch-and-bound certificates for sign and boundedness claims.
+"""Certificates for the sign and boundedness claims of the rigidity argument.
 
-All certificates work on the two-parameter chart of the constraint surface
+Two claims are exact coefficient-sign certificates, with no subdivision.
+In the primitive gaps a = lam2-lam1, b = lam3-lam2, c = lam4-lam3 of a
+sorted zero-sum 4-tuple every coefficient of each gamma*L_i is negative,
+and every coefficient of 4^6 (p2^3 - 3 p3^2) is positive; that fixes their
+signs on the whole chamber.
+
+The band quantities are bounded by interval branch and bound on the
+two-parameter chart of the constraint surface
 
     sum lam_i = 0,   sum lam_i^2 = S,   lam1 <= lam2 <= lam3 <= lam4:
 
@@ -16,14 +23,16 @@ their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
 
 The gamma*L_i products and the gap slopes m0/m1 are written once, in
-`identities`, generic over the ring of gap values: the certifiers evaluate
-them over intervals, the exact cross-check over integers extended by
-sqrt(disc).  The tests check the gap form equal to the printed products
-exactly and every enclosure against exact rational values.
+`identities`, generic over the ring of gap values: the certifiers expand
+them over exact polynomials or evaluate them over intervals, the exact
+cross-check over integers extended by sqrt(disc).  The tests check the gap
+form equal to the printed products exactly and every band enclosure
+against exact rational values.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +41,7 @@ import numpy as np
 
 from . import identities
 from .algebraic import QuadExt, _sqrt_bounds, quad_sign
-from .exactalg import MultiPoly, RatFn
+from .exactalg import MultiPoly, Scalar, SymbolTable
 from .vinterval import VI, float_down
 
 __all__ = [
@@ -44,7 +53,7 @@ __all__ = [
 
 @dataclass
 class Certificate:
-    """Outcome of one branch-and-bound proof attempt."""
+    """Outcome of one proof attempt."""
 
     claim: str
     region: dict
@@ -112,9 +121,6 @@ class CellBatch:
         b2 = np.concatenate([np.where(first, self.b2, m2), self.b2])
         return CellBatch(a1, b1, a2, b2)
 
-    def widths(self) -> np.ndarray:
-        return np.maximum(self.b1 - self.a1, self.b2 - self.a2)
-
     def rows(self) -> list[list[float]]:
         return [
             [float(self.a1[i]), float(self.b1[i]), float(self.a2[i]), float(self.b2[i])]
@@ -136,7 +142,7 @@ def _s_bounds(S) -> tuple[float, float, float, float]:
 class Chamber:
     """Derived interval quantities of a cell batch on the constraint chart."""
 
-    __slots__ = ("n", "l1", "l2", "l3", "l4", "s", "s_half", "disc",
+    __slots__ = ("n", "l1", "l2", "l3", "l4", "s_half", "disc",
                  "g21", "g32", "g43", "g31", "g42", "g41")
 
     def __init__(self, cells: CellBatch, S):
@@ -146,7 +152,6 @@ class Chamber:
         l1, l2 = cells.l1(), cells.l2()
         self.l1, self.l2 = l1, l2
         s = -(l1 + l2)
-        self.s = s
         self.s_half = VI.scalar(h_lo, h_hi, n)
         q = VI.scalar(s_lo, s_hi, n) - l1.sq() - l2.sq()
         self.disc = q.scale(2.0) - s.sq()
@@ -180,13 +185,35 @@ def _upper_sqrt(x: Fraction) -> float:
     return float(Fraction(hi)) * (1 + 1e-12)
 
 
+# -- exact coefficient-sign certificates ---------------------------------------
+
+GAP_TABLE = SymbolTable(("a", "b", "c"))
+GAP_VARS = tuple(MultiPoly.var(GAP_TABLE, x) for x in GAP_TABLE.names)
+_GAP_NAMES = "the gaps a = lam2-lam1, b = lam3-lam2, c = lam4-lam3"
+
+
+def _coefficient_signs(poly: MultiPoly, sign: int) -> tuple[bool, int, Scalar]:
+    """Does every coefficient of a polynomial in the gaps have the given sign?
+
+    If so, the polynomial has that sign wherever all gaps are positive and
+    keeps it weakly where they are >= 0 (a Polya certificate with no
+    multiplier).  Returns the verdict, the number of terms and the
+    coefficient nearest zero.
+    """
+    coeffs = poly.terms.values()
+    holds = bool(coeffs) and all(c * sign > 0 for c in coeffs)
+    return holds, len(coeffs), min(coeffs, key=abs, default=0)
+
+
 def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
     """Prove gamma*L_i <= -margin for i = 1..4 on the tau-collared chamber.
 
     Since gamma > 0 where all gaps are >= tau > 0, this proves L_i < 0
-    there.  Cells that cannot contain a point with all gaps >= tau are
-    discarded; surviving enclosures must clear the margin for all four
-    products.
+    there.  In the primitive gaps every coefficient of every gamma*L_i is
+    negative, so each monomial, and with it gamma*L_i, is monotone in each
+    gap: gamma*L_i <= gamma*L_i(tau, tau, tau) wherever all gaps are >= tau,
+    for every S.  That value, rounded down, is the certified bound; no cell
+    is subdivided, and `max_depth` is only recorded.
     """
     S = Fraction(S)
     tau = float(tau)
@@ -194,48 +221,22 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
     if S <= 0 or tau <= 0:
         raise ValueError("requires S > 0 and a positive gap floor tau"
                          " (the products vanish on the chamber boundary)")
-    bound = _upper_sqrt(S)
-    sb = _s_bounds(S)
-    tau2 = float_down(Fraction(tau) ** 2)
-    cells = CellBatch.root(-bound, 0.0, -bound, bound)
-    depth = 0
-    processed = 0
-    open_cells: list[list[float]] = []
-    worst_hi = -np.inf
-    while len(cells):
-        processed += len(cells)
-        ch = Chamber(cells, sb)
-        feasible = (
-            ch.real_branch_possible()
-            & (ch.g21.hi >= tau)
-            & (ch.g32.hi >= tau)
-            & (ch.disc.hi >= tau2)
-        )
-        # Sound because the claim quantifies only over points with gaps >= tau.
-        vals = identities.gamma_L_gap_form(
-            ch.g21.floor_at(tau), ch.g32.floor_at(tau), ch.g43.floor_at(tau))
-        all_hi = np.maximum.reduce([v.hi for v in vals])
-        proved = feasible & (all_hi <= -margin)
-        if proved.any():
-            worst_hi = max(worst_hi, float(all_hi[proved].max()))
-        undecided = feasible & ~proved
-        if not undecided.any():
-            break
-        if depth >= max_depth:
-            open_cells = cells.select(undecided).rows()
-            break
-        cells = cells.select(undecided).split()
-        depth += 1
-    status = "proved" if not open_cells else "inconclusive"
+    checks = [_coefficient_signs(p, -1) for p in identities.gamma_L_gap_form(*GAP_VARS)]
+    negative = all(holds for holds, _, _ in checks)
+    t = Fraction(tau)
+    bound = float_down(-max(identities.gamma_L_gap_form(t, t, t))) if negative else None
+    notes = [f"gamma*L_i in {_GAP_NAMES}: {', '.join(str(n) for _, n, _ in checks)} terms "
+             f"for i = 1..4, {'every' if negative else 'not every'} coefficient negative, "
+             f"largest {max(c for _, _, c in checks)}",
+             "so gamma*L_i <= gamma*L_i(tau, tau, tau) where all gaps are >= tau, for every S"]
     return Certificate(
         claim="gamma_Li_negative",
-        region={"S": str(S), "tau": tau, "constraints": "p1 = 0, p2 = S, gaps >= tau"},
+        region={"S": str(S), "tau": tau, "constraints": "p1 = 0, p2 = S, gaps >= tau",
+                "max_depth": max_depth},
         margin=margin,
-        status=status,
-        cells_processed=processed,
-        max_depth_reached=depth,
-        bound=(-worst_hi if np.isfinite(worst_hi) else None),
-        open_cells=open_cells,
+        status="proved" if bound is not None and bound >= margin else "inconclusive",
+        bound=bound,
+        notes=notes,
     )
 
 
@@ -310,140 +311,62 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
     return {"samples": accepted, "violations": violations, "seed": seed}
 
 
-# -- the cubic-sum inequality on the unit sphere ------------------------------
+# -- the cubic-sum inequality on the sorted chamber ---------------------------
 
-def _equality_points() -> list[tuple[str, list[float], list[float], bool]]:
-    """Float enclosures of the two sorted equality configurations k/sqrt(12)."""
-    lo12, hi12 = _sqrt_bounds(Fraction(12), Fraction(1, 10**12))
-    out = []
-    for name, coords in (
-        ("E_low_triple", (-1, -1, -1, 3)),
-        ("E_high_triple", (-3, 1, 1, 1)),
-    ):
-        los, his = [], []
-        for c in coords:
-            c = Fraction(c)
-            lo_rat, hi_rat = (c / hi12, c / lo12) if c > 0 else (c / lo12, c / hi12)
-            los.append(float(np.nextafter(float(lo_rat), -np.inf)))
-            his.append(float(np.nextafter(float(hi_rat), np.inf)))
-        pair_equal = coords[2] == coords[3]
-        out.append((name, los, his, pair_equal))
-    return out
+def gap_power_sums(a, b, c):
+    """p2 and p3 of the zero-sum lam1 <= lam2 <= lam3 <= lam4 with gaps
+    a = lam2-lam1, b = lam3-lam2, c = lam4-lam3 (p1 = 0 fixes lam1).
+
+    Generic over any ring of gap values that can be divided by 4.
+    """
+    l1 = -(3 * a + 2 * b + c) / 4
+    lams = (l1, l1 + a, l1 + a + b, l1 + a + b + c)
+    return sum(x * x for x in lams), sum(x * x * x for x in lams)
 
 
-def certify_okumura(n=4, tol=1e-6, max_depth=50, near_radius=1e-3) -> Certificate:
-    """Prove the cubic-sum bound on zero-sum unit 4-vectors, off equality.
+def okumura_gap_form(a, b, c):
+    """4^6 (p2^3 - 3 p3^2) in the primitive gaps."""
+    p2, p3 = gap_power_sums(a, b, c)
+    return 4**6 * (p2**3 - 3 * p3**2)
 
-    Claim:  slack = 1/3 - p3^2 >= tol  on the sorted chamber of
-    {sum a = 0, sum a^2 = 1}, except on cells within `near_radius` of the
-    two equality configurations, where the bound is attained exactly (the
-    attained values are checked by exact rational arithmetic separately).
+
+def certify_okumura(n=4, tol=1e-6) -> Certificate:
+    """Prove the cubic-sum bound 3 p3^2 <= p2^3 on the sorted chamber.
+
+    Every coefficient of `okumura_gap_form` is positive, so the bound holds
+    wherever the three gaps are >= 0, equality points included, and the
+    equality set is exactly where every monomial vanishes.  `tol` is only
+    recorded, as the record's margin.
     """
     if n != 4:
         raise ValueError("only the 4-dimensional inequality is certified here")
-    tol = float(tol)
-    eq_points = _equality_points()
-    sb = _s_bounds(1)
-    cells = CellBatch.root(-1.0, 0.0, -1.0, 1.0)
-    depth = 0
-    processed = 0
-    near_cells = 0
-    max_near_dist = 0.0
-    open_cells: list[list[float]] = []
-    while len(cells):
-        processed += len(cells)
-        ch = Chamber(cells, sb)
-        s_minus = ch.s - ch.l2.scale(2.0)
-        feasible = (
-            ch.real_branch_possible()
-            & (ch.l2.hi >= ch.l1.lo)
-            & (s_minus.hi >= 0)
-            & ((s_minus.sq() - ch.disc).hi >= 0)
-        )
-        slack_lo = _okumura_slack_lo(cells)
-        clear = feasible & (slack_lo >= tol)
-        undecided = feasible & ~clear
-        if undecided.any():
-            sub = cells.select(undecided)
-            sub_ch = Chamber(sub, sb)
-            dist = _distance_to_equality(sub_ch, eq_points)
-            small = sub.widths() <= near_radius / 4
-            near = (dist <= near_radius) & small
-            if near.any():
-                near_cells += int(near.sum())
-                max_near_dist = max(max_near_dist, float(dist[near].max()))
-            rest = sub.select(~near)
-            if len(rest):
-                if depth >= max_depth:
-                    open_cells = rest.rows()
-                    break
-                cells = rest.split()
-                depth += 1
-                continue
-        break
-    status = "proved" if not open_cells else "inconclusive"
+    form = okumura_gap_form(*GAP_VARS)
+    holds, terms, smallest = _coefficient_signs(form, 1)
     return Certificate(
         claim="okumura_cubic_bound",
-        region={"constraints": "p1 = 0, p2 = 1, sorted chamber", "n": 4,
-                "near_radius": near_radius},
-        margin=tol,
-        status=status,
-        cells_processed=processed,
-        max_depth_reached=depth,
-        bound=max_near_dist if near_cells else 0.0,
-        notes=[f"near_equality_cells={near_cells}",
-               f"max_near_equality_distance={max_near_dist!r}"],
-        open_cells=open_cells,
+        region={"constraints": "p1 = 0, p2 = 1, sorted chamber", "n": 4},
+        margin=float(tol),
+        status="proved" if holds else "inconclusive",
+        bound=0.0,
+        notes=[f"4^6 (p2^3 - 3 p3^2) in {_GAP_NAMES}: {terms} terms, "
+               f"{'every' if holds else 'not every'} coefficient positive, smallest {smallest}",
+               "holds on the whole sorted chamber, equality points included",
+               f"equality exactly where {_equality_set(form)}"],
     )
 
 
-def _okumura_slack_lo(cells: CellBatch) -> np.ndarray:
-    """Rigorous lower bound of slack = 1/3 - 9 q^2, q = (l1+l2)(l1^2+l2^2-1/2).
-
-    q is enclosed by the intersection of the plain interval image and a
-    first-order centered form; the centered form is second-order tight at
-    the interior equality point (where the slack gradient vanishes), which
-    is what lets cells near it resolve instead of splitting forever.
-    """
-    from .vinterval import up as _vup
-
-    l1, l2 = cells.l1(), cells.l2()
-    n = len(cells)
-    half = VI.point(0.5, n)
-    u = l1 + l2
-    w = l1.sq() + l2.sq() - half
-    q_plain = u * w
-    m1 = (cells.a1 + cells.b1) / 2
-    m2 = (cells.a2 + cells.b2) / 2
-    M1, M2 = VI(m1, m1), VI(m2, m2)
-    qm = (M1 + M2) * (M1.sq() + M2.sq() - half)
-    dq1 = w + u * l1.scale(2.0)
-    dq2 = w + u * l2.scale(2.0)
-    r1 = _vup(np.maximum(m1 - cells.a1, cells.b1 - m1))
-    r2 = _vup(np.maximum(m2 - cells.a2, cells.b2 - m2))
-    q_c = qm + dq1 * VI(-r1, r1) + dq2 * VI(-r2, r2)
-    q = VI(np.maximum(q_plain.lo, q_c.lo), np.minimum(q_plain.hi, q_c.hi))
-    nine_q_sq = q.sq().scale(9.0)
-    third_lo = np.nextafter(1 / 3, 0)
-    return np.nextafter(third_lo - nine_q_sq.hi, -np.inf)
-
-
-def _distance_to_equality(ch: Chamber, eq_points) -> np.ndarray:
-    """Per-cell upper bound of the distance to the nearest equality point."""
-    n = ch.n
-    best = np.full(n, np.inf)
-    for _name, los, his, pair_equal in eq_points:
-        e = [VI.scalar(los[k], his[k], n) for k in range(4)]
-        d2 = (ch.l1 - e[0]).sq() + (ch.l2 - e[1]).sq()
-        if pair_equal:
-            # (a3-c)^2 + (a4-c)^2 = (a3^2+a4^2) - 2 c (a3+a4) + 2 c^2 is a
-            # chart polynomial; immune to the sqrt blow-up at disc = 0.
-            qprime = (ch.disc + ch.s.sq()).scale(0.5)
-            d2 = d2 + qprime - (e[2] * ch.s).scale(2.0) + e[2].sq().scale(2.0)
-        else:
-            d2 = d2 + (ch.l3 - e[2]).sq() + (ch.l4 - e[3]).sq()
-        best = np.minimum(best, d2.sqrt_clamped().hi)
-    return best
+def _equality_set(form: MultiPoly) -> str:
+    """Where a polynomial whose coefficients share one sign vanishes on gaps
+    >= 0: where every monomial does, that is where all gaps of a minimal set
+    meeting the support of each monomial are 0."""
+    names = form.table.names
+    supports = [{x for x, e in zip(names, form.exponents(m)) if e} for m in form.terms]
+    zeros = [set(z) for k in range(1, len(names) + 1) for z in itertools.combinations(names, k)
+             if all(s & set(z) for s in supports)]
+    return " or ".join(
+        " = ".join(sorted(z)) + " = 0 (lam1" + "".join(
+            f" {'=' if x in z else '<='} lam{k}" for k, x in enumerate(names, start=2)) + ")"
+        for z in zeros if not any(h < z for h in zeros))
 
 
 def okumura_equality_case_exact() -> dict:
@@ -515,7 +438,11 @@ def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Cer
     a3_lo, a3_hi = np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf)
     sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, Fraction(1, 10**12))[0])
     sqrt_delta1_hi = float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12)
-    expr = None if key == "m" else identities.gap_band_quantities(side)[key]
+    if key == "m":
+        expr = None
+    else:
+        ratfn = identities.gap_band_quantities(side)[key]
+        expr = (_compile_poly(ratfn.num), _compile_poly(ratfn.den))
     bound = _upper_sqrt(S)
     sb = _s_bounds(S)
     tighten_depth = min(14, max_depth)
@@ -606,7 +533,8 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
     g42/g31) >= 0 and m1 = -2 g41 (g42/g31 + g43/g21) <= 0; with the entry's
     sign the product is <= 0 on the whole band and strictly negative where
     all gaps are positive.  The test suite multiplies the rendered factors
-    back out and checks them equal to B_i exactly, so no subdivision is needed.
+    back out and checks them equal to B_i exactly, and checks the slopes'
+    signs by `_coefficient_signs`, so no subdivision is needed.
     """
     sign, num, den = identities.BAND_SINGULAR_TERMS[(side, int(key[1:]))]
     factors = (["-1"] if sign < 0 else []) + ["m0 >= 0" if side == "g" else "m1 <= 0"]
@@ -625,7 +553,24 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
     )
 
 
-def _band_value(key, side, ch: Chamber, expr: RatFn | None, floor: float) -> tuple[VI, np.ndarray]:
+# A polynomial compiled for batch evaluation: per term, in descending
+# monomial order, its (symbol, exponent) factors and coefficient bounds.
+_Terms = list[tuple[tuple[tuple[str, int], ...], float, float]]
+
+
+def _compile_poly(poly: MultiPoly) -> _Terms:
+    """Read the exponents and round the coefficients outward, once."""
+    names = poly.table.names
+    out = []
+    for mono, coeff in poly.sorted_terms():
+        c = float(coeff)
+        factors = tuple((names[i], e) for i, e in enumerate(poly.exponents(mono)) if e)
+        out.append((factors, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
+    return out
+
+
+def _band_value(key, side, ch: Chamber, expr: tuple[_Terms, _Terms] | None,
+                floor: float) -> tuple[VI, np.ndarray]:
     """Enclosure of one band quantity over the feasible subsets of the cells.
 
     Gap enclosures are intersected with the region-implied floors (sorted
@@ -648,11 +593,12 @@ def _band_value(key, side, ch: Chamber, expr: RatFn | None, floor: float) -> tup
     return val, ok
 
 
-def _vector_ratfn(expr: RatFn, ch: Chamber) -> tuple[VI, np.ndarray]:
-    """Vectorized enclosure of a rational function of l1..l4 over cells."""
+def _vector_ratfn(expr: tuple[_Terms, _Terms], ch: Chamber) -> tuple[VI, np.ndarray]:
+    """Vectorized enclosure over cells of a rational function of l1..l4,
+    given as its compiled numerator and denominator."""
     box = {"l1": ch.l1, "l2": ch.l2, "l3": ch.l3, "l4": ch.l4}
-    num = _vector_poly(expr.num, box, ch.n)
-    den = _vector_poly(expr.den, box, ch.n)
+    num = _vector_poly(expr[0], box, ch.n)
+    den = _vector_poly(expr[1], box, ch.n)
     ok = (den.lo > 0) | (den.hi < 0)
     safe_den = VI(np.where(ok, den.lo, 1.0), np.where(ok, den.hi, 2.0))
     pos = safe_den.lo > 0
@@ -662,26 +608,21 @@ def _vector_ratfn(expr: RatFn, ch: Chamber) -> tuple[VI, np.ndarray]:
     return val, ok
 
 
-def _vector_poly(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
+def _vector_poly(terms: _Terms, box: dict[str, VI], n: int) -> VI:
     total = VI.point(0.0, n)
-    names = poly.table.names
-    powers: dict[tuple[int, int], VI] = {}
-    for mono, coeff in poly.sorted_terms():
+    powers: dict[tuple[str, int], VI] = {}
+    for factors, c_lo, c_hi in terms:
         term = None
-        for i, e in enumerate(poly.exponents(mono)):
-            if not e:
-                continue
-            key = (i, e)
+        for key in factors:
             p = powers.get(key)
             if p is None:
-                base = box[names[i]]
+                name, e = key
+                base = box[name]
                 p = base
                 for _ in range(e - 1):
                     p = p * base
                 powers[key] = p
             term = p if term is None else term * p
-        c = float(coeff)
-        c_lo, c_hi = np.nextafter(c, -np.inf), np.nextafter(c, np.inf)
         if term is None:
             total = total + VI.scalar(c_lo, c_hi, n)
         else:

@@ -4,7 +4,8 @@ Subcommands:
 
   verify-identities   exact residual checks of the coframe identities
   solve               enumerate constrained curvature configurations
-  certify             interval certificates (li | okumura | band)
+  certify             exact sign certificates (li | okumura), interval
+                      branch and bound (band)
   mollifier           smoothing-kernel CSV dump and property sweep
   cutoff              ramp CSV dump and property sweep
   examples            model catalog: listing and clause-level checks
@@ -138,8 +139,7 @@ def run_certify(args) -> tuple[list[dict], int]:
                 xc,
             ))
     elif args.kind == "okumura":
-        cert = certify.certify_okumura(4, tol=args.tol, max_depth=args.max_depth,
-                                       near_radius=args.near_radius)
+        cert = certify.certify_okumura(4, tol=args.tol)
         recs = [check_record(cert.claim, cert.status, cert.to_json())]
         eq = certify.okumura_equality_case_exact()
         recs.append(check_record(
@@ -362,18 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=float, default=1e-12)
     _add_common(p)
 
-    p = sub.add_parser("certify", help="interval certificates")
+    p = sub.add_parser("certify", help="sign and interval certificates")
     p.add_argument("kind", choices=("li", "okumura", "band"))
     p.add_argument("--S", default="8")
     p.add_argument("--A3", default="0")
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--margin", type=float, default=1e-9)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--near-radius", type=float, default=1e-3)
+    p.add_argument("--margin", type=float, default=1e-9,
+                   help="li: the certified bound must reach it; unused by okumura and band")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="okumura: recorded only, as the record's margin (the proof is exact)")
     p.add_argument("--eps0", default="1/10")
     p.add_argument("--delta1", default="1/20")
     p.add_argument("--quantity", default="all")
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=int, default=None,
+                   help="band: branch-and-bound depth limit (default 30); "
+                        "li: recorded only (default 20); unused by okumura")
     p.add_argument("--cross-check", type=int, default=0,
                    help="also run this many exact random spot checks (li)")
     _add_common(p)
@@ -404,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta1", required=True)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--margin", type=float, default=1e-9)
-    p.add_argument("--max-depth", type=int, default=30)
+    p.add_argument("--max-depth", type=int, default=30,
+                   help="band depth limit; recorded in the li record")
     p.add_argument("--samples", type=int, default=2000)
     _add_common(p)
     return ap
@@ -488,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args, parser, argv)
         args.threads = _worker_count(args.threads)
         if args.command == "certify" and args.max_depth is None:
-            args.max_depth = {"li": 20, "okumura": 50, "band": 30}[args.kind]
+            args.max_depth = {"li": 20, "band": 30}.get(args.kind)
         recs, code = _RUNNERS[args.command](args)
         if recs:
             _emit_report(recs, args)

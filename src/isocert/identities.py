@@ -60,9 +60,10 @@ def gamma_L_gap_form(g21, g32, g43):
     """gamma * L_i as minus sums of monomials in the three primitive gaps.
 
     Substituting g31 = g32+g21, g42 = g43+g32, g41 = g43+g32+g21 into the
-    printed products leaves no cancellation, so an interval evaluation on
-    nonnegative gaps is tight and proves negativity directly.  Doubling is
-    written x + x and squaring x * x, so the function stays generic.
+    printed products leaves no cancellation: expanded over polynomials,
+    every coefficient is negative, which `certify.certify_Li_negative`
+    checks.  Doubling is written x + x and squaring x * x, so the function
+    stays generic.
     """
     g31 = g32 + g21
     g21sq, g32sq, g43sq, g31sq = g21 * g21, g32 * g32, g43 * g43, g31 * g31

@@ -1,5 +1,6 @@
-"""Branch-and-bound certificates: proofs, cross-checks, determinism."""
+"""Certificates: exact sign proofs, band branch and bound, cross-checks, determinism."""
 
+import math
 import re
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -35,6 +36,86 @@ def test_li_rejects_degenerate_floor():
         ct.certify_Li_negative(0, 0.1)
 
 
+def test_li_bound_is_the_value_at_the_collar():
+    # Every coefficient of gamma*L_i is negative and they sum to -16, so
+    # gamma*L_i <= -16 tau^4 where all gaps are >= tau; no cell is split.
+    for S, tau in ((8, 0.05), (8, 0.05 * 8**0.5), (20, 0.5), (F(41, 4), 0.3)):
+        cert = ct.certify_Li_negative(S, tau, max_depth=7)
+        assert cert.status == "proved"
+        assert cert.bound == float_down(16 * F(tau) ** 4)
+        assert cert.cells_processed == cert.max_depth_reached == 0
+        assert cert.region["max_depth"] == 7
+    assert ct.certify_Li_negative(8, 0.05 * 8**0.5).bound == 0.006400000000000005
+
+
+def test_li_margin_above_the_bound_is_inconclusive():
+    cert = ct.certify_Li_negative(8, 0.05, margin=1.0)
+    assert cert.status == "inconclusive"
+    assert cert.bound < 1.0
+
+
+def _certified_forms():
+    """The polynomials of the two exact certificates, with their required sign."""
+    return ([(p, -1) for p in idn.gamma_L_gap_form(*ct.GAP_VARS)]
+            + [(ct.okumura_gap_form(*ct.GAP_VARS), 1)])
+
+
+def test_certified_forms_have_one_coefficient_sign():
+    forms = _certified_forms()
+    assert [ct._coefficient_signs(p, sign) for p, sign in forms] == [
+        (True, 8, -1), (True, 10, -1), (True, 10, -1), (True, 8, -1), (True, 22, 4096)]
+    assert [sum(p.terms.values()) for p, _ in forms[:4]] == [-16] * 4
+
+
+def test_one_flipped_coefficient_is_refused():
+    for poly, sign in _certified_forms():
+        for m, c in poly.terms.items():
+            assert not ct._coefficient_signs(MultiPoly(poly.table, {**poly.terms, m: -c}), sign)[0]
+    assert not ct._coefficient_signs(MultiPoly.zero(ct.GAP_TABLE), 1)[0]
+
+
+@given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_gap_power_sums_match_direct_sums(xs):
+    mean = sum(xs) / 4
+    lam = sorted(x - mean for x in xs)
+    a, b, c = (lam[k + 1] - lam[k] for k in range(3))
+    p2, p3 = sum(x**2 for x in lam), sum(x**3 for x in lam)
+    assert ct.gap_power_sums(a, b, c) == (p2, p3)
+    form = ct.okumura_gap_form(*ct.GAP_VARS)
+    assert form.evaluate({"a": a, "b": b, "c": c}) == 4**6 * (p2**3 - 3 * p3**2)
+
+
+def test_okumura_form_vanishes_on_the_equality_set():
+    form = ct.okumura_gap_form
+    assert form(F(1), F(0), F(0)) == 0 == form(F(0), F(0), F(1))
+    assert form(F(1), F(1), F(1)) > 0
+    assert ct.certify_okumura().notes[-1] == (
+        "equality exactly where a = b = 0 (lam1 = lam2 = lam3 <= lam4)"
+        " or b = c = 0 (lam1 <= lam2 = lam3 = lam4)")
+
+
+def test_band_slope_halves_have_one_sign():
+    """m0 g31 g32 and m1 g31 g21, the slopes multiplied through by their gap
+    denominators, have coefficients of one sign: the m0 >= 0 and m1 <= 0
+    factors of the B certificates."""
+    a, b, c = ct.GAP_VARS
+    gap = {(2, 1): a, (3, 2): b, (4, 3): c, (3, 1): a + b, (4, 2): b + c, (4, 1): a + b + c}
+    cleared = {"g": {(3, 2): gap[3, 1], (3, 1): gap[3, 2]},
+               "f": {(3, 1): gap[2, 1], (2, 1): gap[3, 1]}}
+    found = {}
+    for side, sign in (("g", 1), ("f", -1)):
+        poly = idn.gap_slope_form(side, lambda i, j: gap[i, j],
+                                  lambda x, pair: x * cleared[side][pair])
+        found[side] = ct._coefficient_signs(poly, sign)[:2]
+        den = math.prod(cleared[side].values())
+        for pt in ({"a": 1, "b": 2, "c": 3}, {"a": F(1, 3), "b": F(5, 2), "c": F(1, 7)}):
+            lams = {"l1": 0, "l2": pt["a"], "l3": pt["a"] + pt["b"], "l4": pt["a"] + pt["b"] + pt["c"]}
+            slope = idn.gap_band_quantities(side)["m"].evaluate(lams)
+            assert poly.evaluate(pt) == slope * den.evaluate(pt)
+    assert found == {"g": (True, 5), "f": (True, 7)}
+
+
 def test_li_cross_check_no_violations():
     out = ct.sample_Li_cross_check(8, 0.05, count=2000)
     assert out["samples"] == 2000
@@ -50,7 +131,8 @@ def test_li_cross_check_deterministic():
 def test_okumura_certificate():
     cert = ct.certify_okumura(4, tol=1e-6)
     assert cert.status == "proved"
-    assert cert.bound <= 1e-3  # farthest low-slack cell distance
+    assert cert.bound == 0.0  # no neighbourhood of the equality set is left out
+    assert cert.cells_processed == 0 and cert.margin == 1e-6
     with pytest.raises(ValueError):
         ct.certify_okumura(5)
 
@@ -126,7 +208,7 @@ def test_band_quantity_enclosures_contain_exact_values(cells):
     ch, points = cells
     assert len(_BAND_RATFNS) == 14
     for side, key, expr in _BAND_RATFNS:
-        val, ok = ct._vector_ratfn(expr, ch)
+        val, ok = ct._vector_ratfn((ct._compile_poly(expr.num), ct._compile_poly(expr.den)), ch)
         for k, pt in enumerate(points):
             if ok[k]:
                 exact = expr.evaluate(pt)
@@ -210,19 +292,16 @@ def _lams(pt):
 def test_factored_forms_match_engine_extraction(drawn):
     """Dual-route guard: the generic gamma*L_i and m0/m1 formulas evaluated
     over Fractions at a point of each box agree with the engine-side
-    polynomials there and lie inside the interval enclosures the certifiers
-    compute on the box (positive gaps for gamma*L_i, the band's floors for
-    the slopes)."""
+    polynomials there, and the slopes lie inside the interval enclosures the
+    band certifier computes on the box with the band's floors."""
     floor, cells = drawn
     gL = idn.gamma_L_polynomials()
-    ch, points = _chamber_gaps(cells, floor, raised=_PRIMITIVE)
-    enc = idn.gamma_L_gap_form(ch.g21, ch.g32, ch.g43)
-    for k, pt in enumerate(points):
+    _, points = _chamber_gaps(cells, floor, raised=_PRIMITIVE)
+    for pt in points:
         exact = idn.gamma_L_gap_form(*(pt[p] for p in _PRIMITIVE))
         assert exact == idn.gamma_L_printed(*(pt[p] for p in _ALL_GAPS))
         for i in range(4):
             assert exact[i] == gL[i + 1].evaluate(_lams(pt))
-            assert float(enc[i].lo[k]) <= exact[i] <= float(enc[i].hi[k]), (i, pt)
     for side, wide in (("g", (3, 2)), ("f", (2, 1))):
         ch, points = _chamber_gaps(cells, floor, raised=(wide,))
         val, ok = ct._band_value("m", side, ch, None, float_down(floor))

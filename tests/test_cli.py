@@ -189,6 +189,22 @@ def test_golden_band_sign_certificate():
     assert out.stdout == (GOLDEN / "band_B1g.json").read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("certify", "li", "--S", "8"), "certify_li.json"),
+    (("certify", "okumura", "--tol", "1e-6"), "certify_okumura.json"),
+])
+def test_golden_exact_sign_certificates(argv, golden):
+    out = run_cli(*argv, "--quiet")
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / golden).read_text()
+
+
+def test_removed_near_radius_flag_is_a_usage_error():
+    out = run_cli("certify", "okumura", "--near-radius", "1e-3", "--quiet")
+    assert out.returncode == 64
+    assert out.stdout == ""
+
+
 def test_summary_goes_to_stdout_with_out_file(tmp_path):
     path = tmp_path / "report.json"
     out = run_cli("certify", "li", "--S", "20", "--tau", "0.5", "--out", str(path))

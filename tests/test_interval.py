@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, strategies as st
 
-from isocert.certify import _vector_poly, _vector_ratfn
+from isocert.certify import _compile_poly, _vector_poly, _vector_ratfn
 from isocert.exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
-from isocert.identities import gamma_L_polynomials
+from isocert.identities import gamma_L_polynomials, gap_band_quantities
 from isocert.vinterval import VI, float_down, float_up
 
 T = SymbolTable.geometry()
@@ -27,13 +27,17 @@ def _box(**bounds) -> dict[str, VI]:
     return box
 
 
+def _enclose(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
+    return _vector_poly(_compile_poly(poly), box, n)
+
+
 def _contains(enc: VI, k: int, x) -> bool:
     """Exact test: python floats compare exactly with Fractions."""
     return float(enc.lo[k]) <= x <= float(enc.hi[k])
 
 
 def test_sum_over_unit_boxes():
-    out = _vector_poly(L[1] + L[2], _box(l1=([0.0], [1.0]), l2=([0.0], [1.0])), 1)
+    out = _enclose(L[1] + L[2], _box(l1=([0.0], [1.0]), l2=([0.0], [1.0])), 1)
     assert out.lo[0] <= 0.0 and out.hi[0] >= 2.0
     assert out.hi[0] < 2.0 + 1e-12
 
@@ -42,7 +46,7 @@ def test_gamma_L1_point_enclosure():
     eps = 1e-9
     probe = {"l1": -3, "l2": -1, "l3": 1, "l4": 3}
     box = _box(**{k: ([v - eps], [v + eps]) for k, v in probe.items()})
-    out = _vector_poly(GAMMA_L1, box, 1)
+    out = _enclose(GAMMA_L1, box, 1)
     assert out.lo[0] <= -256 <= out.hi[0]
     assert out.hi[0] - out.lo[0] < 1e-5
 
@@ -52,7 +56,8 @@ def test_possible_pole():
     # second's does not.
     expr = FactoredFn(FactorBase([L[1] - L[2]]), MultiPoly.const(T, 1), (1,)).to_ratfn()
     box = _box(l1=([-0.5, 1.0], [0.5, 2.0]), l2=([-0.5, -0.5], [0.5, 0.5]))
-    val, ok = _vector_ratfn(expr, SimpleNamespace(n=2, **box))
+    val, ok = _vector_ratfn((_compile_poly(expr.num), _compile_poly(expr.den)),
+                           SimpleNamespace(n=2, **box))
     assert list(ok) == [False, True]
     # 1 / [1/2, 5/2] = [2/5, 2]
     assert _contains(val, 1, F(2, 5)) and _contains(val, 1, 2)
@@ -61,7 +66,7 @@ def test_possible_pole():
 def test_from_fraction_containment():
     # Coefficients enter _vector_poly as floats widened one ulp outward.
     for q in (F(1, 3), F(-7, 11), F(2), F(10**18 + 1, 3)):
-        enc = _vector_poly(MultiPoly.const(T, q), _box(l1=([0.0], [0.0])), 1)
+        enc = _enclose(MultiPoly.const(T, q), _box(l1=([0.0], [0.0])), 1)
         assert _contains(enc, 0, q)
 
 
@@ -80,7 +85,7 @@ def test_containment_random_points():
             lo[f"l{i}"].append(float(a))
             hi[f"l{i}"].append(float(b))
         points.append(pt)
-    enc = _vector_poly(GAMMA_L1, _box(**{k: (lo[k], hi[k]) for k in lo}), 60)
+    enc = _enclose(GAMMA_L1, _box(**{k: (lo[k], hi[k]) for k in lo}), 60)
     for k, pt in enumerate(points):
         assert _contains(enc, k, GAMMA_L1.evaluate(pt))
 
@@ -88,9 +93,40 @@ def test_containment_random_points():
 def test_monotone_refinement():
     # The union of the child enclosures never exceeds the parent enclosure.
     expr = (L[1] * L[2] - L[1] ** 2) * (L[2] + 2)
-    parent = _vector_poly(expr, _box(l1=([-1.0], [1.0]), l2=([0.0], [2.0])), 1)
-    kids = _vector_poly(expr, _box(l1=([-1.0, 0.0], [0.0, 1.0]), l2=([0.0, 0.0], [2.0, 2.0])), 2)
+    parent = _enclose(expr, _box(l1=([-1.0], [1.0]), l2=([0.0], [2.0])), 1)
+    kids = _enclose(expr, _box(l1=([-1.0, 0.0], [0.0, 1.0]), l2=([0.0, 0.0], [2.0, 2.0])), 2)
     assert parent.lo[0] <= kids.lo.min() and kids.hi.max() <= parent.hi[0]
+
+
+def _term_walk(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
+    """Reference: read every exponent field of every term on each call."""
+    total = VI.point(0.0, n)
+    powers = {}
+    for mono, coeff in poly.sorted_terms():
+        term = None
+        for i, e in enumerate(poly.exponents(mono)):
+            if e:
+                if (i, e) not in powers:
+                    base = p = box[poly.table.names[i]]
+                    for _ in range(e - 1):
+                        p = p * base
+                    powers[i, e] = p
+                term = powers[i, e] if term is None else term * powers[i, e]
+        c = VI.scalar(np.nextafter(float(coeff), -np.inf), np.nextafter(float(coeff), np.inf), n)
+        total = total + (c if term is None else term * c)
+    return total
+
+
+def test_compiled_polys_match_term_walk_bitwise():
+    # Compiling reorders no float operation, so enclosures are bit-identical.
+    rng = random.Random(11)
+    lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(50)] for i in range(1, 5)}
+    box = _box(**{k: (v, [x + rng.uniform(0, 0.5) for x in v]) for k, v in lo.items()})
+    for side in ("g", "f"):
+        for expr in gap_band_quantities(side).values():
+            for poly in (expr.num, expr.den):
+                want, got = _term_walk(poly, box, 50), _enclose(poly, box, 50)
+                assert np.array_equal(want.lo, got.lo) and np.array_equal(want.hi, got.hi)
 
 
 def test_power_tightness():

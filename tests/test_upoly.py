@@ -88,6 +88,15 @@ def test_algebraic_compare_and_sign():
     assert sqrt2.sign_of(up.upoly([-1, 1])) == 1  # sqrt2 - 1 > 0
 
 
+def test_algebraic_number_needs_an_isolating_interval():
+    # (x-1)(x-2)(x-3) changes sign over [0, 4] but has three roots there.
+    cubic = up.upoly([-6, 11, -6, 1])
+    with pytest.raises(ValueError):
+        AlgebraicNumber(cubic, F(0), F(4))
+    two = AlgebraicNumber(cubic, F(3, 2), F(5, 2))
+    assert two.refine(F(1, 1000)).compare(AlgebraicNumber.from_rational(2)) == 0
+
+
 def test_quadext_arithmetic_and_sign():
     a = QuadExt.make(1, 1, 2)   # 1 + sqrt(2)
     b = QuadExt.make(1, -1, 2)  # 1 - sqrt(2)
