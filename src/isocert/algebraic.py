@@ -197,13 +197,6 @@ class AlgebraicNumber:
         self.hi = hi
 
     @classmethod
-    def _unchecked(cls, poly: up.UPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        """A sub-interval of an isolating interval: it still isolates the root."""
-        out = object.__new__(cls)
-        out.poly, out.lo, out.hi = poly, lo, hi
-        return out
-
-    @classmethod
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
         return cls(up.upoly([-q, 1]), q, q)
@@ -214,9 +207,7 @@ class AlgebraicNumber:
             return cls.from_rational(v.a)
         m = v.minimal_polynomial()
         lo, hi = v.interval(Fraction(1, 10**6))
-        while up.evaluate(m, lo) == 0 or up.evaluate(m, hi) == 0 or (
-            (up.evaluate(m, lo) > 0) == (up.evaluate(m, hi) > 0)
-        ):
+        while up.evaluate(m, lo) * up.evaluate(m, hi) >= 0:   # no strict sign change
             lo, hi = v.interval((hi - lo) / 4)
         return cls(m, lo, hi)
 
@@ -228,7 +219,7 @@ class AlgebraicNumber:
         if self.is_point() or self.hi - self.lo <= eps:
             return self
         lo, hi = up.refine(self.poly, (self.lo, self.hi), Fraction(eps))
-        return AlgebraicNumber._unchecked(self.poly, lo, hi)
+        return AlgebraicNumber(self.poly, lo, hi)
 
     def interval(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         r = self.refine(eps)

@@ -22,17 +22,16 @@ of cells is processed as numpy batches (see vinterval); cells split on
 their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
 
-The gamma*L_i products and the gap slopes m0/m1 are written once, in
-`identities`, generic over the ring of gap values: the certifiers expand
-them over exact polynomials or evaluate them over intervals, the exact
-cross-check over integers extended by sqrt(disc).  The tests check the gap
-form equal to the printed products exactly and every band enclosure
-against exact rational values.
+The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
+written once, in `identities`, generic over the ring of gap values: the
+certifiers expand them over exact polynomials or evaluate them over
+intervals, the exact cross-check over integers extended by sqrt(disc).
+The tests check the gap form equal to the printed products exactly and
+every band enclosure against exact rational values.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,18 +91,8 @@ class CellBatch:
         self.a1, self.b1 = np.asarray(a1, float), np.asarray(b1, float)
         self.a2, self.b2 = np.asarray(a2, float), np.asarray(b2, float)
 
-    @classmethod
-    def root(cls, a1, b1, a2, b2) -> "CellBatch":
-        return cls([a1], [b1], [a2], [b2])
-
     def __len__(self) -> int:
         return len(self.a1)
-
-    def l1(self) -> VI:
-        return VI(self.a1, self.b1)
-
-    def l2(self) -> VI:
-        return VI(self.a2, self.b2)
 
     def select(self, mask) -> "CellBatch":
         return CellBatch(self.a1[mask], self.b1[mask], self.a2[mask], self.b2[mask])
@@ -122,21 +111,16 @@ class CellBatch:
         return CellBatch(a1, b1, a2, b2)
 
     def rows(self) -> list[list[float]]:
-        return [
-            [float(self.a1[i]), float(self.b1[i]), float(self.a2[i]), float(self.b2[i])]
-            for i in range(len(self))
-        ]
+        return np.stack([self.a1, self.b1, self.a2, self.b2], axis=1).tolist()
 
 
 def _s_bounds(S) -> tuple[float, float, float, float]:
     """Float enclosures of exact S and S/2 for chart construction."""
-    S = Fraction(S)
-    lo = float(S)
-    lo, hi = (lo, lo) if Fraction(lo) == S else (np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf))
-    half = S / 2
-    hlo = float(half)
-    hlo, hhi = (hlo, hlo) if Fraction(hlo) == half else (np.nextafter(hlo, -np.inf), np.nextafter(hlo, np.inf))
-    return lo, hi, hlo, hhi
+    out = []
+    for q in (Fraction(S), Fraction(S) / 2):
+        f = float(q)
+        out += [f, f] if Fraction(f) == q else [np.nextafter(f, -np.inf), np.nextafter(f, np.inf)]
+    return tuple(out)
 
 
 class Chamber:
@@ -149,7 +133,7 @@ class Chamber:
         n = len(cells)
         self.n = n
         s_lo, s_hi, h_lo, h_hi = S if isinstance(S, tuple) else _s_bounds(S)
-        l1, l2 = cells.l1(), cells.l2()
+        l1, l2 = VI(cells.a1, cells.b1), VI(cells.a2, cells.b2)
         self.l1, self.l2 = l1, l2
         s = -(l1 + l2)
         self.s_half = VI.scalar(h_lo, h_hi, n)
@@ -175,14 +159,6 @@ class Chamber:
         u = self.l1 + self.l2
         v = self.l1.sq() + self.l2.sq()
         return (u * (v - self.s_half)).scale(3.0)
-
-    def real_branch_possible(self) -> np.ndarray:
-        return self.disc.hi >= 0
-
-
-def _upper_sqrt(x: Fraction) -> float:
-    lo, hi = _sqrt_bounds(Fraction(x), Fraction(1, 10**9))
-    return float(Fraction(hi)) * (1 + 1e-12)
 
 
 # -- exact coefficient-sign certificates ---------------------------------------
@@ -313,60 +289,34 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
 
 # -- the cubic-sum inequality on the sorted chamber ---------------------------
 
-def gap_power_sums(a, b, c):
-    """p2 and p3 of the zero-sum lam1 <= lam2 <= lam3 <= lam4 with gaps
-    a = lam2-lam1, b = lam3-lam2, c = lam4-lam3 (p1 = 0 fixes lam1).
-
-    Generic over any ring of gap values that can be divided by 4.
-    """
-    l1 = -(3 * a + 2 * b + c) / 4
-    lams = (l1, l1 + a, l1 + a + b, l1 + a + b + c)
-    return sum(x * x for x in lams), sum(x * x * x for x in lams)
-
-
-def okumura_gap_form(a, b, c):
-    """4^6 (p2^3 - 3 p3^2) in the primitive gaps."""
-    p2, p3 = gap_power_sums(a, b, c)
-    return 4**6 * (p2**3 - 3 * p3**2)
-
-
 def certify_okumura(n=4, tol=1e-6) -> Certificate:
     """Prove the cubic-sum bound 3 p3^2 <= p2^3 on the sorted chamber.
 
-    Every coefficient of `okumura_gap_form` is positive, so the bound holds
-    wherever the three gaps are >= 0, equality points included, and the
-    equality set is exactly where every monomial vanishes.  `tol` is only
+    Every coefficient of 4^6 (p2^3 - 3 p3^2) in the gaps is positive, so the
+    bound holds wherever the three gaps are >= 0, equality points included,
+    and equality holds exactly where every monomial vanishes.  `tol` is only
     recorded, as the record's margin.
     """
     if n != 4:
         raise ValueError("only the 4-dimensional inequality is certified here")
-    form = okumura_gap_form(*GAP_VARS)
-    holds, terms, smallest = _coefficient_signs(form, 1)
+    p2, p3 = identities.gap_power_sums(*GAP_VARS)
+    holds, terms, smallest = _coefficient_signs(4**6 * (p2**3 - 3 * p3**2), 1)
+    notes = [f"4^6 (p2^3 - 3 p3^2) in {_GAP_NAMES}: {terms} terms, "
+             f"{'every' if holds else 'not every'} coefficient positive, smallest {smallest}"]
+    if holds:
+        # Each monomial has a factor b and a factor a or c; the tests check
+        # the form zero at exactly these 0/1 gap patterns.
+        notes += ["holds on the whole sorted chamber, equality points included",
+                  "equality exactly where a = b = 0 (lam1 = lam2 = lam3 <= lam4)"
+                  " or b = c = 0 (lam1 <= lam2 = lam3 = lam4)"]
     return Certificate(
         claim="okumura_cubic_bound",
         region={"constraints": "p1 = 0, p2 = 1, sorted chamber", "n": 4},
         margin=float(tol),
         status="proved" if holds else "inconclusive",
         bound=0.0,
-        notes=[f"4^6 (p2^3 - 3 p3^2) in {_GAP_NAMES}: {terms} terms, "
-               f"{'every' if holds else 'not every'} coefficient positive, smallest {smallest}",
-               "holds on the whole sorted chamber, equality points included",
-               f"equality exactly where {_equality_set(form)}"],
+        notes=notes,
     )
-
-
-def _equality_set(form: MultiPoly) -> str:
-    """Where a polynomial whose coefficients share one sign vanishes on gaps
-    >= 0: where every monomial does, that is where all gaps of a minimal set
-    meeting the support of each monomial are 0."""
-    names = form.table.names
-    supports = [{x for x, e in zip(names, form.exponents(m)) if e} for m in form.terms]
-    zeros = [set(z) for k in range(1, len(names) + 1) for z in itertools.combinations(names, k)
-             if all(s & set(z) for s in supports)]
-    return " or ".join(
-        " = ".join(sorted(z)) + " = 0 (lam1" + "".join(
-            f" {'=' if x in z else '<='} lam{k}" for k, x in enumerate(names, start=2)) + ")"
-        for z in zeros if not any(h < z for h in zeros))
 
 
 def okumura_equality_case_exact() -> dict:
@@ -443,10 +393,10 @@ def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Cer
     else:
         ratfn = identities.gap_band_quantities(side)[key]
         expr = (_compile_poly(ratfn.num), _compile_poly(ratfn.den))
-    bound = _upper_sqrt(S)
+    bound = float(_sqrt_bounds(S, Fraction(1, 10**9))[1]) * (1 + 1e-12)
     sb = _s_bounds(S)
     tighten_depth = min(14, max_depth)
-    cells = CellBatch.root(-bound, 0.0, -bound, bound)
+    cells = CellBatch([-bound], [0.0], [-bound], [bound])
     depth = 0
     processed = 0
     feasible_seen = 0
@@ -458,7 +408,7 @@ def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Cer
         small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
         p3 = ch.p3()
         feasible = (
-            ch.real_branch_possible()
+            (ch.disc.hi >= 0)
             & (small.hi >= 0)
             & (small.lo <= sqrt_delta1_hi)
             & (big.hi >= sqrt_eps0_lo)
@@ -553,13 +503,9 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
     )
 
 
-# A polynomial compiled for batch evaluation: per term, in descending
-# monomial order, its (symbol, exponent) factors and coefficient bounds.
-_Terms = list[tuple[tuple[tuple[str, int], ...], float, float]]
-
-
-def _compile_poly(poly: MultiPoly) -> _Terms:
-    """Read the exponents and round the coefficients outward, once."""
+def _compile_poly(poly: MultiPoly) -> list:
+    """The terms in descending monomial order, each as its (symbol, exponent)
+    factors and its coefficient rounded outward: read once per certificate."""
     names = poly.table.names
     out = []
     for mono, coeff in poly.sorted_terms():
@@ -569,8 +515,7 @@ def _compile_poly(poly: MultiPoly) -> _Terms:
     return out
 
 
-def _band_value(key, side, ch: Chamber, expr: tuple[_Terms, _Terms] | None,
-                floor: float) -> tuple[VI, np.ndarray]:
+def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
     """Enclosure of one band quantity over the feasible subsets of the cells.
 
     Gap enclosures are intersected with the region-implied floors (sorted
@@ -587,13 +532,11 @@ def _band_value(key, side, ch: Chamber, expr: tuple[_Terms, _Terms] | None,
         val = identities.gap_slope_form(
             side, lambda i, j: gap(i, j).floor_at(0.0),
             lambda x, pair: x.divide_by_positive(gap(*pair).floor_at(floor)))
-        ok = np.isfinite(val.lo) & np.isfinite(val.hi)
-        return val, ok
-    val, ok = _vector_ratfn(expr, ch)
-    return val, ok
+        return val, np.isfinite(val.lo) & np.isfinite(val.hi)
+    return _vector_ratfn(expr, ch)
 
 
-def _vector_ratfn(expr: tuple[_Terms, _Terms], ch: Chamber) -> tuple[VI, np.ndarray]:
+def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
     """Vectorized enclosure over cells of a rational function of l1..l4,
     given as its compiled numerator and denominator."""
     box = {"l1": ch.l1, "l2": ch.l2, "l3": ch.l3, "l4": ch.l4}
@@ -608,7 +551,7 @@ def _vector_ratfn(expr: tuple[_Terms, _Terms], ch: Chamber) -> tuple[VI, np.ndar
     return val, ok
 
 
-def _vector_poly(terms: _Terms, box: dict[str, VI], n: int) -> VI:
+def _vector_poly(terms: list, box: dict[str, VI], n: int) -> VI:
     total = VI.point(0.0, n)
     powers: dict[tuple[str, int], VI] = {}
     for factors, c_lo, c_hi in terms:
@@ -623,8 +566,6 @@ def _vector_poly(terms: _Terms, box: dict[str, VI], n: int) -> VI:
                     p = p * base
                 powers[key] = p
             term = p if term is None else term * p
-        if term is None:
-            total = total + VI.scalar(c_lo, c_hi, n)
-        else:
-            total = total + term * VI.scalar(c_lo, c_hi, n)
+        c = VI.scalar(c_lo, c_hi, n)
+        total = total + (c if term is None else term * c)
     return total

@@ -125,6 +125,14 @@ def run_solve(args) -> tuple[list[dict], int]:
     return recs, reports.exit_code(recs)
 
 
+def _okumura_records(tol: float) -> list[dict]:
+    """The cubic-sum bound and its exact equality case."""
+    cert = certify.certify_okumura(4, tol=tol)
+    eq = certify.okumura_equality_case_exact()
+    return [check_record(cert.claim, cert.status, cert.to_json()),
+            check_record("okumura_equality_case", "pass" if all(eq.values()) else "fail", eq)]
+
+
 def run_certify(args) -> tuple[list[dict], int]:
     if args.kind == "li":
         cert = certify.certify_Li_negative(
@@ -139,15 +147,8 @@ def run_certify(args) -> tuple[list[dict], int]:
                 xc,
             ))
     elif args.kind == "okumura":
-        cert = certify.certify_okumura(4, tol=args.tol)
-        recs = [check_record(cert.claim, cert.status, cert.to_json())]
-        eq = certify.okumura_equality_case_exact()
-        recs.append(check_record(
-            "okumura_equality_case",
-            "pass" if all(eq.values()) else "fail",
-            eq,
-        ))
-    elif args.kind == "band":
+        recs = _okumura_records(args.tol)
+    else:  # band; argparse admits no other kind
         quantities = certify.band_quantity_names() if args.quantity == "all" else (args.quantity,)
         recs = []
         for q in quantities:
@@ -156,8 +157,6 @@ def run_certify(args) -> tuple[list[dict], int]:
                 max_depth=args.max_depth,
             )
             recs.append(check_record(cert.claim, cert.status, cert.to_json()))
-    else:
-        raise UsageError(f"unknown certify kind {args.kind!r}")
     return recs, reports.exit_code(recs)
 
 
@@ -270,10 +269,7 @@ def run_pipeline(args) -> tuple[list[dict], int]:
         {"samples": xc["samples"], "violations": xc["violations"]},
     ))
     # 3. The cubic-sum bound and its exact equality case.
-    cert = certify.certify_okumura(4, tol=1e-6)
-    recs.append(check_record(cert.claim, cert.status, cert.to_json()))
-    eq = certify.okumura_equality_case_exact()
-    recs.append(check_record("okumura_equality_case", "pass" if all(eq.values()) else "fail", eq))
+    recs += _okumura_records(1e-6)
     # 4. Band bounds for every named quantity.
     for q in certify.band_quantity_names():
         cert = certify.certify_band_bounds(q, S, params.A3, Fraction(args.eps0),
@@ -376,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", default="all")
     p.add_argument("--max-depth", type=int, default=None,
                    help="band: branch-and-bound depth limit (default 30); "
-                        "li: recorded only (default 20); unused by okumura")
+                        "li: recorded only (default 20); okumura: refused")
     p.add_argument("--cross-check", type=int, default=0,
                    help="also run this many exact random spot checks (li)")
     _add_common(p)
@@ -491,6 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, parser, argv)
         args.threads = _worker_count(args.threads)
+        if args.command == "certify" and args.kind == "okumura" and args.max_depth is not None:
+            raise UsageError("certify okumura takes no max_depth: its exact proof splits no cell")
         if args.command == "certify" and args.max_depth is None:
             args.max_depth = {"li": 20, "band": 30}.get(args.kind)
         recs, code = _RUNNERS[args.command](args)

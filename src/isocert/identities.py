@@ -80,6 +80,19 @@ def gamma_L_gap_form(g21, g32, g43):
     )
 
 
+def gap_power_sums(a, b, c):
+    """p2 and p3 of the zero-sum lam1 <= lam2 <= lam3 <= lam4 with gaps
+    a = lam2-lam1, b = lam3-lam2, c = lam4-lam3 (p1 = 0 fixes lam1).
+
+    Generic over any ring of gap values that can be divided by 4; over
+    polynomials, 4^6 (p2^3 - 3 p3^2) has only positive coefficients, which
+    `certify.certify_okumura` checks.
+    """
+    l1 = -(3 * a + 2 * b + c) / 4
+    lams = (l1, l1 + a, l1 + a + b, l1 + a + b + c)
+    return sum(x * x for x in lams), sum(x * x * x for x in lams)
+
+
 def gap_slope_form(which: str, gap, over):
     """The slope m with d(gap^2) = m * h_44i w_i: m0 for g, m1 for f.
 

@@ -1,5 +1,6 @@
 """Certificates: exact sign proofs, band branch and bound, cross-checks, determinism."""
 
+import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -54,10 +55,15 @@ def test_li_margin_above_the_bound_is_inconclusive():
     assert cert.bound < 1.0
 
 
+def _okumura_form(a, b, c):
+    p2, p3 = idn.gap_power_sums(a, b, c)
+    return 4**6 * (p2**3 - 3 * p3**2)
+
+
 def _certified_forms():
     """The polynomials of the two exact certificates, with their required sign."""
     return ([(p, -1) for p in idn.gamma_L_gap_form(*ct.GAP_VARS)]
-            + [(ct.okumura_gap_form(*ct.GAP_VARS), 1)])
+            + [(_okumura_form(*ct.GAP_VARS), 1)])
 
 
 def test_certified_forms_have_one_coefficient_sign():
@@ -81,15 +87,23 @@ def test_gap_power_sums_match_direct_sums(xs):
     lam = sorted(x - mean for x in xs)
     a, b, c = (lam[k + 1] - lam[k] for k in range(3))
     p2, p3 = sum(x**2 for x in lam), sum(x**3 for x in lam)
-    assert ct.gap_power_sums(a, b, c) == (p2, p3)
-    form = ct.okumura_gap_form(*ct.GAP_VARS)
+    assert idn.gap_power_sums(a, b, c) == (p2, p3)
+    form = _okumura_form(*ct.GAP_VARS)
     assert form.evaluate({"a": a, "b": b, "c": c}) == 4**6 * (p2**3 - 3 * p3**2)
 
 
 def test_okumura_form_vanishes_on_the_equality_set():
-    form = ct.okumura_gap_form
+    form = _okumura_form
     assert form(F(1), F(0), F(0)) == 0 == form(F(0), F(0), F(1))
     assert form(F(1), F(1), F(1)) > 0
+    # Every coefficient is positive, so on gaps >= 0 the form vanishes exactly
+    # where every monomial does, which depends only on which gaps are 0: the
+    # 0/1 gap patterns decide the whole equality set.
+    poly = form(*ct.GAP_VARS)
+    for pattern in itertools.product((0, 1), repeat=3):
+        a, b, c = pattern
+        zero = poly.evaluate(dict(zip("abc", pattern))) == 0
+        assert zero == (b == 0 and (a == 0 or c == 0)), pattern
     assert ct.certify_okumura().notes[-1] == (
         "equality exactly where a = b = 0 (lam1 = lam2 = lam3 <= lam4)"
         " or b = c = 0 (lam1 <= lam2 = lam3 = lam4)")
@@ -346,7 +360,7 @@ def test_chamber_constraints_hold_exactly():
     # construction; check via the enclosure of p1 and p2 on a sample cell.
     from isocert.certify import CellBatch, Chamber, _s_bounds
 
-    cb = CellBatch.root(-2.0, -1.9, 0.1, 0.2)
+    cb = CellBatch([-2.0], [-1.9], [0.1], [0.2])
     ch = Chamber(cb, _s_bounds(8))
     p1 = ch.l1 + ch.l2 + ch.l3 + ch.l4
     assert p1.lo[0] <= 0 <= p1.hi[0]

@@ -205,6 +205,18 @@ def test_removed_near_radius_flag_is_a_usage_error():
     assert out.stdout == ""
 
 
+def test_okumura_max_depth_is_a_usage_error(tmp_path, capsys):
+    # The exact okumura certificate splits no cell, so a depth is refused,
+    # from the command line or from a config file, not silently ignored.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_depth = 60\n")
+    for extra in (["--max-depth", "60"], ["--config", str(cfg)]):
+        assert cli.main(["certify", "okumura", "--quiet", *extra]) == reports.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "max_depth" in err
+    assert cli.main(["certify", "okumura", "--quiet"]) == 0
+
+
 def test_summary_goes_to_stdout_with_out_file(tmp_path):
     path = tmp_path / "report.json"
     out = run_cli("certify", "li", "--S", "20", "--tau", "0.5", "--out", str(path))
