@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import upoly as up
 
@@ -156,17 +157,28 @@ def _coerce(x) -> QuadExt:
 
 
 def _sqrt_bounds(d: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= eps, by bisection."""
+    """Rational lo <= sqrt(d) <= hi with hi - lo <= eps, for eps > 0.
+
+    Returns the same pair as bisecting [0, H], H = max(1, d), until the
+    width is at most eps, in closed form: the grid cell [j, j+1] * H/2^k
+    of the fewest halvings k with H/2^k <= eps, and the largest j < 2^k
+    with (j H/2^k)^2 <= d, by one integer square root.  (For d = 1
+    bisection never moves hi, hence the cap; for d < 0 it never moves lo,
+    so j = 0.)
+    """
+    d, eps = Fraction(d), Fraction(eps)
     if d == 0:
         return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), max(Fraction(1), Fraction(d))
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid * mid <= d:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    if eps <= 0:
+        raise ValueError("precision must be positive")
+    H = max(Fraction(1), d)
+    k = (-(-H // eps) - 1).bit_length()          # least k with H <= eps 2^k
+    j = 0
+    if d > 0:   # j^2 <= d / step^2 = d 4^k / H^2, floored in integers
+        j = isqrt((d.numerator * H.denominator**2 << 2 * k) // (d.denominator * H.numerator**2))
+        j = min(j, (1 << k) - 1)
+    step = H / (1 << k)
+    return j * step, (j + 1) * step
 
 
 class AlgebraicNumber:
@@ -174,13 +186,15 @@ class AlgebraicNumber:
 
     The defining polynomial need not be irreducible; the interval must hold
     exactly one of its distinct real roots (a sign change at the endpoints
-    and a Sturm count of 1).  Refinement is plain bisection with exact sign
-    evaluation.
+    and a Sturm count of 1, checked at every construction).  Refinement is
+    plain bisection with exact sign evaluation; the refined copies share
+    the Sturm chain of the squarefree part, which is built once per number.
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "chain")
 
-    def __init__(self, poly: up.UPoly, lo: Fraction, hi: Fraction):
+    def __init__(self, poly: up.UPoly, lo: Fraction, hi: Fraction,
+                 chain: list[up.UPoly] | None = None):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("empty interval")
@@ -190,11 +204,15 @@ class AlgebraicNumber:
                 raise ValueError("point interval is not a root")
         elif fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
             raise ValueError("endpoints must bracket exactly one sign change")
-        elif up.sturm_count(up.sturm_chain(up.squarefree_part(poly)), lo, hi) != 1:
-            raise ValueError("interval holds more than one root")
+        else:
+            if chain is None:
+                chain = up.sturm_chain(up.squarefree_part(poly))
+            if up.sturm_count(chain, lo, hi) != 1:
+                raise ValueError("interval holds more than one root")
         self.poly = poly
         self.lo = lo
         self.hi = hi
+        self.chain = chain
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraicNumber":
@@ -219,7 +237,7 @@ class AlgebraicNumber:
         if self.is_point() or self.hi - self.lo <= eps:
             return self
         lo, hi = up.refine(self.poly, (self.lo, self.hi), Fraction(eps))
-        return AlgebraicNumber(self.poly, lo, hi)
+        return AlgebraicNumber(self.poly, lo, hi, self.chain)
 
     def interval(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         r = self.refine(eps)

@@ -35,13 +35,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import identities
 from .algebraic import QuadExt, _sqrt_bounds, quad_sign
 from .exactalg import MultiPoly, Scalar, SymbolTable
-from .vinterval import VI, float_down
+from .vinterval import VI, down, float_down, up
 
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
@@ -503,16 +504,42 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
     )
 
 
-def _compile_poly(poly: MultiPoly) -> list:
-    """The terms in descending monomial order, each as its (symbol, exponent)
-    factors and its coefficient rounded outward: read once per certificate."""
+_CHART = ("l1", "l2", "l3", "l4")     # the symbols of the band rational functions
+
+
+class _CompiledPoly(NamedTuple):
+    """A polynomial in l1..l4 laid out for `_vector_poly`, read once per certificate."""
+
+    degree: int                  # highest exponent: the power table's depth
+    groups: list[tuple[np.ndarray, VI]]   # per factor count: power rows, coefficients
+    order: np.ndarray            # group-stacked index of each term, in monomial order
+
+
+def _compile_poly(poly: MultiPoly) -> _CompiledPoly:
+    """Group the terms by factor count for `_vector_poly`.
+
+    A group of T terms with f factors each holds an (f, T) array of power
+    table rows (see `_power_table`), in symbol order, and its T
+    coefficients rounded outward as a (T, 1) column; `order` puts the
+    group-stacked terms back in descending monomial order.
+    """
     names = poly.table.names
-    out = []
-    for mono, coeff in poly.sorted_terms():
+    degree = 0
+    groups: dict[int, list] = {}
+    for pos, (mono, coeff) in enumerate(poly.sorted_terms()):
+        exps = [(_CHART.index(names[i]), e) for i, e in enumerate(poly.exponents(mono)) if e]
+        degree = max([degree] + [e for _, e in exps])
         c = float(coeff)
-        factors = tuple((names[i], e) for i, e in enumerate(poly.exponents(mono)) if e)
-        out.append((factors, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
-    return out
+        groups.setdefault(len(exps), []).append(
+            (pos, [(e - 1) * len(_CHART) + i for i, e in exps],
+             np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
+    compiled, stacked = [], []
+    for f in sorted(groups):
+        pos, rows, c_lo, c_hi = zip(*groups[f])
+        stacked += pos
+        compiled.append((np.array(rows, dtype=np.intp).reshape(len(pos), f).T,
+                         VI(np.reshape(c_lo, (-1, 1)), np.reshape(c_hi, (-1, 1)))))
+    return _CompiledPoly(degree, compiled, np.argsort(stacked))
 
 
 def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
@@ -539,9 +566,9 @@ def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tup
 def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
     """Vectorized enclosure over cells of a rational function of l1..l4,
     given as its compiled numerator and denominator."""
-    box = {"l1": ch.l1, "l2": ch.l2, "l3": ch.l3, "l4": ch.l4}
-    num = _vector_poly(expr[0], box, ch.n)
-    den = _vector_poly(expr[1], box, ch.n)
+    powers = _power_table((ch.l1, ch.l2, ch.l3, ch.l4), max(expr[0].degree, expr[1].degree))
+    num = _vector_poly(expr[0], powers)
+    den = _vector_poly(expr[1], powers)
     ok = (den.lo > 0) | (den.hi < 0)
     safe_den = VI(np.where(ok, den.lo, 1.0), np.where(ok, den.hi, 2.0))
     pos = safe_den.lo > 0
@@ -551,21 +578,39 @@ def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
     return val, ok
 
 
-def _vector_poly(terms: list, box: dict[str, VI], n: int) -> VI:
-    total = VI.point(0.0, n)
-    powers: dict[tuple[str, int], VI] = {}
-    for factors, c_lo, c_hi in terms:
-        term = None
-        for key in factors:
-            p = powers.get(key)
-            if p is None:
-                name, e = key
-                base = box[name]
-                p = base
-                for _ in range(e - 1):
-                    p = p * base
-                powers[key] = p
-            term = p if term is None else term * p
-        c = VI.scalar(c_lo, c_hi, n)
-        total = total + (c if term is None else term * c)
-    return total
+def _power_table(chart: tuple[VI, ...], degree: int) -> VI:
+    """Row (e-1)*4 + i is l_{i+1}^e over the cells, for e = 1..degree; each
+    power is the previous one times the base."""
+    base = VI(np.stack([v.lo for v in chart]), np.stack([v.hi for v in chart]))
+    rows = [base]
+    for _ in range(degree - 1):
+        rows.append(rows[-1] * base)
+    return VI(np.concatenate([r.lo for r in rows]), np.concatenate([r.hi for r in rows]))
+
+
+def _vector_poly(poly: _CompiledPoly, powers: VI) -> VI:
+    """Enclosure of a compiled polynomial over the cells of a power table.
+
+    Each group's terms are multiplied out together, one 2-D VI product per
+    factor, left to right, then by the coefficients; the terms are summed
+    in monomial order with one outward rounding per term.  Every float
+    operation is the one a term-by-term walk does, so the enclosure is the
+    same to the bit.
+    """
+    n = powers.lo.shape[1]
+    los, his = [], []
+    for rows, coeffs in poly.groups:
+        if len(rows):
+            term = VI(powers.lo[rows[0]], powers.hi[rows[0]])
+            for r in rows[1:]:
+                term = term * VI(powers.lo[r], powers.hi[r])
+            term = term * coeffs
+            los.append(term.lo)
+            his.append(term.hi)
+        else:   # the constant term
+            los.append(np.broadcast_to(coeffs.lo, (1, n)))
+            his.append(np.broadcast_to(coeffs.hi, (1, n)))
+    lo = hi = np.zeros(n)
+    for t_lo, t_hi in zip(np.concatenate(los)[poly.order], np.concatenate(his)[poly.order]):
+        lo, hi = down(lo + t_lo), up(hi + t_hi)
+    return VI(lo, hi)

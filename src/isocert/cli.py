@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", default="8")
     p.add_argument("--A3", default="0")
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--margin", type=float, default=1e-9,
-                   help="li: the certified bound must reach it; unused by okumura and band")
+    p.add_argument("--margin", type=float, default=None,
+                   help="li: the certified bound must reach it (default 1e-9); "
+                        "okumura and band: refused")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="okumura: recorded only, as the record's margin (the proof is exact)")
     p.add_argument("--eps0", default="1/10")
@@ -487,10 +488,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, parser, argv)
         args.threads = _worker_count(args.threads)
-        if args.command == "certify" and args.kind == "okumura" and args.max_depth is not None:
-            raise UsageError("certify okumura takes no max_depth: its exact proof splits no cell")
-        if args.command == "certify" and args.max_depth is None:
-            args.max_depth = {"li": 20, "band": 30}.get(args.kind)
+        if args.command == "certify":
+            if args.kind == "okumura" and args.max_depth is not None:
+                raise UsageError("certify okumura takes no max_depth: its exact proof splits no cell")
+            if args.kind != "li" and args.margin is not None:
+                raise UsageError(f"certify {args.kind} takes no margin: it is not a bound"
+                                 " the proof must reach")
+            if args.max_depth is None:
+                args.max_depth = {"li": 20, "band": 30}.get(args.kind)
+            if args.margin is None:
+                args.margin = 1e-9
         recs, code = _RUNNERS[args.command](args)
         if recs:
             _emit_report(recs, args)

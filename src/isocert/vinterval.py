@@ -5,7 +5,10 @@ numpy float64 arrays; every operation widens each computed endpoint one
 representable float outward (np.nextafter), which over-approximates
 directed rounding without touching the FPU mode, so x in X and y in Y
 imply x op y in X op Y.  Whole cell frontiers are processed per call, so
-the branch-and-bound certifiers pay no per-cell Python overhead.
+the branch-and-bound certifiers pay no per-cell Python overhead.  The
+operations are elementwise and broadcast, so a 2-D batch (one row per
+polynomial term, one column per cell) costs one call where a row at a time
+costs one per row, with the same bits in every entry.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ class VI:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
-
-    @classmethod
-    def point(cls, x, n: int) -> "VI":
-        arr = np.full(n, float(x))
-        return cls(arr, arr)
 
     @classmethod
     def scalar(cls, lo: float, hi: float, n: int) -> "VI":

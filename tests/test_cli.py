@@ -217,6 +217,23 @@ def test_okumura_max_depth_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["certify", "okumura", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("kind", [["okumura"], ["band", "--quantity", "B1g"]])
+def test_okumura_and_band_margin_is_a_usage_error(kind, tmp_path, capsys):
+    # Neither proof has a bound to reach, so a margin is refused rather than
+    # accepted and dropped; li keeps it (0.5 is above its certified bound).
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("margin = 0.5\n")
+    for extra in (["--margin", "0.5"], ["--config", str(cfg)]):
+        assert cli.main(["certify", *kind, "--quiet", *extra]) == reports.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "margin" in err
+    assert cli.main(["certify", *kind, "--quiet"]) == 0
+    capsys.readouterr()
+    assert cli.main(["certify", "li", "--quiet", "--config", str(cfg)]) == reports.EXIT_INCONCLUSIVE
+    rec = json.loads(capsys.readouterr().out)[0]
+    assert (rec["margin"], rec["status"]) == (0.5, "inconclusive")
+
+
 def test_summary_goes_to_stdout_with_out_file(tmp_path):
     path = tmp_path / "report.json"
     out = run_cli("certify", "li", "--S", "20", "--tau", "0.5", "--out", str(path))

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from isocert.certify import _compile_poly, _vector_poly, _vector_ratfn
+from isocert.certify import _compile_poly, _power_table, _vector_poly, _vector_ratfn
 from isocert.exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
 from isocert.identities import gamma_L_polynomials, gap_band_quantities
 from isocert.vinterval import VI, float_down, float_up
@@ -27,8 +28,9 @@ def _box(**bounds) -> dict[str, VI]:
     return box
 
 
-def _enclose(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
-    return _vector_poly(_compile_poly(poly), box, n)
+def _enclose(poly: MultiPoly, box: dict[str, VI]) -> VI:
+    compiled = _compile_poly(poly)
+    return _vector_poly(compiled, _power_table([box[f"l{i}"] for i in range(1, 5)], compiled.degree))
 
 
 def _contains(enc: VI, k: int, x) -> bool:
@@ -37,7 +39,7 @@ def _contains(enc: VI, k: int, x) -> bool:
 
 
 def test_sum_over_unit_boxes():
-    out = _enclose(L[1] + L[2], _box(l1=([0.0], [1.0]), l2=([0.0], [1.0])), 1)
+    out = _enclose(L[1] + L[2], _box(l1=([0.0], [1.0]), l2=([0.0], [1.0])))
     assert out.lo[0] <= 0.0 and out.hi[0] >= 2.0
     assert out.hi[0] < 2.0 + 1e-12
 
@@ -46,7 +48,7 @@ def test_gamma_L1_point_enclosure():
     eps = 1e-9
     probe = {"l1": -3, "l2": -1, "l3": 1, "l4": 3}
     box = _box(**{k: ([v - eps], [v + eps]) for k, v in probe.items()})
-    out = _enclose(GAMMA_L1, box, 1)
+    out = _enclose(GAMMA_L1, box)
     assert out.lo[0] <= -256 <= out.hi[0]
     assert out.hi[0] - out.lo[0] < 1e-5
 
@@ -66,7 +68,7 @@ def test_possible_pole():
 def test_from_fraction_containment():
     # Coefficients enter _vector_poly as floats widened one ulp outward.
     for q in (F(1, 3), F(-7, 11), F(2), F(10**18 + 1, 3)):
-        enc = _enclose(MultiPoly.const(T, q), _box(l1=([0.0], [0.0])), 1)
+        enc = _enclose(MultiPoly.const(T, q), _box(l1=([0.0], [0.0])))
         assert _contains(enc, 0, q)
 
 
@@ -85,7 +87,7 @@ def test_containment_random_points():
             lo[f"l{i}"].append(float(a))
             hi[f"l{i}"].append(float(b))
         points.append(pt)
-    enc = _enclose(GAMMA_L1, _box(**{k: (lo[k], hi[k]) for k in lo}), 60)
+    enc = _enclose(GAMMA_L1, _box(**{k: (lo[k], hi[k]) for k in lo}))
     for k, pt in enumerate(points):
         assert _contains(enc, k, GAMMA_L1.evaluate(pt))
 
@@ -93,14 +95,14 @@ def test_containment_random_points():
 def test_monotone_refinement():
     # The union of the child enclosures never exceeds the parent enclosure.
     expr = (L[1] * L[2] - L[1] ** 2) * (L[2] + 2)
-    parent = _enclose(expr, _box(l1=([-1.0], [1.0]), l2=([0.0], [2.0])), 1)
-    kids = _enclose(expr, _box(l1=([-1.0, 0.0], [0.0, 1.0]), l2=([0.0, 0.0], [2.0, 2.0])), 2)
+    parent = _enclose(expr, _box(l1=([-1.0], [1.0]), l2=([0.0], [2.0])))
+    kids = _enclose(expr, _box(l1=([-1.0, 0.0], [0.0, 1.0]), l2=([0.0, 0.0], [2.0, 2.0])))
     assert parent.lo[0] <= kids.lo.min() and kids.hi.max() <= parent.hi[0]
 
 
 def _term_walk(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
     """Reference: read every exponent field of every term on each call."""
-    total = VI.point(0.0, n)
+    total = VI(np.zeros(n), np.zeros(n))
     powers = {}
     for mono, coeff in poly.sorted_terms():
         term = None
@@ -117,16 +119,25 @@ def _term_walk(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
     return total
 
 
-def test_compiled_polys_match_term_walk_bitwise():
-    # Compiling reorders no float operation, so enclosures are bit-identical.
-    rng = random.Random(11)
-    lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(50)] for i in range(1, 5)}
-    box = _box(**{k: (v, [x + rng.uniform(0, 0.5) for x in v]) for k, v in lo.items()})
+@pytest.mark.parametrize("n", [1, 50, 400])
+def test_compiled_polys_match_term_walk_bitwise(n):
+    # Batching reorders no float operation, so enclosures are bit-identical,
+    # signed zeros included; numerator and denominator share one power table.
+    rng = random.Random(11 + n)
+    lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(n)] for i in range(1, 5)}
+    hi = {k: [x + rng.uniform(0, 0.5) for x in v] for k, v in lo.items()}
+    for k in range(0, n, 5):   # some degenerate and zero-touching boxes
+        name = f"l{rng.randint(1, 4)}"
+        lo[name][k], hi[name][k] = rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0)])
+    box = _box(**{k: (lo[k], hi[k]) for k in lo})
     for side in ("g", "f"):
         for expr in gap_band_quantities(side).values():
-            for poly in (expr.num, expr.den):
-                want, got = _term_walk(poly, box, 50), _enclose(poly, box, 50)
-                assert np.array_equal(want.lo, got.lo) and np.array_equal(want.hi, got.hi)
+            num, den = _compile_poly(expr.num), _compile_poly(expr.den)
+            powers = _power_table([box[f"l{i}"] for i in range(1, 5)], max(num.degree, den.degree))
+            for poly, compiled in ((expr.num, num), (expr.den, den)):
+                want, got = _term_walk(poly, box, n), _vector_poly(compiled, powers)
+                assert np.array_equal(want.lo.view(np.int64), got.lo.view(np.int64))
+                assert np.array_equal(want.hi.view(np.int64), got.hi.view(np.int64))
 
 
 def test_power_tightness():

@@ -3,10 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber, QuadExt, quad_sign
+from isocert.algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, quad_sign
 
 
 def test_isolate_sqrt_two():
@@ -95,6 +95,64 @@ def test_algebraic_number_needs_an_isolating_interval():
         AlgebraicNumber(cubic, F(0), F(4))
     two = AlgebraicNumber(cubic, F(3, 2), F(5, 2))
     assert two.refine(F(1, 1000)).compare(AlgebraicNumber.from_rational(2)) == 0
+
+
+def test_refined_numbers_share_the_sturm_chain(monkeypatch):
+    # The chain is built once per number; every refined copy still runs the
+    # count-of-1 isolation check with it.
+    calls = {"chain": 0, "count": 0}
+    chain, count = up.sturm_chain, up.sturm_count
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(up, "sturm_chain", counted("chain", chain))
+    monkeypatch.setattr(up, "sturm_count", counted("count", count))
+    root = cur = AlgebraicNumber(up.upoly([-6, 11, -6, 1]), F(3, 2), F(5, 2))
+    for _ in range(5):
+        cur = cur.refine((cur.hi - cur.lo) / 16)
+    assert calls == {"chain": 1, "count": 6}
+    assert cur.chain is root.chain and cur.hi - cur.lo <= F(1, 16**5)
+
+
+def _bisected_sqrt_bounds(d, eps):
+    """Reference: bisect [0, max(1, d)] until the width is at most eps."""
+    if d == 0:
+        return F(0), F(0)
+    lo, hi = F(0), max(F(1), F(d))
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if mid * mid <= d:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+_RADICANDS = (st.fractions(min_value=-5, max_value=10**6, max_denominator=10**4)
+              | st.integers(0, 1000).map(lambda r: F(r * r))               # perfect squares
+              | st.tuples(st.integers(0, 300), st.integers(1, 40)).map(lambda t: F(*t) ** 2))
+_PRECISIONS = (st.fractions(min_value=F(1, 10**15), max_value=1, max_denominator=10**15)
+               | st.fractions(min_value=1, max_value=10**7, max_denominator=100))   # eps >= H too
+
+
+@given(_RADICANDS, _PRECISIONS)
+@example(F(0), F(1, 10))
+@example(F(1), F(1, 10**9))        # bisection never moves hi = 1
+@example(F(16), F(1, 2**10))       # sqrt(d) on the bisection grid
+@example(F(9, 4), F(1, 3))
+@example(F(-3), F(1, 7))           # d < 0: lo never moves
+@example(F(5), F(5))               # eps = H: no halving
+@example(F(1, 4), F(3))
+def test_sqrt_bounds_match_bisection(d, eps):
+    lo, hi = _sqrt_bounds(d, eps)
+    assert (lo, hi) == _bisected_sqrt_bounds(d, eps)
+    assert hi - lo <= eps
+    if d >= 0:
+        assert lo * lo <= d <= hi * hi
 
 
 def test_quadext_arithmetic_and_sign():
