@@ -505,6 +505,10 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
 
 
 _CHART = ("l1", "l2", "l3", "l4")     # the symbols of the band rational functions
+# Cells per batched product: it bounds the (terms x cells) arrays the
+# products hold at once, so peak memory stays near that of a term-by-term
+# walk however large the frontier grows.
+_CELL_BLOCK = 128
 
 
 class _CompiledPoly(NamedTuple):
@@ -539,7 +543,9 @@ def _compile_poly(poly: MultiPoly) -> _CompiledPoly:
         stacked += pos
         compiled.append((np.array(rows, dtype=np.intp).reshape(len(pos), f).T,
                          VI(np.reshape(c_lo, (-1, 1)), np.reshape(c_hi, (-1, 1)))))
-    return _CompiledPoly(degree, compiled, np.argsort(stacked))
+    order = np.empty(len(stacked), dtype=np.intp)
+    order[stacked] = np.arange(len(stacked))
+    return _CompiledPoly(degree, compiled, order)
 
 
 def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
@@ -565,10 +571,21 @@ def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tup
 
 def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
     """Vectorized enclosure over cells of a rational function of l1..l4,
-    given as its compiled numerator and denominator."""
-    powers = _power_table((ch.l1, ch.l2, ch.l3, ch.l4), max(expr[0].degree, expr[1].degree))
-    num = _vector_poly(expr[0], powers)
-    den = _vector_poly(expr[1], powers)
+    given as its compiled numerator and denominator.
+
+    Cells go through in blocks of at most _CELL_BLOCK, which bounds the
+    (terms x cells) arrays of the batched products; every operation is
+    elementwise, so the blocking changes no bit.
+    """
+    degree = max(expr[0].degree, expr[1].degree)
+    num, den = VI(np.empty(ch.n), np.empty(ch.n)), VI(np.empty(ch.n), np.empty(ch.n))
+    for start in range(0, ch.n, _CELL_BLOCK):
+        cells = slice(start, start + _CELL_BLOCK)
+        powers = _power_table([VI(v.lo[cells], v.hi[cells]) for v in (ch.l1, ch.l2, ch.l3, ch.l4)],
+                              degree)
+        for out, poly in ((num, expr[0]), (den, expr[1])):
+            part = _vector_poly(poly, powers)
+            out.lo[cells], out.hi[cells] = part.lo, part.hi
     ok = (den.lo > 0) | (den.hi < 0)
     safe_den = VI(np.where(ok, den.lo, 1.0), np.where(ok, den.hi, 2.0))
     pos = safe_den.lo > 0

@@ -140,6 +140,26 @@ def test_compiled_polys_match_term_walk_bitwise(n):
                 assert np.array_equal(want.hi.view(np.int64), got.hi.view(np.int64))
 
 
+def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
+    # 400 cells in one call cross three block boundaries; the same cells
+    # split 150 + 250 cross them elsewhere.  Every bit must agree.
+    rng = random.Random(5)
+    lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(400)] for i in range(1, 5)}
+    box = _box(**{k: (v, [x + rng.uniform(0, 0.5) for x in v]) for k, v in lo.items()})
+
+    def cells(part):
+        return SimpleNamespace(n=len(range(400)[part]),
+                               **{k: VI(v.lo[part], v.hi[part]) for k, v in box.items()})
+
+    for expr in gap_band_quantities("g").values():
+        compiled = (_compile_poly(expr.num), _compile_poly(expr.den))
+        whole, ok = _vector_ratfn(compiled, cells(slice(None)))
+        parts = [_vector_ratfn(compiled, cells(p)) for p in (slice(0, 150), slice(150, None))]
+        for got, want in ((whole.lo, [v.lo for v, _ in parts]), (whole.hi, [v.hi for v, _ in parts]),
+                          (ok, [k for _, k in parts])):
+            assert np.array_equal(got.view(np.int8), np.concatenate(want).view(np.int8))
+
+
 def test_power_tightness():
     x = VI([-2.0], [1.0])
     sq = x.sq()
