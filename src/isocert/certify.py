@@ -508,7 +508,7 @@ _CHART = ("l1", "l2", "l3", "l4")     # the symbols of the band rational functio
 # Cells per batched product: it bounds the (terms x cells) arrays the
 # products hold at once, so peak memory stays near that of a term-by-term
 # walk however large the frontier grows.
-_CELL_BLOCK = 128
+_CELL_BLOCK = 64
 
 
 class _CompiledPoly(NamedTuple):
@@ -595,7 +595,7 @@ def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
     return val, ok
 
 
-def _power_table(chart: tuple[VI, ...], degree: int) -> VI:
+def _power_table(chart: list[VI], degree: int) -> VI:
     """Row (e-1)*4 + i is l_{i+1}^e over the cells, for e = 1..degree; each
     power is the previous one times the base."""
     base = VI(np.stack([v.lo for v in chart]), np.stack([v.hi for v in chart]))
