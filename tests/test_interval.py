@@ -6,7 +6,6 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from isocert.certify import _compile_poly, _power_table, _vector_poly, _vector_ratfn
@@ -119,25 +118,26 @@ def _term_walk(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
     return total
 
 
-@pytest.mark.parametrize("n", [1, 50, 400])
-def test_compiled_polys_match_term_walk_bitwise(n):
+def test_compiled_polys_match_term_walk_bitwise():
     # Batching reorders no float operation, so enclosures are bit-identical,
     # signed zeros included; numerator and denominator share one power table.
-    rng = random.Random(11 + n)
-    lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(n)] for i in range(1, 5)}
-    hi = {k: [x + rng.uniform(0, 0.5) for x in v] for k, v in lo.items()}
-    for k in range(0, n, 5):   # some degenerate and zero-touching boxes
-        name = f"l{rng.randint(1, 4)}"
-        lo[name][k], hi[name][k] = rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0)])
-    box = _box(**{k: (lo[k], hi[k]) for k in lo})
-    for side in ("g", "f"):
-        for expr in gap_band_quantities(side).values():
-            num, den = _compile_poly(expr.num), _compile_poly(expr.den)
-            powers = _power_table([box[f"l{i}"] for i in range(1, 5)], max(num.degree, den.degree))
-            for poly, compiled in ((expr.num, num), (expr.den, den)):
-                want, got = _term_walk(poly, box, n), _vector_poly(compiled, powers)
-                assert np.array_equal(want.lo.view(np.int64), got.lo.view(np.int64))
-                assert np.array_equal(want.hi.view(np.int64), got.hi.view(np.int64))
+    for n in (1, 50, 400):
+        rng = random.Random(11 + n)
+        lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(n)] for i in range(1, 5)}
+        hi = {k: [x + rng.uniform(0, 0.5) for x in v] for k, v in lo.items()}
+        for k in range(0, n, 5):   # some degenerate and zero-touching boxes
+            name = f"l{rng.randint(1, 4)}"
+            lo[name][k], hi[name][k] = rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0)])
+        box = _box(**{k: (lo[k], hi[k]) for k in lo})
+        for side in ("g", "f"):
+            for expr in gap_band_quantities(side).values():
+                num, den = _compile_poly(expr.num), _compile_poly(expr.den)
+                chart = [box[f"l{i}"] for i in range(1, 5)]
+                powers = _power_table(chart, max(num.degree, den.degree))
+                for poly, compiled in ((expr.num, num), (expr.den, den)):
+                    want, got = _term_walk(poly, box, n), _vector_poly(compiled, powers)
+                    assert np.array_equal(want.lo.view(np.int64), got.lo.view(np.int64))
+                    assert np.array_equal(want.hi.view(np.int64), got.hi.view(np.int64))
 
 
 def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
