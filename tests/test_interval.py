@@ -129,10 +129,10 @@ def test_compiled_polys_match_term_walk_bitwise():
             name = f"l{rng.randint(1, 4)}"
             lo[name][k], hi[name][k] = rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0)])
         box = _box(**{k: (lo[k], hi[k]) for k in lo})
+        chart = [box[f"l{i}"] for i in range(1, 5)]
         for side in ("g", "f"):
             for expr in gap_band_quantities(side).values():
                 num, den = _compile_poly(expr.num), _compile_poly(expr.den)
-                chart = [box[f"l{i}"] for i in range(1, 5)]
                 powers = _power_table(chart, max(num.degree, den.degree))
                 for poly, compiled in ((expr.num, num), (expr.den, den)):
                     want, got = _term_walk(poly, box, n), _vector_poly(compiled, powers)
@@ -141,8 +141,8 @@ def test_compiled_polys_match_term_walk_bitwise():
 
 
 def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
-    # 400 cells in one call cross three block boundaries; the same cells
-    # split 150 + 250 cross them elsewhere.  Every bit must agree.
+    # 400 cells in one call cross several cell-block boundaries; the same
+    # cells split 150 + 250 cross them elsewhere.  Every bit must agree.
     rng = random.Random(5)
     lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(400)] for i in range(1, 5)}
     box = _box(**{k: (v, [x + rng.uniform(0, 0.5) for x in v]) for k, v in lo.items()})
