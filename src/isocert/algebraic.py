@@ -188,7 +188,8 @@ class AlgebraicNumber:
     exactly one of its distinct real roots (a sign change at the endpoints
     and a Sturm count of 1, checked at every construction).  Refinement is
     plain bisection with exact sign evaluation; the refined copies share
-    the Sturm chain of the squarefree part, which is built once per number.
+    the Sturm chain of the squarefree part, which is built once per number
+    (or passed in, by a caller that isolated the root with it).
     """
 
     __slots__ = ("poly", "lo", "hi", "chain")

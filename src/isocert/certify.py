@@ -21,6 +21,8 @@ exactly and the interval enclosures are containment-correct.  The frontier
 of cells is processed as numpy batches (see vinterval); cells split on
 their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
+Each side of the band has one frontier for all its quantities, with a mask
+per quantity, so every quantity walks the cells it would walk alone.
 
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
@@ -41,12 +43,13 @@ import numpy as np
 
 from . import identities
 from .algebraic import QuadExt, _sqrt_bounds, quad_sign
+from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
 from .vinterval import VI, down, float_down, up
 
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
-    "certify_band_bounds", "band_quantity_names",
+    "BAND_QUANTITIES", "certify_band",
     "sample_Li_cross_check", "okumura_equality_case_exact",
 ]
 
@@ -336,7 +339,7 @@ def okumura_equality_case_exact() -> dict:
 
 # -- band bounds ---------------------------------------------------------------
 
-_BAND_QUANTITIES = {
+BAND_QUANTITIES = {
     "m0": ("g", "m"), "m1": ("f", "m"),
     "B1g": ("g", "B1"), "B2g": ("g", "B2"),
     "G1g": ("g", "G1"), "G2g": ("g", "G2"), "G3g": ("g", "G3"), "G4g": ("g", "G4"),
@@ -345,12 +348,9 @@ _BAND_QUANTITIES = {
 }
 
 
-def band_quantity_names() -> tuple[str, ...]:
-    return tuple(_BAND_QUANTITIES)
-
-
-def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Certificate:
-    """Certify sign or boundedness of one gap-band quantity.
+def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
+                 max_depth=30) -> list[Certificate]:
+    """Certify sign or boundedness of gap-band quantities, one certificate each.
 
     Band (side g):  {0 < (lam2-lam1)^2 < delta1,  (lam3-lam2)^2 >= eps0},
     band (side f):  {0 < (lam3-lam2)^2 < delta1,  (lam2-lam1)^2 >= eps0},
@@ -361,107 +361,101 @@ def certify_band_bounds(quantity: str, S, A3, eps0, delta1, max_depth=30) -> Cer
     Slope quantities (m0, m1) get a certified enclosure within [0, C] or
     [-C, 0]; B-quantities are nonpositive by factor signs (no subdivision
     needed); the bounded remainders G get a certified constant C with
-    |G| <= C.
+    |G| <= C.  The slope and G quantities of each side share one branch
+    and bound (see `_band_walk`).
     """
-    if quantity not in _BAND_QUANTITIES:
-        raise ValueError(f"unknown band quantity {quantity!r}")
-    side, key = _BAND_QUANTITIES[quantity]
-    S = Fraction(S)
-    if isinstance(A3, str):
-        from .configsolve import parse_value
-
-        A3 = parse_value(A3)
-    elif not isinstance(A3, QuadExt):
-        A3 = QuadExt.rational(A3)
+    for q in quantities:
+        if q not in BAND_QUANTITIES:
+            raise ValueError(f"unknown band quantity {q!r}")
+    params = ScalarParams.make(S, A3)
+    S, A3 = params.S, params.A3
     eps0 = Fraction(eps0)
     delta1 = Fraction(delta1)
     if not (0 < delta1 < eps0):
         raise ValueError("requires 0 < delta1 < eps0")
-    region = _band_region(side, S, A3, eps0, delta1)
+    regions = {side: _band_region(side, S, A3, eps0, delta1) for side in "gf"}
     if S <= 0:
-        return Certificate(
-            claim=f"band_{quantity}", region=region, margin=0.0,
-            status="trivial", notes=["empty band: the constraint sphere is a point"],
-        )
-    if key.startswith("B"):
-        return _b_sign_certificate(quantity, side, key, region)
+        return [Certificate(claim=f"band_{q}", region=regions[BAND_QUANTITIES[q][0]], margin=0.0,
+                            status="trivial", notes=["empty band: the constraint sphere is a point"])
+                for q in quantities]
+    certs = {q: _b_sign_certificate(q, side, key, regions[side])
+             for q in quantities for side, key in [BAND_QUANTITIES[q]] if key.startswith("B")}
     a3_lo, a3_hi = (float(x) for x in A3.interval(Fraction(1, 10**15)))
-    a3_lo, a3_hi = np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf)
-    sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, Fraction(1, 10**12))[0])
-    sqrt_delta1_hi = float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12)
-    if key == "m":
-        expr = None
-    else:
-        ratfn = identities.gap_band_quantities(side)[key]
-        expr = (_compile_poly(ratfn.num), _compile_poly(ratfn.den))
+    limits = (float_down(_sqrt_bounds(eps0, Fraction(1, 10**12))[0]),
+              float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12),
+              np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf))
     bound = float(_sqrt_bounds(S, Fraction(1, 10**9))[1]) * (1 + 1e-12)
     sb = _s_bounds(S)
+    for side in "gf":
+        walked = [q for q in quantities if q not in certs and BAND_QUANTITIES[q][0] == side]
+        if walked:
+            certs.update(_band_walk(side, walked, regions[side], sb, bound, limits, max_depth))
+    return [certs[q] for q in quantities]
+
+
+def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[str, Certificate]:
+    """One branch and bound over the chart for the walked quantities of a side.
+
+    The frontier is the union of the quantities' own frontiers, and row i
+    of `live` marks the cells quantity i still needs.  Feasibility and
+    enclosures are elementwise per cell, and splitting a selection of cells
+    is selecting from the split cells, so each quantity gets exactly the
+    cells, split order, depth and supremum of a walk of its own.
+    """
+    sqrt_eps0_lo, sqrt_delta1_hi, a3_lo, a3_hi = limits
+    ratfns = identities.gap_band_quantities(side)
+    exprs = [None if key == "m" else (_compile_poly(ratfns[key].num), _compile_poly(ratfns[key].den))
+             for key in (BAND_QUANTITIES[q][1] for q in quantities)]
+    n = len(quantities)
+    processed, feasible_seen, reached = (np.zeros(n, dtype=int) for _ in range(3))
+    sup = [0.0] * n
+    open_cells: list[list[list[float]]] = [[] for _ in range(n)]
     tighten_depth = min(14, max_depth)
     cells = CellBatch([-bound], [0.0], [-bound], [bound])
+    live = np.ones((n, 1), dtype=bool)
     depth = 0
-    processed = 0
-    feasible_seen = 0
-    sup = 0.0
-    open_cells: list[list[float]] = []
-    while len(cells):
-        processed += len(cells)
+    while live.any():
+        processed += live.sum(axis=1)
+        reached[live.any(axis=1)] = depth
         ch = Chamber(cells, sb)
         small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
         p3 = ch.p3()
-        feasible = (
-            (ch.disc.hi >= 0)
-            & (small.hi >= 0)
-            & (small.lo <= sqrt_delta1_hi)
-            & (big.hi >= sqrt_eps0_lo)
-            & (p3.hi >= a3_lo)
-            & (p3.lo <= a3_hi)
-        )
-        feasible_seen += int(feasible.sum())
-        if not feasible.any():
-            break
-        sub = cells.select(feasible)
-        sub_ch = Chamber(sub, sb)
-        val, ok = _band_value(key, side, sub_ch, expr, sqrt_eps0_lo)
+        live &= ((ch.disc.hi >= 0) & (small.hi >= 0) & (small.lo <= sqrt_delta1_hi)
+                 & (big.hi >= sqrt_eps0_lo) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi))
+        feasible_seen += live.sum(axis=1)
+        keep = live.any(axis=0)
+        cells, live = cells.select(keep), live[:, keep]
+        ch = Chamber(cells, sb)     # of the feasible cells only
+        for i, expr in enumerate(exprs):
+            if not live[i].any():
+                continue
+            val, ok = _band_value(side, ch, expr, sqrt_eps0_lo)
+            # Decided cells keep splitting until tighten_depth: the supremum
+            # constant tightens while soundness is unaffected.
+            done = live[i] & ok & (depth >= tighten_depth)
+            if done.any():
+                sup[i] = max(sup[i], float(val.mag()[done].max()))
+            live[i] &= ~done
+            if depth >= max_depth:
+                open_cells[i] = cells.select(live[i]).rows()
         if depth >= max_depth:
-            if ok.any():
-                sup = max(sup, float(val.mag()[ok].max()))
-            rest = sub.select(~ok)
-            if len(rest):
-                open_cells = rest.rows()
             break
-        # Decided cells keep splitting until tighten_depth: the supremum
-        # constant tightens while soundness is unaffected.
-        done = ok & (depth >= tighten_depth)
-        if done.any():
-            sup = max(sup, float(val.mag()[done].max()))
-        rest = sub.select(~done)
-        if not len(rest):
-            break
-        cells = rest.split()
+        keep = live.any(axis=0)
+        cells, live = cells.select(keep).split(), np.tile(live[:, keep], 2)
         depth += 1
-    if feasible_seen == 0 and not open_cells:
-        return Certificate(
-            claim=f"band_{quantity}", region=region, margin=0.0,
-            status="trivial", cells_processed=processed, max_depth_reached=depth,
-            notes=["empty band region"],
-        )
-    status = "proved" if not open_cells else "inconclusive"
-    claim_note = (
-        f"{quantity} within [0, C], C certified" if quantity == "m0"
-        else f"{quantity} within [-C, 0], C certified" if quantity == "m1"
-        else f"|{quantity}| <= C with C certified"
-    )
-    return Certificate(
-        claim=f"band_{quantity}",
-        region=region,
-        margin=0.0,
-        status=status,
-        cells_processed=processed,
-        max_depth_reached=depth,
-        bound=sup,
-        notes=[claim_note],
-        open_cells=open_cells,
-    )
+    out = {}
+    for i, q in enumerate(quantities):
+        stats = {"claim": f"band_{q}", "region": region, "margin": 0.0,
+                 "cells_processed": int(processed[i]), "max_depth_reached": int(reached[i])}
+        if not feasible_seen[i]:
+            out[q] = Certificate(status="trivial", notes=["empty band region"], **stats)
+            continue
+        note = (f"{q} within [0, C], C certified" if q == "m0"
+                else f"{q} within [-C, 0], C certified" if q == "m1"
+                else f"|{q}| <= C with C certified")
+        out[q] = Certificate(status="inconclusive" if open_cells[i] else "proved", bound=sup[i],
+                             notes=[note], open_cells=open_cells[i], **stats)
+    return out
 
 
 def _band_region(side, S, A3, eps0, delta1) -> dict:
@@ -548,8 +542,9 @@ def _compile_poly(poly: MultiPoly) -> _CompiledPoly:
     return _CompiledPoly(degree, compiled, order)
 
 
-def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
-    """Enclosure of one band quantity over the feasible subsets of the cells.
+def _band_value(side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
+    """Enclosure of one band quantity, the side's slope when expr is None,
+    over the feasible subsets of the cells.
 
     Gap enclosures are intersected with the region-implied floors (sorted
     chamber: gaps >= 0; the wide gap >= sqrt(eps0)), which is sound because
@@ -557,7 +552,7 @@ def _band_value(key, side, ch: Chamber, expr: tuple | None, floor: float) -> tup
     values and a mask of cells whose enclosure is finite (denominators
     bounded away from zero); unresolved cells must be subdivided.
     """
-    if key == "m":
+    if expr is None:
         def gap(i, j):
             return getattr(ch, f"g{i}{j}")
 

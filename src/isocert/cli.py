@@ -149,14 +149,11 @@ def run_certify(args) -> tuple[list[dict], int]:
     elif args.kind == "okumura":
         recs = _okumura_records(args.tol)
     else:  # band; argparse admits no other kind
-        quantities = certify.band_quantity_names() if args.quantity == "all" else (args.quantity,)
-        recs = []
-        for q in quantities:
-            cert = certify.certify_band_bounds(
-                q, Fraction(args.S), args.A3, Fraction(args.eps0), Fraction(args.delta1),
-                max_depth=args.max_depth,
-            )
-            recs.append(check_record(cert.claim, cert.status, cert.to_json()))
+        certs = certify.certify_band(
+            Fraction(args.S), args.A3, Fraction(args.eps0), Fraction(args.delta1),
+            certify.BAND_QUANTITIES if args.quantity == "all" else (args.quantity,),
+            max_depth=args.max_depth)
+        recs = [check_record(c.claim, c.status, c.to_json()) for c in certs]
     return recs, reports.exit_code(recs)
 
 
@@ -271,10 +268,9 @@ def run_pipeline(args) -> tuple[list[dict], int]:
     # 3. The cubic-sum bound and its exact equality case.
     recs += _okumura_records(1e-6)
     # 4. Band bounds for every named quantity.
-    for q in certify.band_quantity_names():
-        cert = certify.certify_band_bounds(q, S, params.A3, Fraction(args.eps0),
-                                           Fraction(args.delta1), max_depth=args.max_depth)
-        recs.append(check_record(cert.claim, cert.status, cert.to_json()))
+    recs += [check_record(c.claim, c.status, c.to_json())
+             for c in certify.certify_band(S, params.A3, Fraction(args.eps0), Fraction(args.delta1),
+                                           max_depth=args.max_depth)]
     # 5. Branch identities and the configuration systems at these constants.
     cb = configsolve.case_branch_identities(params)
     recs.append(check_record("case_branch_identities", cb.pop("status"), cb))

@@ -32,10 +32,6 @@ from fractions import Fraction
 from . import upoly as up
 from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds
 
-Rat = Fraction
-
-_X = up.upoly([0, 1])
-
 
 # -- exact rational intervals -------------------------------------------------
 
@@ -218,12 +214,6 @@ def power_sums_from_quartic(q: up.UPoly, upto: int = 4) -> list[Fraction]:
     return p
 
 
-def isolate_real_roots(poly: up.UPoly, precision) -> list[tuple[Fraction, Fraction, int]]:
-    """Isolating intervals with multiplicity for an exact univariate polynomial."""
-    eps = Fraction(precision)
-    return [(lo, hi, m) for lo, hi, m, _ in up.isolate_with_multiplicity(poly, eps)]
-
-
 def _cubic_roots(tag: str, params: ScalarParams) -> list[AlgebraicNumber]:
     """Exact real roots of the eliminating cubic, for rational or radical A3."""
     base = _cubic_coeffs(tag, params.S)
@@ -231,8 +221,8 @@ def _cubic_roots(tag: str, params: ScalarParams) -> list[AlgebraicNumber]:
     if a3.is_rational():
         cubic = up.sub(base, up.upoly([a3.rational_value()]))
         return [
-            AlgebraicNumber(f, lo, hi)
-            for lo, hi, _m, f in up.isolate_with_multiplicity(cubic, Fraction(1, 2**20))
+            AlgebraicNumber(chain[0], lo, hi, chain)
+            for lo, hi, _m, chain in up.isolate_with_multiplicity(cubic, Fraction(1, 2**20))
         ]
     if a3.a != 0:
         raise ValueError("A3 must be rational or a pure square-root multiple")
@@ -242,8 +232,8 @@ def _cubic_roots(tag: str, params: ScalarParams) -> list[AlgebraicNumber]:
     a3_sq = (a3 * a3).rational_value()
     sextic = up.sub(up.mul(base, base), up.upoly([a3_sq]))
     roots = []
-    for lo, hi, _m, f in up.isolate_with_multiplicity(sextic, Fraction(1, 2**20)):
-        alg = AlgebraicNumber(f, lo, hi)
+    for lo, hi, _m, chain in up.isolate_with_multiplicity(sextic, Fraction(1, 2**20)):
+        alg = AlgebraicNumber(chain[0], lo, hi, chain)
         if _is_root_of_shifted(alg, base, a3):
             roots.append(alg)
     return roots

@@ -183,11 +183,15 @@ def _nonroot_point(p: UPoly, x: Fraction, step: Fraction) -> Fraction:
     return x
 
 
-def isolate_squarefree(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction]]:
+def isolate_squarefree(p: UPoly, eps: Fraction,
+                       chain: list[UPoly] | None = None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint isolating intervals of width <= eps, one per real root.
 
-    p must be squarefree.  Endpoints are never roots, so sign evaluation at
-    endpoints stays conclusive during later refinement.
+    p must be squarefree; `chain` is its Sturm chain, built here if not
+    given.  Endpoints are never roots, so sign evaluation at endpoints
+    stays conclusive during later refinement.  Bisection counts roots by
+    the chain until an interval holds one; from there, p's signs at the
+    endpoint and the midpoint tell which half holds it.
     """
     if is_zero(p):
         raise ValueError("zero polynomial")
@@ -196,7 +200,8 @@ def isolate_squarefree(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("precision must be positive")
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     bound = root_bound(p)
     lo = _nonroot_point(p, -bound, Fraction(-1, 7))
     hi = _nonroot_point(p, bound, Fraction(1, 7))
@@ -211,7 +216,10 @@ def isolate_squarefree(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction
             out.append((a, b))
             continue
         mid = _nonroot_point(p, (a + b) / 2, (b - a) / 1024)
-        n_left = sturm_count(chain, a, mid)
+        if n == 1:
+            n_left = int((evaluate(p, a) > 0) != (evaluate(p, mid) > 0))
+        else:
+            n_left = sturm_count(chain, a, mid)
         stack.append((a, mid, n_left))
         stack.append((mid, b, n - n_left))
     out.sort()
@@ -226,14 +234,16 @@ def isolate_squarefree(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction
     return out
 
 
-def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction, int, UPoly]]:
-    """Isolating data (lo, hi, multiplicity, squarefree factor) per distinct real root."""
+def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction, int, list[UPoly]]]:
+    """Isolating data (lo, hi, multiplicity, Sturm chain of the squarefree
+    factor) per distinct real root; the chain's first member is the factor."""
     if is_zero(p):
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, Fraction, int, UPoly]] = []
+    roots: list[tuple[Fraction, Fraction, int, list[UPoly]]] = []
     for mult, factor in squarefree_decomposition(p):
-        for lo, hi in isolate_squarefree(factor, eps):
-            roots.append((lo, hi, mult, factor))
+        chain = sturm_chain(factor)
+        for lo, hi in isolate_squarefree(factor, eps, chain):
+            roots.append((lo, hi, mult, chain))
     roots.sort(key=lambda r: (r[0], r[1]))
     # Yun factors are pairwise coprime, so overlapping intervals of different
     # factors always separate under refinement.
@@ -241,11 +251,11 @@ def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, F
     while changed:
         changed = False
         for i in range(len(roots) - 1):
-            a1, b1, m1, f1 = roots[i]
-            a2, b2, m2, f2 = roots[i + 1]
+            a1, b1, m1, c1 = roots[i]
+            a2, b2, m2, c2 = roots[i + 1]
             if b1 >= a2:
-                roots[i] = (*refine(f1, (a1, b1), (b1 - a1) / 4), m1, f1)
-                roots[i + 1] = (*refine(f2, (a2, b2), (b2 - a2) / 4), m2, f2)
+                roots[i] = (*refine(c1[0], (a1, b1), (b1 - a1) / 4), m1, c1)
+                roots[i + 1] = (*refine(c2[0], (a2, b2), (b2 - a2) / 4), m2, c2)
                 roots.sort(key=lambda r: (r[0], r[1]))
                 changed = True
     return roots

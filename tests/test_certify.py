@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from isocert import certify as ct
 from isocert import frameforms as ff
 from isocert import identities as idn
-from isocert.algebraic import QuadExt
+from isocert.algebraic import QuadExt, _sqrt_bounds
+from isocert.configsolve import parse_value
 from isocert.exactalg import MultiPoly
 from isocert.vinterval import VI, float_down, float_up
 
@@ -182,8 +183,9 @@ def test_okumura_homogeneous_sampling_oracle():
 
 
 def test_band_bounds_all_quantities():
-    for q in ct.band_quantity_names():
-        cert = ct.certify_band_bounds(q, 8, 1, F(1, 10), F(1, 20), max_depth=30)
+    certs = ct.certify_band(8, 1, F(1, 10), F(1, 20), max_depth=30)
+    assert [c.claim for c in certs] == [f"band_{q}" for q in ct.BAND_QUANTITIES]
+    for q, cert in zip(ct.BAND_QUANTITIES, certs):
         assert cert.status == "proved", q
         if q.startswith("G") or q in ("m0", "m1"):
             assert cert.bound is not None and cert.bound < 1e5
@@ -230,20 +232,98 @@ def test_band_quantity_enclosures_contain_exact_values(cells):
 
 
 def test_band_empty_region_trivial():
-    cert = ct.certify_band_bounds("m0", F(1, 10**6), 0, F(1, 10), F(1, 20))
+    [cert] = ct.certify_band(F(1, 10**6), 0, F(1, 10), F(1, 20), ("m0",))
     assert cert.status == "trivial"
 
 
 def test_band_parameter_validation():
     with pytest.raises(ValueError):
-        ct.certify_band_bounds("m0", 8, 0, F(1, 20), F(1, 10))  # delta1 >= eps0
+        ct.certify_band(8, 0, F(1, 20), F(1, 10), ("m0",))  # delta1 >= eps0
     with pytest.raises(ValueError):
-        ct.certify_band_bounds("nope", 8, 0, F(1, 10), F(1, 20))
+        ct.certify_band(8, 0, F(1, 10), F(1, 20), ("m0", "nope"))
 
 
 def test_band_radical_a3():
-    cert = ct.certify_band_bounds("m0", 8, "sqrt(2)", F(1, 10), F(1, 20), max_depth=24)
+    [cert] = ct.certify_band(8, "sqrt(2)", F(1, 10), F(1, 20), ("m0",), max_depth=24)
     assert cert.status in ("proved", "trivial")
+
+
+def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
+    """Reference: the branch and bound of one quantity on a frontier of its own."""
+    side, key = ct.BAND_QUANTITIES[quantity]
+    S, eps0, delta1 = F(S), F(eps0), F(delta1)
+    A3 = parse_value(A3) if isinstance(A3, str) else QuadExt.rational(A3)
+    region = ct._band_region(side, S, A3, eps0, delta1)
+    if S <= 0:
+        return ct.Certificate(claim=f"band_{quantity}", region=region, margin=0.0,
+                              status="trivial",
+                              notes=["empty band: the constraint sphere is a point"])
+    if key.startswith("B"):
+        return ct._b_sign_certificate(quantity, side, key, region)
+    a3_lo, a3_hi = (float(x) for x in A3.interval(F(1, 10**15)))
+    a3_lo, a3_hi = np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf)
+    sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, F(1, 10**12))[0])
+    sqrt_delta1_hi = float(_sqrt_bounds(delta1, F(1, 10**12))[1]) * (1 + 1e-12)
+    ratfn = idn.gap_band_quantities(side)[key]
+    expr = None if key == "m" else (ct._compile_poly(ratfn.num), ct._compile_poly(ratfn.den))
+    bound = float(_sqrt_bounds(S, F(1, 10**9))[1]) * (1 + 1e-12)
+    tighten_depth = min(14, max_depth)
+    cells = ct.CellBatch([-bound], [0.0], [-bound], [bound])
+    depth = processed = feasible_seen = 0
+    sup = 0.0
+    open_cells = []
+    while len(cells):
+        processed += len(cells)
+        ch = ct.Chamber(cells, ct._s_bounds(S))
+        small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
+        p3 = ch.p3()
+        feasible = ((ch.disc.hi >= 0) & (small.hi >= 0) & (small.lo <= sqrt_delta1_hi)
+                    & (big.hi >= sqrt_eps0_lo) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi))
+        feasible_seen += int(feasible.sum())
+        if not feasible.any():
+            break
+        sub = cells.select(feasible)
+        val, ok = ct._band_value(side, ct.Chamber(sub, ct._s_bounds(S)), expr, sqrt_eps0_lo)
+        if depth >= max_depth:
+            if ok.any():
+                sup = max(sup, float(val.mag()[ok].max()))
+            open_cells = sub.select(~ok).rows()
+            break
+        done = ok & (depth >= tighten_depth)
+        if done.any():
+            sup = max(sup, float(val.mag()[done].max()))
+        rest = sub.select(~done)
+        if not len(rest):
+            break
+        cells = rest.split()
+        depth += 1
+    stats = {"claim": f"band_{quantity}", "region": region, "margin": 0.0,
+             "cells_processed": processed, "max_depth_reached": depth}
+    if feasible_seen == 0:
+        return ct.Certificate(status="trivial", notes=["empty band region"], **stats)
+    note = (f"{quantity} within [0, C], C certified" if quantity == "m0"
+            else f"{quantity} within [-C, 0], C certified" if quantity == "m1"
+            else f"|{quantity}| <= C with C certified")
+    return ct.Certificate(status="inconclusive" if open_cells else "proved", bound=sup,
+                          notes=[note], open_cells=open_cells, **stats)
+
+
+@pytest.mark.parametrize("S, A3, eps0, delta1, max_depth", [
+    (8, 1, F(1, 10), F(1, 20), 30),
+    (8, 1, F(1, 10), F(1, 20), 3),
+    (8, 13, F(1, 10), F(1, 20), 15),     # the quantities' frontiers part after depth 14
+    (8, 13, F(1, 10), F(1, 20), 16),
+    (8, 13, F(1, 10), F(1, 20), 30),
+    (F(37, 4), "5*sqrt(3)/2", F(1, 10), F(1, 20), 30),
+    (F(1, 10**6), 0, F(1, 10), F(1, 20), 30),
+])
+def test_shared_band_walk_matches_per_quantity_walks(S, A3, eps0, delta1, max_depth):
+    """Every quantity of the one walk per side gets the certificate of a walk
+    of its own: the same cells, split order, depth, supremum and open cells."""
+    certs = ct.certify_band(S, A3, eps0, delta1, max_depth=max_depth)
+    assert [c.to_json() for c in certs] == [
+        _band_walk_per_quantity(q, S, A3, eps0, delta1, max_depth).to_json()
+        for q in ct.BAND_QUANTITIES]
 
 
 def test_certificates_deterministic():
@@ -318,7 +398,7 @@ def test_factored_forms_match_engine_extraction(drawn):
             assert exact[i] == gL[i + 1].evaluate(_lams(pt))
     for side, wide in (("g", (3, 2)), ("f", (2, 1))):
         ch, points = _chamber_gaps(cells, floor, raised=(wide,))
-        val, ok = ct._band_value("m", side, ch, None, float_down(floor))
+        val, ok = ct._band_value(side, ch, None, float_down(floor))
         assert ok.all()
         slope = idn.gap_band_quantities(side)["m"]
         for k, pt in enumerate(points):
@@ -333,7 +413,7 @@ def test_band_sign_factors_multiply_out_to_B():
     multiplied back out with the slope they give B exactly."""
     for quantity in ("B1g", "B2g", "B2f", "B3f"):
         side, key = quantity[-1], quantity[:-1]
-        cert = ct.certify_band_bounds(quantity, 8, 1, F(1, 10), F(1, 20))
+        [cert] = ct.certify_band(8, 1, F(1, 10), F(1, 20), (quantity,))
         assert cert.status == "proved" and cert.notes[1].startswith("factors: ")
         factors = cert.notes[1].removeprefix("factors: ").split("; ")
         sign = -1 if factors[0] == "-1" else 1

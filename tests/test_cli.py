@@ -60,6 +60,17 @@ def test_certify_band_single_quantity():
     assert recs[0]["status"] == "proved"
 
 
+def test_band_quantity_record_is_the_same_alone(tmp_path):
+    # At depth 15 the G3f frontier has parted from the other f quantities'.
+    argv = ["certify", "band", "--S", "8", "--A3", "13", "--max-depth", "15", "--quiet"]
+    one, every = tmp_path / "one.json", tmp_path / "all.json"
+    assert cli.main(argv + ["--quantity", "G3f", "--out", str(one)]) == reports.EXIT_INCONCLUSIVE
+    assert cli.main(argv + ["--quantity", "all", "--out", str(every)]) == reports.EXIT_INCONCLUSIVE
+    [rec] = json.loads(one.read_text())
+    assert rec["status"] == "inconclusive"
+    assert rec == next(r for r in json.loads(every.read_text()) if r["name"] == "band_G3f")
+
+
 def test_examples_check_discrepancy_exit_code():
     out = run_cli("examples", "--check", "clifford1", "--theorem", "2", "--quiet")
     assert out.returncode == 3

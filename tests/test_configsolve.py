@@ -45,15 +45,11 @@ def test_newton_convert_power_sums(S, A3, e4):
     assert p[2] == A3
 
 
-def test_isolate_real_roots_examples():
-    roots = cs.isolate_real_roots(up.upoly([-2, 0, 1]), F(1, 10**6))
-    assert len(roots) == 2 and all(m == 1 for _, _, m in roots)
-    assert cs.isolate_real_roots(up.upoly([1, 0, 0, 0, 1]), F(1, 100)) == []
-    p = up.mul(up.mul(up.upoly([-1, 1]), up.upoly([-1, 1])), up.upoly([1, 1]))
-    roots = cs.isolate_real_roots(p, F(1, 1000))
-    assert [m for _, _, m in roots] == [1, 2]
-    with pytest.raises(ValueError):
-        cs.isolate_real_roots(up.upoly([]), F(1, 10))
+def test_cubic_roots_share_the_chain_of_their_factor():
+    # The chain isolation built for the cubic; each number still counts with it.
+    roots = cs._cubic_roots("I", cs.ScalarParams.make(12, 0))
+    assert len(roots) == 3 and all(r.chain is roots[0].chain for r in roots)
+    assert roots[0].chain == up.sturm_chain(up.squarefree_part(roots[0].poly))
 
 
 def test_system_I_even_spacing():

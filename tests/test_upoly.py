@@ -1,6 +1,8 @@
 """Univariate layer: Sturm isolation, multiplicities, refinement."""
 
+import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -47,6 +49,63 @@ def test_isolating_intervals_disjoint_for_close_roots():
     roots = up.isolate_squarefree(p, F(1, 4))
     assert len(roots) == 2
     assert roots[0][1] < roots[1][0]
+
+
+def _isolate_by_sturm_counts(p, eps):
+    """Reference: isolate_squarefree with a Sturm count at every bisection."""
+    chain = up.sturm_chain(p)
+    bound = up.root_bound(p)
+    lo = up._nonroot_point(p, -bound, F(-1, 7))
+    hi = up._nonroot_point(p, bound, F(1, 7))
+    out, stack = [], [(lo, hi, up.sturm_count(chain, lo, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1 and b - a <= eps:
+            out.append((a, b))
+            continue
+        mid = up._nonroot_point(p, (a + b) / 2, (b - a) / 1024)
+        n_left = up.sturm_count(chain, a, mid)
+        stack += [(a, mid, n_left), (mid, b, n - n_left)]
+    out.sort()
+    for i in range(len(out) - 1):
+        while out[i][1] >= out[i + 1][0]:
+            out[i] = up.refine(p, out[i], (out[i][1] - out[i][0]) / 4)
+            out[i + 1] = up.refine(p, out[i + 1], (out[i + 1][1] - out[i + 1][0]) / 4)
+    return out
+
+
+_DYADIC_ROOTS = st.lists(st.builds(lambda k, j: F(k, 2**j), st.integers(-64, 64), st.integers(0, 6)),
+                         min_size=1, max_size=5, unique=True)
+
+
+@given(_DYADIC_ROOTS, st.booleans(), st.sampled_from([F(1, 2), F(1, 64), F(1, 2**20)]))
+@example([F(0), F(1, 128)], False, F(1, 4))
+@example([F(0)], False, F(1, 64))        # the lone root is the first midpoint
+@example([F(1)], False, F(1, 64))        # and the second one: B = 2
+@example([F(-1), F(1, 2), F(3, 4)], True, F(1, 2**20))
+def test_isolation_matches_all_sturm_bisection(roots, with_sqrt2, eps):
+    # Dyadic roots can land on bisection midpoints, where the nudge must
+    # move mid the same way whichever test splits the interval.
+    p = up.upoly([1])
+    for r in roots:
+        p = up.mul(p, up.upoly([-r, 1]))
+    if with_sqrt2:
+        p = up.mul(p, up.upoly([-2, 0, 1]))
+    expected = _isolate_by_sturm_counts(p, eps)
+    # One midpoint per bisection; a miscounted interval would bisect forever.
+    steps = itertools.count()
+    nudge = up._nonroot_point
+
+    def bounded(*args):
+        assert next(steps) < 10_000, "bisection does not end"
+        return nudge(*args)
+
+    with mock.patch.object(up, "_nonroot_point", bounded):
+        got = up.isolate_squarefree(p, eps)
+    assert got == expected
+    assert len(got) == len(roots) + 2 * with_sqrt2
 
 
 def test_refine_to_tolerance():
