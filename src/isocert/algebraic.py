@@ -32,8 +32,8 @@ class QuadExt:
         a, b, d = Fraction(a), Fraction(b), Fraction(d)
         if d < 0:
             raise ValueError("radicand must be nonnegative")
-        if b == 0:
-            d = Fraction(0)
+        if b == 0 or d == 0:
+            b = d = Fraction(0)
         return cls(a, b, d)
 
     @classmethod
@@ -125,12 +125,6 @@ class QuadExt:
         lo, hi = self.interval(Fraction(1, 10**17))
         return float((lo + hi) / 2)
 
-    def minimal_polynomial(self) -> up.UPoly:
-        """x - a for rational values, else x^2 - 2a x + (a^2 - b^2 d)."""
-        if self.b == 0:
-            return up.upoly([-self.a, 1])
-        return up.upoly([self.a * self.a - self.b * self.b * self.d, -2 * self.a, 1])
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -214,21 +208,6 @@ class AlgebraicNumber:
         self.lo = lo
         self.hi = hi
         self.chain = chain
-
-    @classmethod
-    def from_rational(cls, q) -> "AlgebraicNumber":
-        q = Fraction(q)
-        return cls(up.upoly([-q, 1]), q, q)
-
-    @classmethod
-    def from_quadext(cls, v: QuadExt) -> "AlgebraicNumber":
-        if v.is_rational():
-            return cls.from_rational(v.a)
-        m = v.minimal_polynomial()
-        lo, hi = v.interval(Fraction(1, 10**6))
-        while up.evaluate(m, lo) * up.evaluate(m, hi) >= 0:   # no strict sign change
-            lo, hi = v.interval((hi - lo) / 4)
-        return cls(m, lo, hi)
 
     def is_point(self) -> bool:
         return self.lo == self.hi

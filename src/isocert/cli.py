@@ -14,19 +14,22 @@ Subcommands:
 Every run writes a deterministic JSON array of check records (sorted keys,
 no timestamps); repeated runs with identical inputs are byte-identical.
 Exit codes: 0 all pass, 1 failure, 2 inconclusive, 3 documented
-discrepancy, 64 usage error, 70 internal error.  Any exception that is not
-recognised as bad input (a pole met mid-computation, a monomial overflow,
-a malformed record, or any unexpected crash) exits 70 with the traceback
-on stderr, so a crash never reads as a failed check.  A flat key=value
-config file can preset any flag of the chosen subcommand; explicit flags
-win, unknown keys are rejected.  The worker count comes from --threads,
-else $ISOCERT_THREADS, else 1; a value that is not a positive integer is a
-usage error.
+discrepancy, 64 usage error, 70 internal error.  Every input is checked
+before any computation: each flag by its argparse type or choices (config
+file values by the same ones), and the flag combinations by
+`_check_combinations`.  So a bad input is a usage error, and any exception
+raised once the run has started (a library's ValueError included) is a
+fault of the program: it exits 70 with the traceback on stderr, so a crash
+never reads as a failed check.  A flat key=value config file can preset
+any flag of the chosen subcommand; explicit flags win, unknown keys are
+rejected.  The worker count comes from --threads, else the config file,
+else $ISOCERT_THREADS, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -34,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import certify, configsolve, geomex, identities, mollify, reports
-from .exactalg import MonomialOverflowError, PoleError
 from .reports import check_record
 
 THREADS_ENV = "ISOCERT_THREADS"
@@ -45,20 +47,6 @@ IDENTITY_GROUPS: dict[str, tuple[str, ...]] = {
     **{name: (name,) for name in identities.CONTRACTION_NAMES},
     "dg_df_phi": ("dg_phi", "df_phi"),
 }
-
-
-def _worker_count(flag) -> int:
-    """--threads, else $ISOCERT_THREADS, else 1; must be a positive integer."""
-    source, raw = ("--threads", flag) if flag is not None else (
-        f"${THREADS_ENV}", os.environ.get(THREADS_ENV) or "1")
-    bad = UsageError(f"{source} must be a positive integer, got {raw!r}")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise bad from None
-    if n < 1:
-        raise bad
-    return n
 
 
 def _identity_record(group: str, modes: tuple[str, ...]) -> dict:
@@ -78,13 +66,9 @@ def _identity_record(group: str, modes: tuple[str, ...]) -> dict:
 
 def run_verify_identities(args) -> tuple[list[dict], int]:
     groups = list(IDENTITY_GROUPS) if args.which == "all" else [args.which]
-    for g in groups:
-        if g not in IDENTITY_GROUPS:
-            raise UsageError(f"unknown identity {g!r}; known: all, {', '.join(IDENTITY_GROUPS)}")
     modes = ("symbolic", "expanded") if args.mode == "both" else (args.mode,)
-    threads = args.threads
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             recs = list(pool.map(lambda g: _identity_record(g, modes), groups))
     else:
         recs = [_identity_record(g, modes) for g in groups]
@@ -110,7 +94,7 @@ def _config_json(cfg: configsolve.CurvatureConfig, precision: Fraction) -> dict:
 
 def run_solve(args) -> tuple[list[dict], int]:
     params = configsolve.ScalarParams.make(args.S, args.A3)
-    precision = Fraction(args.precision).limit_denominator(10**18)
+    precision = args.precision
     cfgs = configsolve.solve_system(args.system, params, precision)
     payload = {
         "S": str(params.S),
@@ -136,11 +120,11 @@ def _okumura_records(tol: float) -> list[dict]:
 def run_certify(args) -> tuple[list[dict], int]:
     if args.kind == "li":
         cert = certify.certify_Li_negative(
-            Fraction(args.S), args.tau, margin=args.margin, max_depth=args.max_depth
+            args.S, args.tau, margin=args.margin, max_depth=args.max_depth
         )
         recs = [check_record(cert.claim, cert.status, cert.to_json())]
         if args.cross_check:
-            xc = certify.sample_Li_cross_check(Fraction(args.S), args.tau, count=args.cross_check)
+            xc = certify.sample_Li_cross_check(args.S, args.tau, count=args.cross_check)
             recs.append(check_record(
                 "gamma_Li_negative_cross_check",
                 "pass" if not xc["violations"] else "fail",
@@ -150,7 +134,7 @@ def run_certify(args) -> tuple[list[dict], int]:
         recs = _okumura_records(args.tol)
     else:  # band; argparse admits no other kind
         certs = certify.certify_band(
-            Fraction(args.S), args.A3, Fraction(args.eps0), Fraction(args.delta1),
+            args.S, args.A3, args.eps0, args.delta1,
             certify.BAND_QUANTITIES if args.quantity == "all" else (args.quantity,),
             max_depth=args.max_depth)
         recs = [check_record(c.claim, c.status, c.to_json()) for c in certs]
@@ -203,12 +187,6 @@ def run_cutoff(args) -> tuple[list[dict], int]:
     return recs, reports.exit_code(recs)
 
 
-def _model_record(name: str, theorem: int) -> dict:
-    model = geomex.get_model(name)
-    rep = geomex.check_model(model, theorem)
-    return check_record(f"model_{name}_theorem_{theorem}", rep.pop("status"), rep)
-
-
 def run_examples(args) -> tuple[list[dict], int]:
     if args.list:
         recs = []
@@ -228,9 +206,8 @@ def run_examples(args) -> tuple[list[dict], int]:
                 },
             ))
         return recs, reports.EXIT_PASS
-    if not args.check:
-        raise UsageError("examples requires --list or --check NAME")
-    recs = [_model_record(args.check, args.theorem)]
+    rep = geomex.check_model(geomex.get_model(args.check), args.theorem)
+    recs = [check_record(f"model_{args.check}_theorem_{args.theorem}", rep.pop("status"), rep)]
     if args.format == "text":
         rec = recs[0]
         lines = [f"{rec['name']}: {rec['status']}"]
@@ -248,18 +225,17 @@ def run_examples(args) -> tuple[list[dict], int]:
 
 def run_pipeline(args) -> tuple[list[dict], int]:
     """Every desk-checkable ingredient, one verdict."""
-    S = Fraction(args.S)
-    params = configsolve.ScalarParams.make(args.S, args.A3)
+    S = args.S
+    params = configsolve.ScalarParams.make(S, args.A3)
     recs: list[dict] = []
     # 1. Exact identity suite.
     modes = ("symbolic", "expanded")
     for group in IDENTITY_GROUPS:
         recs.append(_identity_record(group, modes))
     # 2. Negativity of the four coefficient functions on the collared chamber.
-    tau = args.tau if args.tau is not None else 0.05 * float(S) ** 0.5
-    cert = certify.certify_Li_negative(S, tau, margin=args.margin, max_depth=args.max_depth)
+    cert = certify.certify_Li_negative(S, args.tau, margin=args.margin, max_depth=args.max_depth)
     recs.append(check_record(cert.claim, cert.status, cert.to_json()))
-    xc = certify.sample_Li_cross_check(S, tau, count=args.samples)
+    xc = certify.sample_Li_cross_check(S, args.tau, count=args.samples)
     recs.append(check_record(
         "gamma_Li_negative_cross_check",
         "pass" if not xc["violations"] else "fail",
@@ -269,7 +245,7 @@ def run_pipeline(args) -> tuple[list[dict], int]:
     recs += _okumura_records(1e-6)
     # 4. Band bounds for every named quantity.
     recs += [check_record(c.claim, c.status, c.to_json())
-             for c in certify.certify_band(S, params.A3, Fraction(args.eps0), Fraction(args.delta1),
+             for c in certify.certify_band(S, params.A3, args.eps0, args.delta1,
                                            max_depth=args.max_depth)]
     # 5. Branch identities and the configuration systems at these constants.
     cb = configsolve.case_branch_identities(params)
@@ -284,8 +260,8 @@ def run_pipeline(args) -> tuple[list[dict], int]:
              "satisfied_in_sorted_order": sum(1 for c in cfgs if c.constraint_satisfied)},
         ))
     # 6. Smoothing kernel, gap value, and ramp properties.
-    delta = float(Fraction(args.delta1))
-    eps0 = float(Fraction(args.eps0))
+    delta = float(args.delta1)
+    eps0 = float(args.eps0)
     rep = mollify.mollifier_property_report(delta, samples=args.samples)
     recs.append(check_record("mollifier_properties", rep.pop("status"), rep))
     rep = mollify.gap_value_property_report(delta, eps0, samples=args.samples)
@@ -295,16 +271,12 @@ def run_pipeline(args) -> tuple[list[dict], int]:
     # 7. Catalog landmarks.
     for name in geomex.catalog_names():
         model = geomex.get_model(name)
-        ps = model.power_sums
-        landmark_ok = ps["p1"].sign() == 0 and (
-            model.S * (model.S - geomex.QuadExt.rational(4))
-            - model.sum_h_squared()
-        ).sign() == 0
+        minimal = model.power_sums["p1"].sign() == 0
         bound_ok = (model.S**3 - model.A3 * model.A3 * 3).sign() >= 0
         recs.append(check_record(
-            f"landmark_{name}", "pass" if (landmark_ok and bound_ok) else "fail",
+            f"landmark_{name}", "pass" if (minimal and bound_ok) else "fail",
             {"S": str(model.S), "A3": str(model.A3),
-             "minimal": ps["p1"].sign() == 0, "cubic_bound_holds": bound_ok},
+             "minimal": minimal, "cubic_bound_holds": bound_ok},
         ))
     verdict = reports.exit_code(recs)
     summary = check_record(
@@ -312,7 +284,7 @@ def run_pipeline(args) -> tuple[list[dict], int]:
         "pass" if verdict == 0 else ("inconclusive" if verdict == 2 else "fail"),
         {
             "S": str(params.S), "A3": str(params.A3),
-            "eps0": str(Fraction(args.eps0)), "delta1": str(Fraction(args.delta1)),
+            "eps0": str(args.eps0), "delta1": str(args.delta1),
             "ingredients": len(recs),
             "verdict": "all desk-checkable ingredients verified" if verdict == 0
             else "ingredient failures present",
@@ -323,19 +295,57 @@ def run_pipeline(args) -> tuple[list[dict], int]:
 
 
 class UsageError(Exception):
-    pass
+    """Bad input; the CLI exits EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors, so `main` has one exit for bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _checked(name: str, convert, accept=lambda value: True):
+    """An argparse type that also refuses a converted value `accept` rejects.
+
+    argparse reports a ValueError of `convert` as "invalid <name> value"
+    itself, but lets an ArithmeticError escape, so that one is caught here.
+    """
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ArithmeticError:         # Fraction("1/0"), Fraction(float("inf"))
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {text!r}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+_NONNEGATIVE_RATIONAL = _checked("nonnegative rational", Fraction, lambda v: v >= 0)
+_POSITIVE_RATIONAL = _checked("positive rational", Fraction, lambda v: v > 0)
+_EXACT_VALUE = _checked("exact", configsolve.parse_value)
+_POSITIVE_FLOAT = _checked("positive finite float", float, lambda v: 0 < v < math.inf)
+_PRECISION = _checked("precision", lambda text: Fraction(float(text)).limit_denominator(10**18),
+                      lambda v: v > 0)
+
+
+def _int_at_least(low: int):
+    return _checked(f"integer >= {low}", int, lambda v: v >= low)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report array to this path")
     p.add_argument("--config", help="flat key=value file presetting this subcommand's flags")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1), default=os.environ.get(THREADS_ENV) or "1",
                    help=f"worker threads, at least 1 (default from ${THREADS_ENV} or 1)")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="isocert",
         description="Exact and interval certification toolkit for constrained "
                     "principal-curvature computations",
@@ -343,66 +353,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-identities", help="exact residual checks")
-    p.add_argument("--which", default="all")
+    p.add_argument("--which", choices=("all", *IDENTITY_GROUPS), default="all")
     p.add_argument("--mode", choices=("symbolic", "expanded", "both"), default="both")
     _add_common(p)
 
     p = sub.add_parser("solve", help="enumerate constrained configurations")
     p.add_argument("--system", required=True, choices=("I", "II", "III"))
-    p.add_argument("--S", required=True)
-    p.add_argument("--A3", required=True)
-    p.add_argument("--precision", type=float, default=1e-12)
+    p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, required=True)
+    p.add_argument("--A3", type=_EXACT_VALUE, required=True)
+    p.add_argument("--precision", type=_PRECISION, default="1e-12",
+                   help="root enclosure width; must stay > 0 at a denominator of at most 10^18")
     _add_common(p)
 
     p = sub.add_parser("certify", help="sign and interval certificates")
     p.add_argument("kind", choices=("li", "okumura", "band"))
-    p.add_argument("--S", default="8")
-    p.add_argument("--A3", default="0")
-    p.add_argument("--tau", type=float, default=0.05)
+    p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, default="8", help="li: must be > 0")
+    p.add_argument("--A3", type=_EXACT_VALUE, default="0")
+    p.add_argument("--tau", type=_POSITIVE_FLOAT, default=0.05)
     p.add_argument("--margin", type=float, default=None,
                    help="li: the certified bound must reach it (default 1e-9); "
                         "okumura and band: refused")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="okumura: recorded only, as the record's margin (the proof is exact)")
-    p.add_argument("--eps0", default="1/10")
-    p.add_argument("--delta1", default="1/20")
-    p.add_argument("--quantity", default="all")
-    p.add_argument("--max-depth", type=int, default=None,
+    p.add_argument("--eps0", type=_POSITIVE_RATIONAL, default="1/10")
+    p.add_argument("--delta1", type=_POSITIVE_RATIONAL, default="1/20",
+                   help="band: must be below eps0")
+    p.add_argument("--quantity", choices=("all", *certify.BAND_QUANTITIES), default="all")
+    p.add_argument("--max-depth", type=_int_at_least(0), default=None,
                    help="band: branch-and-bound depth limit (default 30); "
                         "li: recorded only (default 20); okumura: refused")
-    p.add_argument("--cross-check", type=int, default=0,
+    p.add_argument("--cross-check", type=_int_at_least(0), default=0,
                    help="also run this many exact random spot checks (li)")
     _add_common(p)
 
     p = sub.add_parser("mollifier", help="smoothing kernel dump / properties")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--delta", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--samples", type=_int_at_least(2), default=1000)  # the CSV grid needs two
     p.add_argument("--emit", choices=("csv", "report"), default="report")
     _add_common(p)
 
     p = sub.add_parser("cutoff", help="ramp dump / properties")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--eps", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--samples", type=_int_at_least(2), default=1000)
     p.add_argument("--emit", choices=("csv", "report"), default="report")
     _add_common(p)
 
     p = sub.add_parser("examples", help="model catalog")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--check")
+    p.add_argument("--check", choices=geomex.catalog_names())
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     _add_common(p)
 
     p = sub.add_parser("pipeline", help="run every ingredient with one verdict")
-    p.add_argument("--S", required=True)
-    p.add_argument("--A3", required=True)
-    p.add_argument("--eps0", required=True)
-    p.add_argument("--delta1", required=True)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, required=True, help="must be > 0")
+    p.add_argument("--A3", type=_EXACT_VALUE, required=True)
+    p.add_argument("--eps0", type=_POSITIVE_RATIONAL, required=True)
+    p.add_argument("--delta1", type=_POSITIVE_RATIONAL, required=True, help="must be below eps0")
+    p.add_argument("--tau", type=_POSITIVE_FLOAT, default=None)
     p.add_argument("--margin", type=float, default=1e-9)
-    p.add_argument("--max-depth", type=int, default=30,
+    p.add_argument("--max-depth", type=_int_at_least(0), default=30,
                    help="band depth limit; recorded in the li record")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_int_at_least(1), default=2000)
     _add_common(p)
     return ap
 
@@ -418,8 +430,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    subparser = next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    actions = {a.dest: a for a in subparser._actions}
     known = set(vars(args))
     for i, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -438,15 +451,11 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if isinstance(action, argparse._StoreTrueAction):
             setattr(args, dest, value.lower() in ("1", "true", "yes"))
             continue
-        bad = UsageError(f"config line {i}: invalid value for {key!r}")
         try:
-            # Convert like the flag itself, also where the default is None.
-            value = (action.type or str)(value.strip("\"'"))
-        except ValueError:
-            raise bad from None
-        if action.choices and value not in action.choices:
-            raise bad
-        setattr(args, dest, value)
+            # Convert and check like the flag itself, also where the default is None.
+            setattr(args, dest, subparser._get_values(action, [value.strip("\"'")]))
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"config line {i}: {exc}") from None
 
 
 def _emit_report(recs: list[dict], args: argparse.Namespace) -> None:
@@ -474,43 +483,51 @@ _RUNNERS = {
 }
 
 
+def _check_combinations(args: argparse.Namespace) -> None:
+    """Refuse what no single flag's type can see; fill the defaults that depend on other flags."""
+    run = f"certify {args.kind}" if args.command == "certify" else args.command
+    if run in ("certify li", "pipeline") and args.S <= 0:
+        raise UsageError(f"{run} requires S > 0: the gap chamber is a point at S = 0")
+    if run in ("certify band", "pipeline") and not args.delta1 < args.eps0:
+        raise UsageError(f"{run} requires delta1 < eps0")
+    if run == "examples" and not (args.list or args.check):
+        raise UsageError("examples requires --list or --check NAME")
+    if run == "pipeline":
+        # The Li stage and the smoothing reports take floats: the default
+        # tau = 0.05 sqrt(S), and delta1 and delta1/4 as smoothing widths.
+        if args.tau is None:
+            args.tau = 0.05 * float(args.S) ** 0.5
+        if args.tau == 0 or float(args.delta1) / 4 == 0:
+            raise UsageError("pipeline: S or delta1 is too small for its floating-point stages")
+    if args.command != "certify":
+        return
+    if args.kind == "okumura" and args.max_depth is not None:
+        raise UsageError("certify okumura takes no max_depth: its exact proof splits no cell")
+    if args.kind != "li" and args.margin is not None:
+        raise UsageError(f"certify {args.kind} takes no margin: it is not a bound"
+                         " the proof must reach")
+    if args.max_depth is None:
+        args.max_depth = {"li": 20, "band": 30}.get(args.kind)
+    if args.margin is None:
+        args.margin = 1e-9
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return reports.EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
         _apply_config(args, parser, argv)
-        args.threads = _worker_count(args.threads)
-        if args.command == "certify":
-            if args.kind == "okumura" and args.max_depth is not None:
-                raise UsageError("certify okumura takes no max_depth: its exact proof splits no cell")
-            if args.kind != "li" and args.margin is not None:
-                raise UsageError(f"certify {args.kind} takes no margin: it is not a bound"
-                                 " the proof must reach")
-            if args.max_depth is None:
-                args.max_depth = {"li": 20, "band": 30}.get(args.kind)
-            if args.margin is None:
-                args.margin = 1e-9
+        _check_combinations(args)
         recs, code = _RUNNERS[args.command](args)
         if recs:
             _emit_report(recs, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return reports.EXIT_USAGE
-    except (PoleError, MonomialOverflowError, reports.InternalError) as exc:
-        # Before the ValueError/ZeroDivisionError clause: PoleError is a
-        # ZeroDivisionError, but it is the program's fault, not the input's.
-        print(f"internal error: {exc}", file=sys.stderr)
-        return reports.EXIT_INTERNAL
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return reports.EXIT_USAGE
     except Exception as exc:
-        # Last: any other crash is the program's fault; exit 1 would read
-        # as a failed verification.
+        # Every input was checked before the run, so this is the program's
+        # fault; exit 1 would read as a failed verification.
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return reports.EXIT_INTERNAL

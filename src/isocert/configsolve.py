@@ -185,35 +185,6 @@ def _cubic_coeffs(tag: str, S: Fraction) -> up.UPoly:
     raise ValueError(f"unknown system tag {tag!r}")
 
 
-def newton_convert(S: Fraction, A3: Fraction, e4: Fraction) -> up.UPoly:
-    """Monic quartic with power sums p1 = 0, p2 = S, p3 = A3, and free e4.
-
-    Newton's identities with p1 = 0 force e1 = 0, e2 = -S/2, e3 = A3/3,
-    leaving the constant coefficient e4 as the remaining degree of freedom.
-    """
-    S, A3, e4 = Fraction(S), Fraction(A3), Fraction(e4)
-    e2 = -S / 2
-    e3 = A3 / 3
-    return up.upoly([e4, -e3, e2, 0, 1])
-
-
-def power_sums_from_quartic(q: up.UPoly, upto: int = 4) -> list[Fraction]:
-    """p1..p_upto of the root multiset via Newton's identities (exact)."""
-    if up.degree(q) != 4 or q[-1] != 1:
-        raise ValueError("expected a monic quartic")
-    e = [Fraction(1), -q[3], q[2], -q[1], q[0]]  # e0..e4 with signs fixed
-    p: list[Fraction] = []
-    for k in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, 4) + 1):
-            term = e[i] * (p[k - i - 1] if k - i >= 1 else 0)
-            acc += (-1) ** (i - 1) * term
-        if k <= 4:
-            acc += (-1) ** (k - 1) * k * e[k]
-        p.append(acc)
-    return p
-
-
 def _cubic_roots(tag: str, params: ScalarParams) -> list[AlgebraicNumber]:
     """Exact real roots of the eliminating cubic, for rational or radical A3."""
     base = _cubic_coeffs(tag, params.S)

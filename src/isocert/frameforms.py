@@ -155,9 +155,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
     def __add__(self, other: "Form") -> "Form":
         out = dict(self.terms)
         for m, c in other.terms.items():

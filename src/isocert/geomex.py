@@ -15,10 +15,10 @@ violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, QuadExt
+from .algebraic import QuadExt
 
 _TWO_DISTINCT_NOTE = (
     "catalog note: this example has exactly two distinct principal curvatures "
@@ -76,26 +76,8 @@ class ModelHypersurface:
     def distinct_count(self) -> int:
         return len(self.multiplicities)
 
-    def algebraic_spectrum(self) -> list[AlgebraicNumber]:
-        """(defining polynomial, isolating interval) form of each curvature."""
-        return [AlgebraicNumber.from_quadext(v) for v in self.spectrum]
-
-    def spectrum_intervals(self, width=Fraction(1, 10**12)) -> list[tuple[Fraction, Fraction]]:
-        return [v.interval(Fraction(width)) for v in self.spectrum]
-
     def power_sum_intervals(self, width=Fraction(1, 10**12)) -> dict[str, tuple[Fraction, Fraction]]:
         return {k: v.interval(Fraction(width)) for k, v in self.power_sums.items()}
-
-    def mirrored(self) -> "ModelHypersurface":
-        """The sign-flipped model lam -> -lam."""
-        ordered = _sort_quad([-v for v in self.spectrum])
-        return ModelHypersurface(
-            name=self.name + "_mirrored",
-            spectrum=tuple(ordered),
-            multiplicities=_mults_of(ordered),
-            h_all_zero=self.h_all_zero,
-            notes=self.notes,
-        )
 
 
 def _sort_quad(vals: list[QuadExt]) -> list[QuadExt]:

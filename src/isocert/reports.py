@@ -4,9 +4,11 @@ A run produces a JSON array of records, one per check, each carrying the
 schema version, a stable claim identifier, a status, and a payload.  The
 serialization is byte-deterministic: keys sorted, no timestamps, floats
 through repr.  Exit codes: 0 all pass, 1 any failure, 2 any inconclusive
-certificate, 3 any documented discrepancy, 64 usage error (bad input),
-70 internal error (a fault of the program itself, such as a pole met
-mid-computation, a monomial exponent overflow or a malformed record).
+certificate, 3 any documented discrepancy, 64 usage error (bad input,
+refused by the CLI's parser before any computation), 70 internal error (a
+fault of the program itself: any exception raised during a run, such as a
+pole met mid-computation, a monomial exponent overflow, a malformed record
+or a library's ValueError).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from isocert import cli, identities, reports
+from isocert import certify, cli, identities, reports
 from isocert.exactalg import MonomialOverflowError, PoleError
 
 ENTRY = [sys.executable, "-m", "isocert"]
@@ -259,6 +259,10 @@ def test_summary_goes_to_stdout_with_out_file(tmp_path):
     reports.InternalError("record 'x': payload 'status' contradicts the record"),
     KeyError("x"),
     RuntimeError("sampler acceptance rate too low"),
+    # Inputs are checked when parsed, so a ValueError or ZeroDivisionError
+    # raised by the run is a fault of the program too.
+    ValueError("form still contains connection generators"),
+    ZeroDivisionError("x"),
 ])
 def test_internal_faults_exit_70(monkeypatch, capsys, fault):
     def broken(name, mode="symbolic"):
@@ -269,6 +273,33 @@ def test_internal_faults_exit_70(monkeypatch, capsys, fault):
     assert code == reports.EXIT_INTERNAL == 70
     err = capsys.readouterr().err
     assert "internal error" in err and "usage error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "band", "--S", "-1"],
+    ["certify", "li", "--cross-check", "-5"],
+    ["mollifier", "--delta", "0.1", "--samples", "0"],
+    ["cutoff", "--eps", "0.3", "--samples", "0"],
+    ["certify", "band", "--eps0", "1/20", "--delta1", "1/10"],
+    ["solve", "--system", "I", "--S", "12", "--A3", "0", "--precision", "1e-300"],
+    # Positive, but the default tau or a smoothing width rounds to 0.0.
+    ["pipeline", "--S", "1e-400", "--A3", "0", "--eps0", "1/10", "--delta1", "1/20"],
+    ["pipeline", "--S", "8", "--A3", "1", "--eps0", "1/10", "--delta1", "1e-400"],
+])
+def test_bad_input_is_refused_before_the_run(tmp_path, capsys, argv):
+    path = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(path), "--quiet"]) == reports.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "usage error" in err and "internal error" not in err and "division" not in err
+    assert out == "" and not path.exists()
+
+
+def test_band_at_S_zero_is_trivial():
+    out = run_cli("certify", "band", "--S", "0", "--quiet")
+    assert out.returncode == 0
+    recs = json.loads(out.stdout)
+    assert len(recs) == len(certify.BAND_QUANTITIES)
+    assert {r["status"] for r in recs} == {"trivial"}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])

@@ -63,18 +63,6 @@ def test_power_sum_interval_widths():
         m = gx.get_model(name)
         for lo, hi in m.power_sum_intervals(F(1, 10**12)).values():
             assert hi - lo <= F(1, 10**12)
-        for lo, hi in m.spectrum_intervals(F(1, 10**12)):
-            assert hi - lo <= F(1, 10**12)
-
-
-def test_algebraic_spectrum_representation():
-    m = gx.clifford_torus(1)
-    algs = m.algebraic_spectrum()
-    # Largest curvature is sqrt(3): minimal polynomial x^2 - 3.
-    top = algs[-1]
-    assert top.sign_of(tuple(F(c) for c in (-3, 0, 1))) == 0
-    lo, hi = top.interval(F(1, 10**12))
-    assert hi - lo <= F(1, 10**12)
 
 
 def test_okumura_equality_exactly_at_one_repeated_triple():
@@ -90,15 +78,6 @@ def test_okumura_equality_exactly_at_one_repeated_triple():
             assert is_equality  # degenerate 0 = 0
         else:
             assert not is_equality
-
-
-def test_negation_symmetry():
-    for name in gx.catalog_names():
-        m = gx.get_model(name)
-        mm = m.mirrored()
-        assert (mm.S - m.S).sign() == 0
-        assert (mm.A3 + m.A3).sign() == 0
-    assert (gx.clifford_torus(3).A3 - gx.clifford_torus(1).mirrored().A3).sign() == 0
 
 
 def test_scalar_curvature_relation():

@@ -153,7 +153,7 @@ def test_algebraic_number_needs_an_isolating_interval():
     with pytest.raises(ValueError):
         AlgebraicNumber(cubic, F(0), F(4))
     two = AlgebraicNumber(cubic, F(3, 2), F(5, 2))
-    assert two.refine(F(1, 1000)).compare(AlgebraicNumber.from_rational(2)) == 0
+    assert two.refine(F(1, 1000)).compare(AlgebraicNumber(up.upoly([-2, 1]), F(2), F(2))) == 0
 
 
 def test_refined_numbers_share_the_sturm_chain(monkeypatch):
