@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from isocert import certify, cli, identities, reports
+from isocert import certify, cli, identities, mollify, reports
 from isocert.exactalg import MonomialOverflowError, PoleError
 
 ENTRY = [sys.executable, "-m", "isocert"]
@@ -208,6 +208,22 @@ def test_golden_exact_sign_certificates(argv, golden):
     out = run_cli(*argv, "--quiet")
     assert out.returncode == 0
     assert out.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("mollifier", "--delta", "0.05", "--samples", "1000", "--quiet"), "mollifier_0.05_1000.json"),
+    (("mollifier", "--delta", "0.5", "--samples", "64", "--emit", "csv"), "mollifier_0.5_64.csv"),
+])
+def test_golden_smoothing_reports(argv, golden):
+    out = run_cli(*argv)
+    assert out.returncode == 0
+    assert out.stdout == (GOLDEN / golden).read_text()
+
+
+def test_golden_gap_value_record():
+    rep = mollify.gap_value_property_report(0.05, 0.1, samples=1000)
+    recs = [reports.check_record("gap_value_properties", rep.pop("status"), rep)]
+    assert reports.render(recs) == (GOLDEN / "gap_value_0.05_0.1_1000.json").read_text()
 
 
 def test_removed_near_radius_flag_is_a_usage_error():
