@@ -374,9 +374,12 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
     if not (0 < delta1 < eps0):
         raise ValueError("requires 0 < delta1 < eps0")
     regions = {side: _band_region(side, S, A3, eps0, delta1) for side in "gf"}
-    if S <= 0:
+    # 3 A3^2 <= S^3 bounds p3 on the sphere p1 = 0, p2 = S (n = 4), exactly.
+    empty = ("the constraint sphere is a point" if S <= 0
+             else "A3 beyond the cubic bound" if (S**3 - A3 * A3 * 3).sign() < 0 else None)
+    if empty:
         return [Certificate(claim=f"band_{q}", region=regions[BAND_QUANTITIES[q][0]], margin=0.0,
-                            status="trivial", notes=["empty band: the constraint sphere is a point"])
+                            status="trivial", notes=[f"empty band: {empty}"])
                 for q in quantities]
     certs = {q: _b_sign_certificate(q, side, key, regions[side])
              for q in quantities for side, key in [BAND_QUANTITIES[q]] if key.startswith("B")}

@@ -36,6 +36,8 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
+
 from . import certify, configsolve, geomex, identities, mollify, reports
 from .reports import check_record
 
@@ -163,12 +165,9 @@ def _write_out(path: str, text: str) -> None:
 def run_mollifier(args) -> tuple[list[dict], int]:
     if args.emit == "csv":
         m = mollify.Mollifier(args.delta)
-        ts = [(-2 * args.delta) + 4 * args.delta * i / (args.samples - 1) for i in range(args.samples)]
-        rows = [
-            [t, m.value(t, via_quadrature=True), m.derivative(t), m.second_derivative(t), abs(t)]
-            for t in ts
-        ]
-        _emit_csv(rows, ["t", "h", "h_prime", "h_second", "abs_t"], args.out)
+        t = (-2 * args.delta) + 4 * args.delta * np.arange(args.samples) / (args.samples - 1)
+        cols = [t, m.value(t, via_quadrature=True), m.derivative(t), m.second_derivative(t), np.abs(t)]
+        _emit_csv(np.column_stack(cols).tolist(), ["t", "h", "h_prime", "h_second", "abs_t"], args.out)
         return [], reports.EXIT_PASS
     rep = mollify.mollifier_property_report(args.delta, samples=args.samples)
     recs = [check_record("mollifier_properties", rep.pop("status"), rep)]
@@ -208,7 +207,7 @@ def run_examples(args) -> tuple[list[dict], int]:
         return recs, reports.EXIT_PASS
     rep = geomex.check_model(geomex.get_model(args.check), args.theorem)
     recs = [check_record(f"model_{args.check}_theorem_{args.theorem}", rep.pop("status"), rep)]
-    if args.format == "text":
+    if args.format == "text" and not args.quiet:
         rec = recs[0]
         lines = [f"{rec['name']}: {rec['status']}"]
         for part, label in (("hypotheses", "hypothesis"), ("conclusions", "conclusion"),

@@ -44,16 +44,56 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows per block of node evaluations: it bounds the (rows x nodes) arrays a
+# batch of quadratures holds at once, so peak memory does not grow with the
+# number of sample points.
+_ROW_BLOCK = 64
+
+
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gl_integrate(fn, a: float, b: float, order: int) -> float:
+def _gl_rows(fn, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Gauss-Legendre (mass, first moment) of fn over each row [a_j, b_j].
+
+    Returns a (2, rows) array.  fn is evaluated once per node block and
+    feeds both integrals.  Each row takes the nodes of a one-interval rule
+    and its own 1-D `np.dot`, so every integral has the bits of integrating
+    that interval alone: a 2-D product may add the terms in another order.
+    """
     x, wts = _gl_nodes(order)
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    return float(half * np.dot(wts, fn(mid + half * x)))
+    out = np.empty((2, len(a)))
+    for lo in range(0, len(a), _ROW_BLOCK):
+        blk = slice(lo, lo + _ROW_BLOCK)
+        mid, half = (a[blk] + b[blk]) / 2, (b[blk] - a[blk]) / 2
+        s = mid[:, None] + half[:, None] * x
+        rho = fn(s)
+        for j, (h, r, sr) in enumerate(zip(half, rho, s * rho), lo):
+            out[0, j], out[1, j] = h * np.dot(wts, r), h * np.dot(wts, sr)
+    return out
+
+
+def _points(t) -> tuple[np.ndarray, tuple]:
+    """t as a flat float array, with the shape to give the result back."""
+    arr = np.asarray(t, dtype=float)
+    return arr.reshape(-1), arr.shape
+
+
+def _shaped(vals: np.ndarray, shape: tuple):
+    """A float for a scalar argument, else an array of the argument's shape."""
+    return float(vals[0]) if shape == () else vals.reshape(shape)
+
+
+def _worst_above(values) -> float:
+    """The running Python max of values from a 0.0 start: NaNs and ties keep the 0.0."""
+    return max(0.0, float(np.fmax.reduce(values, axis=None, initial=0.0)))
+
+
+def _worst_below(values) -> float:
+    """The running Python min of values from a 0.0 start: NaNs and ties keep the 0.0."""
+    return min(0.0, float(np.fmin.reduce(values, axis=None, initial=0.0)))
 
 
 @lru_cache(maxsize=1)
@@ -63,7 +103,7 @@ def _bump_mass() -> float:
     prev = None
     while True:
         edges = np.linspace(-1.0, 1.0, panels + 1)
-        total = sum(_gl_integrate(_bump_raw, edges[i], edges[i + 1], 40) for i in range(panels))
+        total = float(sum(_gl_rows(_bump_raw, edges[:-1], edges[1:], 40)[0]))
         if prev is not None and abs(total - prev) <= 1e-15:
             return total
         prev = total
@@ -73,7 +113,12 @@ def _bump_mass() -> float:
 
 
 class Mollifier:
-    """Smooth even convex approximation of |t|, exact outside [-delta, delta]."""
+    """Smooth even convex approximation of |t|, exact outside [-delta, delta].
+
+    `value`, `derivative` and `second_derivative` take a float, giving a
+    float, or an array of points, giving an array; each element has the
+    bits that evaluating its point alone gives.
+    """
 
     def __init__(self, delta: float, tol: float = 1e-13, panels: int = 64):
         if delta <= 0:
@@ -93,97 +138,87 @@ class Mollifier:
         w = self.width
         while True:
             edges = np.linspace(-w, w, panels + 1)
-            m0 = np.empty(panels)
-            m1 = np.empty(panels)
-            err = 0.0
-            for i in range(panels):
-                a, b = edges[i], edges[i + 1]
-                v20 = _gl_integrate(self.density, a, b, 20)
-                v32 = _gl_integrate(self.density, a, b, 32)
-                m0[i] = v32
-                err = max(err, abs(v32 - v20))
-                s20 = _gl_integrate(lambda s: s * self.density(s), a, b, 20)
-                s32 = _gl_integrate(lambda s: s * self.density(s), a, b, 32)
-                m1[i] = s32
-                err = max(err, abs(s32 - s20))
+            m0, m1 = moments = _gl_rows(self.density, edges[:-1], edges[1:], 32)
+            err = _worst_above(np.abs(moments - _gl_rows(self.density, edges[:-1], edges[1:], 20)))
             if err <= tol or panels >= 1024:
                 return (edges, m0, m1), err
             panels *= 2
 
-    def _partial(self, a: float, t: float) -> tuple[float, float]:
-        """(mass, first moment) of rho over [a, t] inside one panel."""
-        if t <= a:
-            return 0.0, 0.0
-        return (
-            _gl_integrate(self.density, a, t, 32),
-            _gl_integrate(lambda s: s * self.density(s), a, t, 32),
-        )
+    def _partials(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mass, first moment) of rho from each point's panel start up to the point.
 
-    def value(self, t: float, via_quadrature: bool = False) -> float:
-        """h(t) = integral of rho(s) |t - s| ds."""
-        t = float(t)
-        w = self.width
-        if abs(t) >= w and not via_quadrature:
-            # Outside the support the integrand is linear, the bump is even,
-            # and the convolution collapses to |t| exactly.
-            return abs(t)
+        Both are 0 for a point that no panel straddles (edges[k] < t < edges[k+1]).
+        """
+        edges = self.panels[0]
+        k = np.searchsorted(edges, t) - 1      # edges[k] < t <= edges[k + 1]
+        cut = (k >= 0) & (t < edges[np.minimum(k + 1, len(edges) - 1)])
+        lm = np.zeros((2, len(t)))
+        lm[:, cut] = _gl_rows(self.density, edges[k[cut]], t[cut], 32)
+        return lm[0], lm[1]
+
+    def _convolve(self, t: np.ndarray) -> np.ndarray:
+        """Integral of rho(s) |t - s| ds by panels, in the panel order of one point."""
         edges, m0, m1 = self.panels
-        total = 0.0
+        lm0, lm1 = self._partials(t)
+        cut_left = t * lm0 - lm1
+        # Adding 0.0 keeps the bits: a sum started at +0.0 is never -0.0.
+        total = np.zeros_like(t)
         for i in range(len(m0)):
-            a, b = edges[i], edges[i + 1]
-            if b <= t:
-                total += t * m0[i] - m1[i]
-            elif a >= t:
-                total += m1[i] - t * m0[i]
-            else:
-                lm0, lm1 = self._partial(a, t)
-                total += t * lm0 - lm1
-                total += (m1[i] - lm1) - t * (m0[i] - lm0)
+            left, right = edges[i + 1] <= t, edges[i] >= t
+            tm = t * m0[i]
+            total += np.where(left, tm - m1[i], np.where(right, m1[i] - tm, cut_left))
+            # The straddling panel's right part comes second, as a term of its own.
+            total += np.where(left | right, 0.0, (m1[i] - lm1) - t * (m0[i] - lm0))
         return total
 
-    def derivative(self, t: float) -> float:
-        """h'(t) = 2 P(t) - 1 with P the distribution function of rho."""
-        t = float(t)
-        w = self.width
-        if t <= -w:
-            return -1.0
-        if t >= w:
-            return 1.0
-        edges, m0, _ = self.panels
-        mass = 0.0
-        for i in range(len(m0)):
-            a, b = edges[i], edges[i + 1]
-            if b <= t:
-                mass += m0[i]
-            elif a >= t:
-                break
-            else:
-                mass += self._partial(a, t)[0]
-        return 2.0 * mass - 1.0
+    def value(self, t, via_quadrature: bool = False):
+        """h(t) = integral of rho(s) |t - s| ds."""
+        t, shape = _points(t)
+        h = np.abs(t)
+        # Outside the support the integrand is linear, the bump is even,
+        # and the convolution collapses to |t| exactly.
+        near = slice(None) if via_quadrature else h < self.width
+        h[near] = self._convolve(t[near])
+        return _shaped(h, shape)
 
-    def second_derivative(self, t: float) -> float:
+    def derivative(self, t):
+        """h'(t) = 2 P(t) - 1 with P the distribution function of rho."""
+        t, shape = _points(t)
+        edges, m0, _ = self.panels
+        lm0, _ = self._partials(t)
+        mass = np.zeros_like(t)
+        for i in range(len(m0)):
+            mass += np.where(edges[i + 1] <= t, m0[i], np.where(edges[i] >= t, 0.0, lm0))
+        w = self.width
+        return _shaped(np.where(t <= -w, -1.0, np.where(t >= w, 1.0, 2.0 * mass - 1.0)), shape)
+
+    def second_derivative(self, t):
         """h''(t) = 2 rho(t), manifestly nonnegative."""
-        return 2.0 * float(self.density(float(t)))
+        return 2.0 * self.density(t)
 
 
 @dataclass(frozen=True)
 class GapPair:
-    """Squared gap pair (f, g) with the uniform floor f + g >= 2 eps0."""
+    """Squared gap pair (f, g) with the uniform floor f + g >= 2 eps0.
 
-    f: float
-    g: float
+    f and g are floats or arrays of pairs; every pair must hold.
+    """
+
+    f: float | np.ndarray
+    g: float | np.ndarray
     eps0: float
 
     def __post_init__(self):
-        if self.f < 0 or self.g < 0:
+        f, g = np.asarray(self.f), np.asarray(self.g)
+        if np.any(f < 0) or np.any(g < 0):
             raise ValueError("squared gaps must be nonnegative")
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
-        if self.f + self.g < 2 * self.eps0 - 1e-15:
+        if np.any(f + g < 2 * self.eps0 - 1e-15):
             raise ValueError("pair violates the floor f + g >= 2*eps0")
 
 
-def build_K(pair: GapPair, moll: Mollifier) -> float:
+def build_K(pair: GapPair, moll: Mollifier):
     """K = (f+g)/2 - h(f-g)/2; equals min(f, g) once |f-g| >= delta.
 
     Requires delta <= eps0, which is what makes the positive lower bound
@@ -254,29 +289,23 @@ def mollifier_property_report(delta: float, samples: int = 10_000) -> dict:
     """
     m = Mollifier(delta)
     n_in = samples // 2
-    inner = _golden_points(n_in, -delta, delta)
-    outer = _golden_points(samples - n_in, delta, 4 * delta)
-    worst_lower = 0.0       # most negative h - |t|
-    worst_outside = 0.0     # |h - |t|| outside the smoothing window
-    worst_even = 0.0
-    worst_slope = 0.0       # excess of |h'| over 1
-    worst_convex = 0.0      # most negative analytic h''
-    worst_fd = 0.0          # most negative finite-difference h''
+    inner = np.array(_golden_points(n_in, -delta, delta))
+    outer = np.array(_golden_points(samples - n_in, delta, 4 * delta))
+    t = np.concatenate([inner, outer, -outer])
+    h = m.value(t)
+    h1 = m.derivative(t)
+    far = t[np.abs(t) >= delta]
     step = 1e-3
-    fd_points = inner[:: max(1, len(inner) // 200)]
-    for t in inner + outer + [-t for t in outer]:
-        h = m.value(t)
-        worst_lower = min(worst_lower, h - abs(t))
-        worst_even = max(worst_even, abs(h - m.value(-t)))
-        worst_slope = max(worst_slope, abs(m.derivative(t)) - 1.0)
-        worst_convex = min(worst_convex, m.second_derivative(t))
-        if t >= 0 and m.derivative(t) < -1e-12:
-            worst_slope = max(worst_slope, -m.derivative(t))
-        if abs(t) >= delta:
-            worst_outside = max(worst_outside, abs(m.value(t, via_quadrature=True) - abs(t)))
-    for t in fd_points:
-        fd = (m.value(t + step, True) - 2 * m.value(t, True) + m.value(t - step, True)) / step**2
-        worst_fd = min(worst_fd, fd)
+    fd_t = inner[:: max(1, len(inner) // 200)]
+    fd = (m.value(fd_t + step, True) - 2 * m.value(fd_t, True) + m.value(fd_t - step, True)) / step**2
+    worst_lower = _worst_below(h - np.abs(t))      # most negative h - |t|
+    # |h - |t|| outside the smoothing window
+    worst_outside = _worst_above(np.abs(m.value(far, via_quadrature=True) - np.abs(far)))
+    worst_even = _worst_above(np.abs(h - m.value(-t)))
+    # excess of |h'| over 1, and h' < 0 for t >= 0
+    worst_slope = _worst_above(np.concatenate([np.abs(h1) - 1.0, -h1[(t >= 0) & (h1 < -1e-12)]]))
+    worst_convex = _worst_below(m.second_derivative(t))    # most negative analytic h''
+    worst_fd = _worst_below(fd)                             # most negative finite-difference h''
     h0 = m.value(0.0)
     ok = (
         worst_lower >= -1e-12
@@ -316,10 +345,7 @@ def gap_value_property_report(delta: float, eps0: float, samples: int = 100_000,
         raise ValueError("needs delta <= eps0")
     rng = random.Random(seed)
     m = Mollifier(delta)
-    worst_min_gap = 0.0      # |K - min(f,g)| on the exact regime
-    worst_floor = 0.0        # shortfall below eps0 - delta/2 on the smoothed regime
-    worst_nonneg = 0.0
-    n_exact = n_smooth = 0
+    fs, gs = [], []
     for _ in range(samples):
         if rng.random() < 0.5:
             g = eps0 * (0.2 + 3 * rng.random())
@@ -335,15 +361,18 @@ def gap_value_property_report(delta: float, eps0: float, samples: int = 100_000,
                 g = 0.0
             if f + g < 2 * eps0:
                 g = max(g, 2 * eps0 - f)
-        pair = GapPair(f, g, eps0)
-        K = build_K(pair, m)
-        worst_nonneg = min(worst_nonneg, K)
-        if abs(f - g) >= delta:
-            n_exact += 1
-            worst_min_gap = max(worst_min_gap, abs(K - min(f, g)))
-        else:
-            n_smooth += 1
-            worst_floor = max(worst_floor, (eps0 - delta / 2) - K)
+        fs.append(f)
+        gs.append(g)
+    f, g = np.array(fs), np.array(gs)
+    K = build_K(GapPair(f, g, eps0), m)
+    exact = np.abs(f - g) >= delta
+    n_exact = int(exact.sum())
+    n_smooth = samples - n_exact
+    # |K - min(f,g)| on the exact regime
+    worst_min_gap = _worst_above(np.abs(K[exact] - np.minimum(f, g)[exact]))
+    # shortfall below eps0 - delta/2 on the smoothed regime
+    worst_floor = _worst_above((eps0 - delta / 2) - K[~exact])
+    worst_nonneg = _worst_below(K)
     ok = worst_min_gap <= 1e-12 and worst_floor <= 1e-12 and worst_nonneg >= -1e-12
     return {
         "status": "pass" if ok else "fail",

@@ -248,6 +248,15 @@ def test_band_radical_a3():
     assert cert.status in ("proved", "trivial")
 
 
+@pytest.mark.parametrize("A3", [100, "sqrt(171)", -100])
+def test_band_beyond_the_cubic_bound_is_trivial(A3):
+    # 3 A3^2 > S^3 = 512: no point with p1 = 0 and p2 = 8 has p3 = A3.
+    certs = ct.certify_band(8, A3, F(1, 10), F(1, 20))
+    assert [c.claim for c in certs] == [f"band_{q}" for q in ct.BAND_QUANTITIES]
+    assert {(c.status, tuple(c.notes)) for c in certs} == {
+        ("trivial", ("empty band: A3 beyond the cubic bound",))}
+
+
 def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
     """Reference: the branch and bound of one quantity on a frontier of its own."""
     side, key = ct.BAND_QUANTITIES[quantity]

@@ -318,6 +318,13 @@ def test_band_at_S_zero_is_trivial():
     assert {r["status"] for r in recs} == {"trivial"}
 
 
+def test_examples_quiet_writes_no_clause_listing(capsys):
+    assert cli.main(["examples", "--check", "g4", "--theorem", "3", "--quiet"]) == reports.EXIT_PASS
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)[0]["status"] == "pass"
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
 def test_bad_worker_counts_are_usage_errors(monkeypatch, capsys, value):
     argv = ["examples", "--list", "--quiet"]

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isocert import mollify as mf
 
@@ -10,6 +12,158 @@ from isocert import mollify as mf
 @pytest.fixture(scope="module")
 def moll():
     return mf.Mollifier(0.5)
+
+
+# -- the scalar reference: the point-by-point loops the array kernel replaced ----
+
+def _ref_gl(fn, a, b, order):
+    x, wts = mf._gl_nodes(order)
+    mid = (a + b) / 2
+    half = (b - a) / 2
+    return float(half * np.dot(wts, fn(mid + half * x)))
+
+
+def _ref_bump_mass():
+    panels = 8
+    prev = None
+    while True:
+        edges = np.linspace(-1.0, 1.0, panels + 1)
+        total = sum(_ref_gl(mf._bump_raw, edges[i], edges[i + 1], 40) for i in range(panels))
+        if prev is not None and abs(total - prev) <= 1e-15:
+            return total
+        prev = total
+        panels *= 2
+        if panels > 4096:
+            return total
+
+
+def _ref_tables(m, panels=64, tol=1e-13):
+    w = m.width
+    while True:
+        edges = np.linspace(-w, w, panels + 1)
+        m0 = np.empty(panels)
+        m1 = np.empty(panels)
+        err = 0.0
+        for i in range(panels):
+            a, b = edges[i], edges[i + 1]
+            v20 = _ref_gl(m.density, a, b, 20)
+            v32 = _ref_gl(m.density, a, b, 32)
+            m0[i] = v32
+            err = max(err, abs(v32 - v20))
+            s20 = _ref_gl(lambda s: s * m.density(s), a, b, 20)
+            s32 = _ref_gl(lambda s: s * m.density(s), a, b, 32)
+            m1[i] = s32
+            err = max(err, abs(s32 - s20))
+        if err <= tol or panels >= 1024:
+            return (edges, m0, m1), err
+        panels *= 2
+
+
+def _ref_partial(m, a, t):
+    if t <= a:
+        return 0.0, 0.0
+    return _ref_gl(m.density, a, t, 32), _ref_gl(lambda s: s * m.density(s), a, t, 32)
+
+
+def _ref_value(m, t, via_quadrature=False):
+    t = float(t)
+    if abs(t) >= m.width and not via_quadrature:
+        return abs(t)
+    edges, m0, m1 = m.panels
+    total = 0.0
+    for i in range(len(m0)):
+        a, b = edges[i], edges[i + 1]
+        if b <= t:
+            total += t * m0[i] - m1[i]
+        elif a >= t:
+            total += m1[i] - t * m0[i]
+        else:
+            lm0, lm1 = _ref_partial(m, a, t)
+            total += t * lm0 - lm1
+            total += (m1[i] - lm1) - t * (m0[i] - lm0)
+    return total
+
+
+def _ref_derivative(m, t):
+    t = float(t)
+    if t <= -m.width:
+        return -1.0
+    if t >= m.width:
+        return 1.0
+    edges, m0, _ = m.panels
+    mass = 0.0
+    for i in range(len(m0)):
+        a, b = edges[i], edges[i + 1]
+        if b <= t:
+            mass += m0[i]
+        elif a >= t:
+            break
+        else:
+            mass += _ref_partial(m, a, t)[0]
+    return 2.0 * mass - 1.0
+
+
+def _ref_second_derivative(m, t):
+    return 2.0 * float(m.density(float(t)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_matches_reference(m, ts):
+    ts = np.asarray(ts, dtype=float)
+    for fn, ref in ((lambda t: m.value(t), lambda t: _ref_value(m, t)),
+                    (lambda t: m.value(t, True), lambda t: _ref_value(m, t, True)),
+                    (m.derivative, lambda t: _ref_derivative(m, t)),
+                    (m.second_derivative, lambda t: _ref_second_derivative(m, t))):
+        want = [ref(t) for t in ts]
+        assert np.array_equal(_bits(fn(ts)), _bits(want))
+        # A float in gives the same bits, as a float.
+        one = fn(float(ts[0]))
+        assert type(one) is float and _bits(one) == _bits(want[0])
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.05, 2.0, 0.013, 1e-3])
+def test_tables_match_the_reference(delta):
+    assert mf._bump_mass() == _ref_bump_mass()
+    m = mf.Mollifier(delta)
+    (edges, m0, m1), err = _ref_tables(m)
+    for got, want in zip(m.panels, (edges, m0, m1)):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert type(m.quadrature_error) is float and _bits(m.quadrature_error) == _bits(err)
+
+
+def test_kernel_matches_the_reference_at_special_points():
+    m = mf.Mollifier(0.5)
+    edges, w = m.panels[0], m.width
+    inside = np.linspace(-0.999 * w, 0.999 * w, 2 * mf._ROW_BLOCK + 1)   # straddlers past a block
+    special = [0.0, -0.0, w, -w, m.delta, -m.delta, np.nextafter(w, 0), np.nextafter(-w, 0),
+               1e-300, -1e-300, 5.0, -5.0]
+    near_edges = np.concatenate([edges, np.nextafter(edges, -1), np.nextafter(edges, 1)])
+    _assert_matches_reference(m, np.concatenate([inside, special, near_edges]))
+    _assert_matches_reference(m, inside[: mf._ROW_BLOCK])
+    _assert_matches_reference(m, inside[: mf._ROW_BLOCK + 1])
+
+
+@given(delta=st.floats(1e-3, 10.0),
+       us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=80))
+@settings(max_examples=40, deadline=None)
+@example(delta=0.05, us=[0.0, 1.0, -1.0, 0.5, -0.5, 2.0])
+def test_kernel_matches_the_reference(delta, us):
+    # Points in units of the half-width w, so most land in the window.
+    m = mf.Mollifier(delta)
+    _assert_matches_reference(m, np.array(us) * m.width)
+
+
+def test_kernel_keeps_the_argument_shape(moll):
+    ts = np.linspace(-0.3, 0.3, 12).reshape(3, 4)
+    for fn in (moll.value, moll.derivative, moll.second_derivative):
+        got = fn(ts)
+        assert got.shape == (3, 4)
+        assert np.array_equal(_bits(got.ravel()), _bits(fn(ts.ravel())))
+    assert moll.value(np.empty(0)).shape == (0,)
+    assert moll.derivative(np.empty(0)).shape == (0,)
 
 
 def test_equals_abs_outside_window(moll):
@@ -70,6 +224,24 @@ def test_gap_pair_validation():
     with pytest.raises(ValueError):
         mf.GapPair(0.1, 0.1, 0.5)  # f + g < 2 eps0
     mf.GapPair(0.5, 0.5, 0.5)
+    # Arrays of pairs: every pair must hold.
+    with pytest.raises(ValueError):
+        mf.GapPair(np.array([1.0, -1.0]), np.array([1.0, 2.0]), 0.5)
+    with pytest.raises(ValueError):
+        mf.GapPair(np.array([1.0, 0.1]), np.array([1.0, 0.1]), 0.5)
+    with pytest.raises(ValueError):
+        mf.GapPair(np.array([1.0]), np.array([1.0]), 0.0)
+    mf.GapPair(np.array([0.5, 3.0]), np.array([0.5, 0.0]), 0.5)
+
+
+def test_K_over_arrays_matches_pairs(moll):
+    f = np.array([3.0, 0.0, 0.6, 0.7, 0.55, 1.2])
+    g = np.array([1.0, 1.2, 0.6, 0.5, 0.65, 0.0])
+    K = mf.build_K(mf.GapPair(f, g, 0.6), moll)
+    want = [mf.build_K(mf.GapPair(a, b, 0.6), moll) for a, b in zip(f.tolist(), g.tolist())]
+    assert np.array_equal(_bits(K), _bits(want))
+    with pytest.raises(ValueError):
+        mf.build_K(mf.GapPair(f, g, 0.4), moll)     # delta = 0.5 > eps0
 
 
 def test_K_min_regime(moll):
