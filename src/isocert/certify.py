@@ -27,7 +27,8 @@ per quantity, so every quantity walks the cells it would walk alone.
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
 certifiers expand them over exact polynomials or evaluate them over
-intervals, the exact cross-check over integers extended by sqrt(disc).
+intervals, and the cross-check over intervals as a filter, falling back to
+integers extended by sqrt(disc) where an enclosure touches 0.
 The tests check the gap form equal to the printed products exactly and
 every band enclosure against exact rational values.
 """
@@ -45,7 +46,7 @@ from . import identities
 from .algebraic import QuadExt, _sqrt_bounds, quad_sign
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
-from .vinterval import VI, down, float_down, up
+from .vinterval import VI, down, float_down, float_up, up
 
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
@@ -238,56 +239,202 @@ class _QuadInt:
         return _QuadInt(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D)
 
 
-def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
-    """Exact-arithmetic spot check: gamma*L_i < 0 at random feasible points.
+# randrange(0, 4097) keeps the top 13 bits of a Mersenne Twister word and
+# draws again while they are >= 4097; randrange(-4096, 4097) keeps the top
+# 14 and draws again while they are >= 8193.  A word below _P1_TOP is kept
+# by the first, one below _P2_TOP by both.
+_P1_TOP = 4097 << 19
+_P2_TOP = 8193 << 18
+_DRAW_WORDS = 2**13     # words per bulk draw; bounds the arrays one draw holds
+_SIGN_BLOCK = 2**10     # accepted points held for one batch of the sign filter; bounds its arrays
 
-    Points are sampled as dyadic rationals in the chart and every quantity
-    is scaled to integers over a common denominator, so each of the four
-    product signs is decided by exact integer arithmetic in the extension
-    by sqrt(disc); no floating point enters at all.
+
+def _pair_draws(rng: random.Random):
+    """Yield the pairs (randrange(0, 4097), randrange(-4096, 4097)) that
+    alternating calls on `rng` would return, as chunks of two int64 arrays.
+
+    getrandbits(32 N) is the next N Mersenne Twister words, the first one
+    least significant, so one call draws a chunk.  Every word the second
+    draw keeps, the first keeps too; so the kept words alternate between the
+    two, except that a word in [_P2_TOP, _P1_TOP) in a second-draw slot (about
+    1 in 8194) is dropped there and the words after it move up one slot.
     """
-    S = Fraction(S)
-    tau = Fraction(tau).limit_denominator(10**6)
-    rng = random.Random(seed)
-    bound = _sqrt_bounds(S, Fraction(1, 1000))[1]
-    den = 2**12
-    # Common scale q: lam = integer / q with S q^2 an integer.
-    q = den * bound.denominator * S.denominator
-    bn = bound.numerator * S.denominator
-    Sq2 = S.numerator * S.denominator * (den * bound.denominator) ** 2
-    tn, td = tau.numerator, tau.denominator
-    two_q = 2 * q
-    accepted = 0
-    attempts = 0
-    violations = []
-    while accepted < count:
-        attempts += 1
-        if attempts > 400 * count:
-            raise RuntimeError("sampler acceptance rate too low")
-        P1 = -rng.randrange(0, den + 1) * bn
-        P2 = rng.randrange(-den, den + 1) * bn
+    pending = np.empty(0, np.uint32)    # a first-draw word whose partner is in the next chunk
+    while True:
+        words = np.frombuffer(rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little"),
+                              "<u4")
+        kept = np.concatenate([pending, words[words < _P1_TOP]])
+        dropped: list[int] = []
+        for i in np.flatnonzero(kept >= _P2_TOP).tolist():
+            if (i - len(dropped)) % 2:      # a second-draw slot once the earlier drops are gone
+                dropped.append(i)
+        kept = np.delete(kept, dropped)
+        n = len(kept) // 2
+        pending = kept[2 * n:]
+        yield ((kept[:2 * n:2] >> 19).astype(np.int64),
+               (kept[1:2 * n:2] >> 18).astype(np.int64) - 4096)
+
+
+class _LiChart:
+    """The scaled chart of the Li cross-check, exactly and as float enclosures.
+
+    A point is lam1 = P1/q, lam2 = P2/q with P1 = -x bn, P2 = y bn for
+    x = randrange(0, 4097), y = randrange(-4096, 4097), and S q^2 an
+    integer, so disc q^2 = D = 2 (S q^2 - P1^2 - P2^2) - (P1 + P2)^2 is an
+    integer.  The exact route decides each test over integers extended by
+    sqrt(D).  The filter divides every test by a positive integer (bn td or
+    bn^2 td^2), which leaves small integers in x and y, exact as floats, and
+    four rationals, each rounded outward once:
+
+        g21 >= tau    <=>  (x + y) - c1 >= 0,            c1 = tn q / (bn td),
+        D td^2 >= tn^2 q^2  <=>  (r - c1^2) - m >= 0,    r = D/bn^2 + m = 2 S q^2 / bn^2,
+        g32 >= tau    <=>  (x - 3y) - 2 c1 - sqrt(r - m) >= 0,
+
+    with m = 3x^2 + 3y^2 - 2xy, so that D = bn^2 (r - m).  (The exact route
+    also asks D > 0; where the second enclosure lies above 0, D > 0 too, so
+    the filter needs no fourth test.)  Gaps scaled by 2q/bn are
+    g21 = 2(x + y), g32 = (x - 3y) - sqrt(r - m) and g43 = 2 sqrt(r - m);
+    gamma*L_i is homogeneous in the gaps, so its signs are the exact
+    route's.
+    """
+
+    def __init__(self, S: Fraction, tau: Fraction):
+        bound = _sqrt_bounds(S, Fraction(1, 1000))[1]
+        den = 2**12
+        # Common scale q: lam = integer / q with S q^2 an integer.
+        self.q = den * bound.denominator * S.denominator
+        self.bn = bound.numerator * S.denominator
+        self.Sq2 = S.numerator * S.denominator * (den * bound.denominator) ** 2
+        self.tn, self.td = tau.numerator, tau.denominator
+        c1 = Fraction(self.tn * self.q, self.bn * self.td)
+        r = Fraction(2 * self.Sq2, self.bn * self.bn)
+        self.c1, self.c3, self.r, self.r_tau = (
+            VI(float_down(v), float_up(v)) for v in (c1, 2 * c1, r, r - c1 * c1))
+
+    def exact_disc(self, P1: int, P2: int) -> int | None:
+        """D when the point passes the three tests, else None."""
+        q, tn, td = self.q, self.tn, self.td
         # g21 >= tau  <=>  (P2 - P1) td >= tn q.
         if (P2 - P1) * td < tn * q:
-            continue
+            return None
         s_num = -(P1 + P2)
-        D = 2 * (Sq2 - P1 * P1 - P2 * P2) - s_num * s_num   # disc * q^2
+        D = 2 * (self.Sq2 - P1 * P1 - P2 * P2) - s_num * s_num   # disc * q^2
         # g43 = sqrt(D)/q >= tau  <=>  D td^2 >= tn^2 q^2.
         if D <= 0 or D * td * td < tn * tn * q * q:
-            continue
+            return None
         # All gaps scaled by 2q: value = a + b sqrt(D); g32 = g32a - sqrt(D).
-        g32a = s_num - 2 * P2
         # g32 >= tau  <=>  (g32a td - 2 q tn) - td sqrt(D) >= 0.
-        if quad_sign(g32a * td - two_q * tn, -td, D) < 0:
-            continue
-        accepted += 1
+        if quad_sign((s_num - 2 * P2) * td - 2 * q * tn, -td, D) < 0:
+            return None
+        return D
+
+    @staticmethod
+    def exact_violations(P1: int, P2: int, D: int) -> list[int]:
+        """The i with gamma*L_i >= 0 at an accepted point."""
         g21 = _QuadInt(2 * (P2 - P1), 0, D)
-        g32 = _QuadInt(g32a, -1, D)
+        g32 = _QuadInt(-(P1 + P2) - 2 * P2, -1, D)
         g43 = _QuadInt(0, 2, D)
         g31, g42 = g32 + g21, g43 + g32
         vals = identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
-        for i, v in enumerate(vals, start=1):
-            if quad_sign(v.a, v.b, D) >= 0:
-                violations.append({"i": i, "P1": P1, "P2": P2, "q": q})
+        return [i for i, v in enumerate(vals, start=1) if quad_sign(v.a, v.b, D) >= 0]
+
+    def _disc(self, x: np.ndarray, y: np.ndarray) -> tuple[VI, VI]:
+        """m, and sqrt(r - m) = sqrt(D)/bn (sound wherever D >= 0)."""
+        m = _exact(3 * x * x + 3 * y * y - 2 * x * y)
+        return m, (self.r - m).sqrt_clamped()
+
+    def accepted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mask of the candidates that pass the three tests.
+
+        A candidate the filter leaves undecided goes through `exact_disc`
+        alone.  The root encloses sqrt(D)/bn only where D >= 0; elsewhere
+        the exact route rejects, so a decided rejection is right there too,
+        and a decided pass needs the second test above 0, hence D > 0.
+        """
+        m, root = self._disc(x, y)
+        tests = [_excludes_zero(v) for v in (_exact(x + y) - self.c1, self.r_tau - m,
+                                              _exact(x - 3 * y) - self.c3 - root)]
+        fails = np.logical_or.reduce([d & ~pos for d, pos in tests])
+        passes = np.logical_and.reduce([pos for _, pos in tests])
+        for i in np.flatnonzero(~(fails | passes)).tolist():
+            passes[i] = self.exact_disc(-int(x[i]) * self.bn, int(y[i]) * self.bn) is not None
+        return passes
+
+    def violations(self, x: np.ndarray, y: np.ndarray) -> list[dict]:
+        """The violation records of a batch of accepted points, in order.
+
+        A point with any of its four signs undecided by the filter goes
+        through `exact_violations` alone.
+        """
+        root = self._disc(x, y)[1]
+        g21 = _exact(2 * (x + y))
+        g32 = _exact(x - 3 * y) - root
+        g43 = root.scale(2.0)
+        g31, g42 = g32 + g21, g43 + g32
+        signs = [_excludes_zero(v)
+                 for v in identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)]
+        decided = np.stack([d for d, _ in signs], axis=1).all(axis=1)
+        bad = np.stack([pos for _, pos in signs], axis=1)
+        out = []
+        for k in np.flatnonzero(~decided | bad.any(axis=1)).tolist():
+            P1, P2 = -int(x[k]) * self.bn, int(y[k]) * self.bn
+            found = ((np.flatnonzero(bad[k]) + 1).tolist() if decided[k]
+                     else self.exact_violations(P1, P2, self.exact_disc(P1, P2)))
+            out += [{"i": i, "P1": P1, "P2": P2, "q": self.q} for i in found]
+        return out
+
+
+def _exact(a: np.ndarray) -> VI:
+    """Integers of magnitude below 2^53, each its own float, as point intervals."""
+    return VI(a, a)
+
+
+def _excludes_zero(v: VI) -> tuple[np.ndarray, np.ndarray]:
+    """Where the enclosure excludes 0, and where it lies above 0.
+
+    This is the filter's one decision; NaN endpoints compare false, so they
+    decide nothing.
+    """
+    return (v.lo > 0) | (v.hi < 0), v.lo > 0
+
+
+def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
+    """Exact spot check: gamma*L_i < 0 at random feasible points.
+
+    Points are sampled as dyadic rationals in the chart (see `_LiChart`),
+    drawn in bulk from the stream `random.Random(seed).randrange` gives.
+    Each rejection test and each of the four product signs is decided in
+    floating point only where an outward-rounded enclosure excludes 0;
+    otherwise exactly, by integer arithmetic in the extension by sqrt(disc),
+    for that point alone.  The first `count` accepted points in stream
+    order are checked.
+    """
+    S = Fraction(S)
+    tau = Fraction(tau).limit_denominator(10**6)
+    if S <= 0:
+        # disc <= 0 at every point of the chart, so every candidate is rejected.
+        if count > 0:
+            raise RuntimeError("sampler acceptance rate too low")
+        return {"samples": 0, "violations": [], "seed": seed}
+    chart = _LiChart(S, tau)
+    budget = 400 * count        # candidates examined before giving up
+    accepted = 0
+    held_x, held_y = [], []     # accepted points whose signs are not checked yet
+    violations = []
+    draws = _pair_draws(random.Random(seed))
+    while accepted < count:
+        if not budget:
+            raise RuntimeError("sampler acceptance rate too low")
+        x, y = next(draws)
+        x, y = x[:budget], y[:budget]
+        budget -= len(x)
+        keep = np.flatnonzero(chart.accepted(x, y))[:count - accepted]
+        accepted += len(keep)
+        held_x.append(x[keep])
+        held_y.append(y[keep])
+        if sum(map(len, held_x)) >= _SIGN_BLOCK or accepted == count:
+            violations += chart.violations(np.concatenate(held_x), np.concatenate(held_y))
+            held_x, held_y = [], []
     return {"samples": accepted, "violations": violations, "seed": seed}
 
 
@@ -375,8 +522,12 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
         raise ValueError("requires 0 < delta1 < eps0")
     regions = {side: _band_region(side, S, A3, eps0, delta1) for side in "gf"}
     # 3 A3^2 <= S^3 bounds p3 on the sphere p1 = 0, p2 = S (n = 4), exactly.
+    # On the bound only lam1 = lam2 = lam3 or lam2 = lam3 = lam4 has p3 = A3:
+    # there lam3 = lam2, which neither band admits.
+    cubic = (S**3 - A3 * A3 * 3).sign()
     empty = ("the constraint sphere is a point" if S <= 0
-             else "A3 beyond the cubic bound" if (S**3 - A3 * A3 * 3).sign() < 0 else None)
+             else "A3 beyond the cubic bound" if cubic < 0
+             else "A3 on the cubic bound" if cubic == 0 else None)
     if empty:
         return [Certificate(claim=f"band_{q}", region=regions[BAND_QUANTITIES[q][0]], margin=0.0,
                             status="trivial", notes=[f"empty band: {empty}"])

@@ -22,8 +22,9 @@ raised once the run has started (a library's ValueError included) is a
 fault of the program: it exits 70 with the traceback on stderr, so a crash
 never reads as a failed check.  A flat key=value config file can preset
 any flag of the chosen subcommand; explicit flags win, unknown keys are
-rejected.  The worker count comes from --threads, else the config file,
-else $ISOCERT_THREADS, else 1.
+rejected.  --threads (else the config file, else $ISOCERT_THREADS, else 1)
+is checked like any other input but changes neither results nor speed:
+every run is serial.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -69,12 +69,7 @@ def _identity_record(group: str, modes: tuple[str, ...]) -> dict:
 def run_verify_identities(args) -> tuple[list[dict], int]:
     groups = list(IDENTITY_GROUPS) if args.which == "all" else [args.which]
     modes = ("symbolic", "expanded") if args.mode == "both" else (args.mode,)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            recs = list(pool.map(lambda g: _identity_record(g, modes), groups))
-    else:
-        recs = [_identity_record(g, modes) for g in groups]
-    recs.sort(key=lambda r: list(IDENTITY_GROUPS).index(r["name"]))
+    recs = [_identity_record(g, modes) for g in groups]
     return recs, reports.exit_code(recs)
 
 
@@ -338,8 +333,9 @@ def _int_at_least(low: int):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report array to this path")
     p.add_argument("--config", help="flat key=value file presetting this subcommand's flags")
-    p.add_argument("--threads", type=_int_at_least(1), default=os.environ.get(THREADS_ENV) or "1",
-                   help=f"worker threads, at least 1 (default from ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=_int_at_least(1), default=None,
+                   help=f"worker count, at least 1 (default from ${THREADS_ENV} or 1); "
+                        "changes neither results nor speed: every run is serial")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
@@ -484,6 +480,12 @@ _RUNNERS = {
 
 def _check_combinations(args: argparse.Namespace) -> None:
     """Refuse what no single flag's type can see; fill the defaults that depend on other flags."""
+    if args.threads is None:
+        # Read only now, so that a config file's value outranks the environment's.
+        try:
+            args.threads = _int_at_least(1)(os.environ.get(THREADS_ENV) or "1")
+        except (argparse.ArgumentTypeError, ValueError) as exc:   # ValueError: not an integer
+            raise UsageError(f"${THREADS_ENV}: {exc}") from None
     run = f"certify {args.kind}" if args.command == "certify" else args.command
     if run in ("certify li", "pipeline") and args.S <= 0:
         raise UsageError(f"{run} requires S > 0: the gap chamber is a point at S = 0")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from isocert import certify as ct
 from isocert import frameforms as ff
 from isocert import identities as idn
-from isocert.algebraic import QuadExt, _sqrt_bounds
+from isocert.algebraic import QuadExt, _sqrt_bounds, quad_sign
 from isocert.configsolve import parse_value
 from isocert.exactalg import MultiPoly
 from isocert.vinterval import VI, float_down, float_up
@@ -143,6 +144,162 @@ def test_li_cross_check_deterministic():
     assert a == b
 
 
+def _li_cross_check_reference(S, tau, count=100_000, seed=20260808) -> dict:
+    """Reference: the one-point-at-a-time exact loop the bulk sampler replaced."""
+    S = F(S)
+    tau = F(tau).limit_denominator(10**6)
+    rng = random.Random(seed)
+    bound = _sqrt_bounds(S, F(1, 1000))[1]
+    den = 2**12
+    q = den * bound.denominator * S.denominator
+    bn = bound.numerator * S.denominator
+    Sq2 = S.numerator * S.denominator * (den * bound.denominator) ** 2
+    tn, td = tau.numerator, tau.denominator
+    two_q = 2 * q
+    accepted = 0
+    attempts = 0
+    violations = []
+    while accepted < count:
+        attempts += 1
+        if attempts > 400 * count:
+            raise RuntimeError("sampler acceptance rate too low")
+        P1 = -rng.randrange(0, den + 1) * bn
+        P2 = rng.randrange(-den, den + 1) * bn
+        if (P2 - P1) * td < tn * q:
+            continue
+        s_num = -(P1 + P2)
+        D = 2 * (Sq2 - P1 * P1 - P2 * P2) - s_num * s_num
+        if D <= 0 or D * td * td < tn * tn * q * q:
+            continue
+        g32a = s_num - 2 * P2
+        if quad_sign(g32a * td - two_q * tn, -td, D) < 0:
+            continue
+        accepted += 1
+        g21 = ct._QuadInt(2 * (P2 - P1), 0, D)
+        g32 = ct._QuadInt(g32a, -1, D)
+        g43 = ct._QuadInt(0, 2, D)
+        g31, g42 = g32 + g21, g43 + g32
+        vals = idn.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
+        for i, v in enumerate(vals, start=1):
+            if quad_sign(v.a, v.b, D) >= 0:
+                violations.append({"i": i, "P1": P1, "P2": P2, "q": q})
+    return {"samples": accepted, "violations": violations, "seed": seed}
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
+@pytest.mark.parametrize("draw_words", [7, 2**13])
+def test_pair_draws_match_randrange(monkeypatch, draw_words):
+    monkeypatch.setattr(ct, "_DRAW_WORDS", draw_words)
+    rare = 0
+    for seed in (1, 20260808, 99):
+        n = 20_000
+        draws = ct._pair_draws(random.Random(seed))
+        chunks, x, y = 0, [], []
+        while len(x) < n:
+            cx, cy = next(draws)
+            chunks += 1
+            x += cx.tolist()
+            y += cy.tolist()
+        rng = random.Random(seed)
+        expect = [(rng.randrange(0, 4097), rng.randrange(-4096, 4097)) for _ in range(n)]
+        assert list(zip(x[:n], y[:n])) == expect
+        assert chunks > 2
+        # Replay the words one by one: count second draws that reject a word
+        # the first draw would keep, the case the scan shifts slots for.
+        words = random.Random(seed)
+        for _ in range(n):
+            while words.getrandbits(32) >= ct._P1_TOP:
+                pass
+            while (w := words.getrandbits(32)) >= ct._P2_TOP:
+                rare += w < ct._P1_TOP
+    assert rare > 0
+
+
+_TAU_41_4 = 0.05 * math.sqrt(41 / 4)      # the pipeline's default tau at S = 41/4
+_S_WIDE = F(8 * 10**20 + 1, 10**20 + 39)   # bn far above 2^53
+
+
+def test_li_chart_constants_are_rounded_outward():
+    assert F(_TAU_41_4).limit_denominator(10**6).denominator > 10**5
+    chart = ct._LiChart(_S_WIDE, F(1, 20))
+    assert 4096 * chart.bn >= 2**53
+    c1 = F(chart.tn * chart.q, chart.bn * chart.td)
+    r = F(2 * chart.Sq2, chart.bn**2)
+    for enc, exact in ((chart.c1, c1), (chart.c3, 2 * c1), (chart.r, r), (chart.r_tau, r - c1 * c1)):
+        assert F(float(enc.lo)) <= exact <= F(float(enc.hi))
+        assert F(float(enc.lo)) < F(float(enc.hi))      # none of these is a float
+
+
+@pytest.mark.parametrize("S, tau, count, seed", [
+    (8, 0.05, 2000, 20260808),
+    (F(17, 4), 0.05, 700, 3),
+    (F(37, 4), 0.1, 700, 5),
+    (12, 0.3, 500, 20260808),
+    (5, 0.01, 400, 11),
+    (F(41, 4), _TAU_41_4, 600, 1),
+    (_S_WIDE, 0.05, 600, 2),
+    (_S_WIDE, 0.05 * math.sqrt(8), 300, 4),
+    (8, 1e-9, 300, 6),         # tau becomes 0 at a denominator of at most 10^6
+    (8, 0.05, 1, 7),
+    (8, 0.05, 0, 8),
+])
+def test_li_cross_check_matches_the_exact_loop(S, tau, count, seed):
+    assert ct.sample_Li_cross_check(S, tau, count, seed) == _li_cross_check_reference(S, tau, count, seed)
+
+
+def _filter_deciding_nothing(monkeypatch) -> list[bool]:
+    """Make every filter result undecided; the list records whether the real
+    filter would have decided something."""
+    filter_decides = ct._excludes_zero
+    decided = []
+
+    def undecided(v):
+        decided.append(filter_decides(v)[0].any())
+        return np.zeros(v.lo.shape, bool), np.zeros(v.lo.shape, bool)
+
+    monkeypatch.setattr(ct, "_excludes_zero", undecided)
+    return decided
+
+
+def test_li_cross_check_with_the_filter_deciding_nothing(monkeypatch):
+    expect = _li_cross_check_reference(F(37, 4), 0.1, 300, 12)
+    decided = _filter_deciding_nothing(monkeypatch)
+    assert ct.sample_Li_cross_check(F(37, 4), 0.1, 300, 12) == expect
+    assert any(decided)
+
+
+@pytest.mark.parametrize("filtered", [True, False])
+def test_li_cross_check_reports_the_same_violations(monkeypatch, filtered):
+    printed = idn.gamma_L_printed
+
+    def flipped(*gaps):
+        v1, v2, v3, v4 = printed(*gaps)
+        return v1, v2, v3 - v3 - v3, v4      # -gamma*L_3, positive on the chamber
+
+    monkeypatch.setattr(idn, "gamma_L_printed", flipped)
+    monkeypatch.setattr(ct, "_SIGN_BLOCK", 64)      # several sign blocks
+    expect = _li_cross_check_reference(8, 0.05, 300, 9)
+    assert [v["i"] for v in expect["violations"]] == [3] * 300
+    if not filtered:
+        _filter_deciding_nothing(monkeypatch)
+    assert ct.sample_Li_cross_check(8, 0.05, 300, 9) == expect
+
+
+@pytest.mark.parametrize("S, tau, count", [(8, 1.0, c) for c in (1, 2, 3, 4, 10)]
+                         + [(8, 10.0, 2), (0, 0.05, 1), (-1, 0.05, 1), (0, 0.05, 0)])
+def test_li_cross_check_gives_up_where_the_exact_loop_does(S, tau, count):
+    expect = _outcome(_li_cross_check_reference, S, tau, count)
+    assert _outcome(ct.sample_Li_cross_check, S, tau, count) == expect
+    if (S, tau, count) in ((8, 1.0, 3), (8, 10.0, 2), (0, 0.05, 1)):
+        assert expect == "RuntimeError: sampler acceptance rate too low"
+
+
 def test_okumura_certificate():
     cert = ct.certify_okumura(4, tol=1e-6)
     assert cert.status == "proved"
@@ -255,6 +412,16 @@ def test_band_beyond_the_cubic_bound_is_trivial(A3):
     assert [c.claim for c in certs] == [f"band_{q}" for q in ct.BAND_QUANTITIES]
     assert {(c.status, tuple(c.notes)) for c in certs} == {
         ("trivial", ("empty band: A3 beyond the cubic bound",))}
+
+
+@pytest.mark.parametrize("S, A3", [(12, 24), (4, "8*sqrt(3)/3"), (4, "-8*sqrt(3)/3")])
+def test_band_on_the_cubic_bound_is_trivial(S, A3):
+    # 3 A3^2 = S^3: only lam1 = lam2 = lam3 or lam2 = lam3 = lam4 has p3 = A3,
+    # and there lam3 = lam2, which neither band admits.
+    certs = ct.certify_band(S, A3, F(1, 10), F(1, 20))
+    assert [c.claim for c in certs] == [f"band_{q}" for q in ct.BAND_QUANTITIES]
+    assert {(c.status, tuple(c.notes)) for c in certs} == {
+        ("trivial", ("empty band: A3 on the cubic bound",))}
 
 
 def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):

@@ -334,6 +334,16 @@ def test_bad_worker_counts_are_usage_errors(monkeypatch, capsys, value):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_config_worker_count_outranks_the_environment(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("threads = 2\n")
+    argv = ["examples", "--list", "--quiet"]
+    monkeypatch.setenv(cli.THREADS_ENV, "0")
+    assert cli.main(argv + ["--config", str(cfg)]) == reports.EXIT_PASS
+    assert cli.main(argv) == reports.EXIT_USAGE
+    assert "ISOCERT_THREADS" in capsys.readouterr().err
+
+
 def test_record_payload_cannot_contradict_header():
     rec = reports.check_record("c", "proved", {"status": "proved", "cells": 3})
     assert rec == {"schema_version": reports.SCHEMA_VERSION, "name": "c",
