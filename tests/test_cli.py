@@ -226,6 +226,31 @@ def test_golden_gap_value_record():
     assert reports.render(recs) == (GOLDEN / "gap_value_0.05_0.1_1000.json").read_text()
 
 
+# (S, A3) for the solve goldens: a rational A3 (the cubic path); radical A3s
+# (the sextic path), one generic and one on the cubic bound; the paired roots
+# +-x0 whose negation-symmetric configurations are merged; eliminating cubics
+# with a double root (x = -1 for II/III at (12, 24), x = 1/2 for I at
+# (15, 15)); and A3 beyond the bound, where no configuration is real.
+SOLVE_GOLDENS = {
+    "rational": ("8", "1"),
+    "radical": ("9", "2*sqrt(3)"),
+    "radical_on_bound": ("4", "8*sqrt(3)/3"),
+    "paired_roots": ("12", "0"),
+    "double_root_II_III": ("12", "24"),
+    "double_root_I": ("15", "15"),
+    "empty": ("8", "100"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_GOLDENS))
+def test_golden_solve_reports(case, capsys):
+    # The three systems' reports, in order I, II, III, one after the other.
+    S, A3 = SOLVE_GOLDENS[case]
+    for tag in ("I", "II", "III"):
+        assert cli.main(["solve", "--system", tag, "--S", S, "--A3", A3, "--quiet"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"solve_{case}.json").read_text()
+
+
 def test_removed_near_radius_flag_is_a_usage_error():
     out = run_cli("certify", "okumura", "--near-radius", "1e-3", "--quiet")
     assert out.returncode == 64
