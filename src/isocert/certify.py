@@ -202,6 +202,11 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
     if S <= 0 or tau <= 0:
         raise ValueError("requires S > 0 and a positive gap floor tau"
                          " (the products vanish on the chamber boundary)")
+    region = {"S": str(S), "tau": tau, "constraints": "p1 = 0, p2 = S, gaps >= tau",
+              "max_depth": max_depth}
+    if collar_sign(S, tau) < 0:
+        return Certificate(claim="gamma_Li_negative", region=region, margin=margin,
+                           status="trivial", notes=["empty collar: 5 tau^2 > S"])
     checks = [_coefficient_signs(p, -1) for p in identities.gamma_L_gap_form(*GAP_VARS)]
     negative = all(holds for holds, _, _ in checks)
     t = Fraction(tau)
@@ -212,13 +217,38 @@ def certify_Li_negative(S, tau, margin=1e-9, max_depth=20) -> Certificate:
              "so gamma*L_i <= gamma*L_i(tau, tau, tau) where all gaps are >= tau, for every S"]
     return Certificate(
         claim="gamma_Li_negative",
-        region={"S": str(S), "tau": tau, "constraints": "p1 = 0, p2 = S, gaps >= tau",
-                "max_depth": max_depth},
+        region=region,
         margin=margin,
         status="proved" if bound is not None and bound >= margin else "inconclusive",
         bound=bound,
         notes=notes,
     )
+
+
+def collar_sign(S, tau) -> int:
+    """Sign of S - 5 tau^2, exact in Fraction(tau).
+
+    On p1 = 0 the squared differences of the four values sum to 4 p2, and
+    gaps >= tau make them at least (1+1+1 + 4+4 + 9) tau^2 = 20 tau^2, with
+    equality only at the evenly spaced point.  So the collar
+    {p1 = 0, p2 = S, sorted, every gap >= tau} is empty at -1 and that one
+    point at 0.
+    """
+    t = Fraction(tau)
+    d = Fraction(S) - 5 * t * t
+    return (d > 0) - (d < 0)
+
+
+def sampler_tau(tau) -> Fraction:
+    """The gap floor the cross-check samples with: tau at a denominator of at most 10^6.
+
+    Refuses a tau that becomes 0 there (below 5e-7): the sampler would
+    accept points with a zero gap, outside every collar.
+    """
+    t = Fraction(tau).limit_denominator(10**6)
+    if t <= 0:
+        raise ValueError(f"tau = {tau} is 0 at the cross-check's resolution 1e-6")
+    return t
 
 
 class _QuadInt:
@@ -410,7 +440,7 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
     order are checked.
     """
     S = Fraction(S)
-    tau = Fraction(tau).limit_denominator(10**6)
+    tau = sampler_tau(tau)
     if S <= 0:
         # disc <= 0 at every point of the chart, so every candidate is rejected.
         if count > 0:

@@ -500,6 +500,14 @@ def _check_combinations(args: argparse.Namespace) -> None:
             args.tau = 0.05 * float(args.S) ** 0.5
         if args.tau == 0 or float(args.delta1) / 4 == 0:
             raise UsageError("pipeline: S or delta1 is too small for its floating-point stages")
+    if run == "pipeline" or run == "certify li" and args.cross_check:
+        try:
+            certify.sampler_tau(args.tau)
+        except ValueError as exc:
+            raise UsageError(f"{run}: {exc}") from None
+        if certify.collar_sign(args.S, args.tau) <= 0:
+            raise UsageError(f"{run}: 5 tau^2 >= S, so the collar holds at most one point"
+                             " and the cross-check can sample none")
     if args.command != "certify":
         return
     if args.kind == "okumura" and args.max_depth is not None:

@@ -245,12 +245,32 @@ def test_li_chart_constants_are_rounded_outward():
     (F(41, 4), _TAU_41_4, 600, 1),
     (_S_WIDE, 0.05, 600, 2),
     (_S_WIDE, 0.05 * math.sqrt(8), 300, 4),
-    (8, 1e-9, 300, 6),         # tau becomes 0 at a denominator of at most 10^6
     (8, 0.05, 1, 7),
     (8, 0.05, 0, 8),
 ])
 def test_li_cross_check_matches_the_exact_loop(S, tau, count, seed):
     assert ct.sample_Li_cross_check(S, tau, count, seed) == _li_cross_check_reference(S, tau, count, seed)
+
+
+@pytest.mark.parametrize("tau", [1e-9, 4e-7, 0.0])
+def test_li_cross_check_refuses_a_tau_that_rounds_to_zero(tau):
+    # At a denominator of at most 10^6 these are 0: points with a zero gap
+    # would be sampled, outside the collar.
+    with pytest.raises(ValueError, match="resolution"):
+        ct.sample_Li_cross_check(8, tau, 300, 6)
+    assert ct.sampler_tau(6e-7) == F(1, 10**6)
+
+
+def test_li_certificate_on_an_empty_collar_is_trivial():
+    # The least p2 over sorted zero-sum points with every gap >= tau is
+    # 5 tau^2, at the evenly spaced point; 2 sqrt(2/5) = 1.2649... at S = 8.
+    for S, tau, status in ((8, 5.0, "trivial"), (8, 1.27, "trivial"), (8, 1.26, "proved"),
+                           (5, 1.0, "proved"), (F(5) - F(1, 10**30), 1.0, "trivial")):
+        cert = ct.certify_Li_negative(S, tau)
+        assert cert.status == status, (S, tau)
+        assert (cert.bound is None) == (status == "trivial")
+        assert ("empty collar: 5 tau^2 > S" in cert.notes) == (status == "trivial")
+    assert [ct.collar_sign(5, t) for t in (0.999, 1.0, 1.001)] == [1, 0, -1]
 
 
 def _filter_deciding_nothing(monkeypatch) -> list[bool]:

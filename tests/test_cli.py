@@ -326,6 +326,12 @@ def test_internal_faults_exit_70(monkeypatch, capsys, fault):
     # Positive, but the default tau or a smoothing width rounds to 0.0.
     ["pipeline", "--S", "1e-400", "--A3", "0", "--eps0", "1/10", "--delta1", "1/20"],
     ["pipeline", "--S", "8", "--A3", "1", "--eps0", "1/10", "--delta1", "1e-400"],
+    # The cross-check can sample no point: the collar is empty (5 tau^2 > S),
+    # a single point (5 tau^2 = S), or tau is 0 at the sampler's resolution.
+    ["certify", "li", "--S", "8", "--tau", "5", "--cross-check", "10"],
+    ["certify", "li", "--S", "5", "--tau", "1", "--cross-check", "5"],
+    ["certify", "li", "--tau", "1e-9", "--cross-check", "50"],
+    ["pipeline", "--S", "8", "--A3", "1", "--eps0", "1/10", "--delta1", "1/20", "--tau", "5"],
 ])
 def test_bad_input_is_refused_before_the_run(tmp_path, capsys, argv):
     path = tmp_path / "report.json"
@@ -333,6 +339,13 @@ def test_bad_input_is_refused_before_the_run(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert "usage error" in err and "internal error" not in err and "division" not in err
     assert out == "" and not path.exists()
+
+
+def test_li_on_an_empty_collar_is_trivial(capsys):
+    assert cli.main(["certify", "li", "--S", "8", "--tau", "5", "--quiet"]) == reports.EXIT_PASS
+    (rec,) = json.loads(capsys.readouterr().out)
+    assert rec["status"] == "trivial" and "bound" not in rec
+    assert rec["notes"] == ["empty collar: 5 tau^2 > S"]
 
 
 def test_band_at_S_zero_is_trivial():
