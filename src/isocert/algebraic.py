@@ -165,14 +165,14 @@ def _sqrt_bounds(d: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     if eps <= 0:
         raise ValueError("precision must be positive")
-    H = max(Fraction(1), d)
-    k = (-(-H // eps) - 1).bit_length()          # least k with H <= eps 2^k
+    dn, dd = d.numerator, d.denominator
+    hn, hd = (dn, dd) if dn > dd else (1, 1)      # H = max(1, d) = hn / hd
+    k = ((hn * eps.denominator - 1) // (hd * eps.numerator)).bit_length()   # least k with H <= eps 2^k
     j = 0
     if d > 0:   # j^2 <= d / step^2 = d 4^k / H^2, floored in integers
-        j = isqrt((d.numerator * H.denominator**2 << 2 * k) // (d.denominator * H.numerator**2))
-        j = min(j, (1 << k) - 1)
-    step = H / (1 << k)
-    return j * step, (j + 1) * step
+        j = min(isqrt((dn * hd * hd << 2 * k) // (dd * hn * hn)), (1 << k) - 1)
+    step_den = hd << k                               # step = H / 2^k = hn / step_den
+    return Fraction(j * hn, step_den), Fraction((j + 1) * hn, step_den)
 
 
 class AlgebraicNumber:
@@ -193,11 +193,11 @@ class AlgebraicNumber:
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("empty interval")
-        fa, fb = up.evaluate(poly, lo), up.evaluate(poly, hi)
+        fa, fb = up.sign_at(poly, lo), up.sign_at(poly, hi)
         if lo == hi:
             if fa != 0:
                 raise ValueError("point interval is not a root")
-        elif fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+        elif fa == 0 or fb == 0 or fa == fb:
             raise ValueError("endpoints must bracket exactly one sign change")
         else:
             if chain is None:
@@ -231,8 +231,7 @@ class AlgebraicNumber:
         interval, so a shared root there is the number itself.
         """
         if self.is_point():
-            v = up.evaluate(q, self.lo)
-            return (v > 0) - (v < 0)
+            return up.sign_at(q, self.lo)
         if up.is_zero(q):
             return 0
         g = up.gcd(self.poly, q)
@@ -240,11 +239,9 @@ class AlgebraicNumber:
             return 0
         cur = self
         while True:
-            va, vb = up.evaluate(q, cur.lo), up.evaluate(q, cur.hi)
-            if va > 0 and vb > 0:
-                return 1
-            if va < 0 and vb < 0:
-                return -1
+            va = up.sign_at(q, cur.lo)
+            if va and va == up.sign_at(q, cur.hi):
+                return va
             cur = cur.refine((cur.hi - cur.lo) / 16)
 
     def sign(self) -> int:
@@ -280,12 +277,10 @@ class AlgebraicNumber:
 
 def _root_in_closed(g: up.UPoly, lo: Fraction, hi: Fraction) -> bool:
     """Exact: does g have a root in [lo, hi]?"""
-    if up.evaluate(g, lo) == 0 or up.evaluate(g, hi) == 0:
+    if up.sign_at(g, lo) == 0 or up.sign_at(g, hi) == 0:
         return True
     if lo >= hi:
         return False
     sf = up.squarefree_part(g)
-    if up.evaluate(sf, lo) == 0 or up.evaluate(sf, hi) == 0:
-        return True
     chain = up.sturm_chain(sf)
     return up.sturm_count(chain, lo, hi) > 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import upoly as up
 from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds
@@ -53,30 +54,12 @@ class RatInterval:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_ri(other))
-
-    def __rsub__(self, other):
-        return _ri(other) + (-self)
-
     def __mul__(self, other):
         o = _ri(other)
         c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return RatInterval(min(c), max(c))
 
     __rmul__ = __mul__
-
-    def power(self, n: int) -> "RatInterval":
-        if n == 0:
-            return RatInterval(1)
-        if n % 2 == 1 or self.lo >= 0:
-            return RatInterval(self.lo**n, self.hi**n)
-        if self.hi <= 0:
-            return RatInterval(self.hi**n, self.lo**n)
-        return RatInterval(0, max(self.lo**n, self.hi**n))
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -98,11 +81,27 @@ def _ri(x) -> RatInterval:
 
 
 def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
-    """Exact interval Horner evaluation."""
-    acc = RatInterval(0)
-    for c in reversed(poly):
-        acc = acc * box + RatInterval(c)
-    return acc
+    """Exact interval Horner evaluation, in integers over one positive denominator.
+
+    With box = [L, H] / V and poly = num / den, the running interval after
+    k steps is an integer pair over den V^k: each product keeps its order
+    and each coefficient enters as num_i V^k, so min and max pick the same
+    endpoints as Horner in RatIntervals would.
+    """
+    num = poly.num
+    if not num:
+        return RatInterval(0)
+    lo_, hi_ = box.lo, box.hi
+    V = lcm(lo_.denominator, hi_.denominator)
+    L, H = lo_.numerator * (V // lo_.denominator), hi_.numerator * (V // hi_.denominator)
+    lo = hi = num[-1]
+    w = 1
+    for c in num[-2::-1]:
+        w *= V
+        ends = (lo * L, lo * H, hi * L, hi * H)
+        lo, hi = min(ends) + c * w, max(ends) + c * w
+    d = poly.den * w
+    return RatInterval(Fraction(lo, d), Fraction(hi, d))
 
 
 def sqrt_enclosure(box: RatInterval, eps: Fraction) -> RatInterval:
@@ -232,11 +231,10 @@ class _Member:
     p: up.UPoly
     q: up.UPoly
 
-    def enclosure(self, x0: AlgebraicNumber, D: up.UPoly, eps: Fraction) -> RatInterval:
-        box = RatInterval(x0.lo, x0.hi)
+    def enclosure(self, box: RatInterval, root: RatInterval) -> RatInterval:
+        """Enclosure over box, where root encloses sqrt(D) over it."""
         val = eval_on_interval(self.p, box)
         if not up.is_zero(self.q):
-            root = sqrt_enclosure(eval_on_interval(D, box), eps)
             val = val + eval_on_interval(self.q, box) * root
         return val
 
@@ -281,7 +279,9 @@ class CurvatureConfig:
         eps = Fraction(precision)
         x0 = self.x0
         while True:
-            out = [m.enclosure(x0, self.D, eps / 8) for m in self.members]
+            box = RatInterval(x0.lo, x0.hi)
+            root = sqrt_enclosure(eval_on_interval(self.D, box), eps / 8)
+            out = [m.enclosure(box, root) for m in self.members]
             if all(o.width() <= eps for o in out):
                 self.x0 = x0
                 return out
@@ -292,13 +292,7 @@ class CurvatureConfig:
         eps = Fraction(precision)
         attempt = eps / 16
         while True:
-            lams = self.lambda_intervals(attempt)
-            out = {}
-            for k in range(1, 5):
-                total = RatInterval(0)
-                for lam in lams:
-                    total = total + lam.power(k)
-                out[f"p{k}"] = total
+            out = _power_sums(self.lambda_intervals(attempt))
             if all(v.width() <= eps for v in out.values()):
                 return out
             attempt /= 16
@@ -313,6 +307,30 @@ class CurvatureConfig:
         }
 
 
+def _power_sums(lams: list[RatInterval]) -> dict[str, RatInterval]:
+    """Enclosures of p1..p4: the sums of the k-th powers of the member enclosures.
+
+    In integers over V^k, V the common denominator of the endpoints; a power
+    of an interval is [lo^k, hi^k], [hi^k, lo^k] below 0, or [0, max] for an
+    even k across 0, so each sum is the same rational as in RatIntervals.
+    """
+    V = lcm(*(e.denominator for lam in lams for e in (lam.lo, lam.hi)))
+    ends = [(lam.lo.numerator * (V // lam.lo.denominator),
+             lam.hi.numerator * (V // lam.hi.denominator)) for lam in lams]
+    out = {}
+    for k in range(1, 5):
+        lo = hi = 0
+        for a, b in ends:
+            if k % 2 or a >= 0:
+                lo, hi = lo + a**k, hi + b**k
+            elif b <= 0:
+                lo, hi = lo + b**k, hi + a**k
+            else:
+                hi += max(a**k, b**k)
+        out[f"p{k}"] = RatInterval(Fraction(lo, V**k), Fraction(hi, V**k))
+    return out
+
+
 def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
                   defining: up.UPoly, warnings: list[str]) -> CurvatureConfig | None:
     S = params.S
@@ -320,15 +338,15 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
         D = up.upoly([S / 2, 0, -6])            # (S - 12 x^2) / 2
         raw = [
             _Member(up.upoly([0, 1]), up.upoly([-1])),   # x0 - d
-            _Member(up.upoly([0, 1]), ()),               # x0
+            _Member(up.upoly([0, 1]), up.ZERO),               # x0
             _Member(up.upoly([0, 1]), up.upoly([1])),    # x0 + d
-            _Member(up.upoly([0, -3]), ()),              # -3 x0
+            _Member(up.upoly([0, -3]), up.ZERO),              # -3 x0
         ]
     else:
         D = up.upoly([S / 2, 0, -2])            # S/2 - 2 x^2
         raw = [
-            _Member(up.upoly([0, 1]), ()),
-            _Member(up.upoly([0, 1]), ()),
+            _Member(up.upoly([0, 1]), up.ZERO),
+            _Member(up.upoly([0, 1]), up.ZERO),
             _Member(up.upoly([0, -1]), up.upoly([1])),   # -x0 + sqrt(D)
             _Member(up.upoly([0, -1]), up.upoly([-1])),  # -x0 - sqrt(D)
         ]
@@ -379,7 +397,7 @@ def _pattern_satisfied(tag: str, members, x0, D) -> bool:
         diff_q = up.sub(up.add(members[2].q, members[0].q), up.scale(members[1].q, 2))
         return (
             _sign_member_diff(
-                _Member(diff_p, diff_q), _Member((), ()), x0, D
+                _Member(diff_p, diff_q), _Member(up.ZERO, up.ZERO), x0, D
             )
             == 0
         )
@@ -395,7 +413,7 @@ def _negation_symmetric(cfg: CurvatureConfig) -> bool:
     for i, j in ((0, 3), (1, 2)):
         p = up.add(cfg.members[i].p, cfg.members[j].p)
         q = up.add(cfg.members[i].q, cfg.members[j].q)
-        if _sign_member_diff(_Member(p, q), _Member((), ()), cfg.x0, cfg.D) != 0:
+        if _sign_member_diff(_Member(p, q), _Member(up.ZERO, up.ZERO), cfg.x0, cfg.D) != 0:
             return False
     return True
 
@@ -435,7 +453,7 @@ def solve_system(tag: str, params: ScalarParams, precision=Fraction(1, 10**12)) 
 
 
 def _negated(alg: AlgebraicNumber) -> AlgebraicNumber:
-    flipped = up.upoly([c if i % 2 == 0 else -c for i, c in enumerate(alg.poly)])
+    flipped = up.UPoly([c if i % 2 == 0 else -c for i, c in enumerate(alg.poly.num)], alg.poly.den)
     return AlgebraicNumber(flipped, -alg.hi, -alg.lo)
 
 

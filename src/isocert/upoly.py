@@ -1,184 +1,274 @@
 """Dense univariate polynomials over the rationals: exact root isolation.
 
-A polynomial is a tuple of Fractions, lowest degree first, with no trailing
-zero (the zero polynomial is the empty tuple).  Everything here is exact:
-root counting uses Sturm chains, multiplicities come from Yun's squarefree
-decomposition, and isolating intervals have rational endpoints that are
-never roots themselves.
+A polynomial is a `UPoly`: integer coefficients, lowest degree first, over
+one positive denominator, in lowest terms and with no trailing zero (the
+zero polynomial has no coefficients).  Everything here is exact and runs on
+those integers:
+
+* the sign of p at a rational u/v (v > 0) is the sign of the homogeneous
+  form  den v^n p(u/v) = sum num_i u^i v^(n-i),  so no Fraction is built;
+* Sturm chains and gcds are primitive pseudo-remainder sequences whose
+  multipliers are positive, so each member is a positive multiple of the
+  one the Euclidean algorithm over the rationals gives, and every sign
+  count is the same;
+* multiplicities come from Yun's squarefree decomposition, with exact
+  integer quotients (Gauss's lemma keeps them integral);
+* isolating intervals have rational endpoints that are never roots
+  themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd as _igcd, lcm as _ilcm
+from typing import Iterable, Iterator
 
-UPoly = tuple  # tuple[Fraction, ...]
+
+class UPoly:
+    """(num[0] + num[1] x + ... + num[n] x^n) / den, den > 0, gcd(num..., den) = 1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Iterable[int], den: int = 1):
+        """From integer coefficients over a positive denominator; normalized here."""
+        num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        g = _igcd(*num, den)
+        self.num = tuple(c // g for c in num) if g > 1 else tuple(num)
+        self.den = den // g
+
+    def __iter__(self) -> Iterator[Fraction]:
+        """The rational coefficients, lowest degree first."""
+        return (Fraction(c, self.den) for c in self.num)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UPoly) and self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"upoly([{', '.join(str(c) for c in self)}])"
+
+
+ZERO = UPoly(())
 
 
 def upoly(coeffs: Iterable) -> UPoly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    """The polynomial with these rational coefficients, lowest degree first."""
+    cs = [Fraction(c) for c in coeffs]
+    den = _ilcm(*(c.denominator for c in cs))
+    return UPoly([c.numerator * (den // c.denominator) for c in cs], den)
 
 
 def degree(p: UPoly) -> int:
     """Degree, with the zero polynomial mapped to -1."""
-    return len(p) - 1
+    return len(p.num) - 1
 
 
 def is_zero(p: UPoly) -> bool:
-    return not p
+    return not p.num
 
 
 def add(p: UPoly, q: UPoly) -> UPoly:
-    n = max(len(p), len(q))
-    return upoly(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
-
-
-def neg(p: UPoly) -> UPoly:
-    return tuple(-c for c in p)
+    den = _ilcm(p.den, q.den)
+    a, b = den // p.den, den // q.den
+    pn, qn = p.num, q.num
+    return UPoly([(pn[i] * a if i < len(pn) else 0) + (qn[i] * b if i < len(qn) else 0)
+                  for i in range(max(len(pn), len(qn)))], den)
 
 
 def sub(p: UPoly, q: UPoly) -> UPoly:
-    return add(p, neg(q))
+    return add(p, scale(q, -1))
 
 
 def mul(p: UPoly, q: UPoly) -> UPoly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
+    if not p.num or not q.num:
+        return ZERO
+    out = [0] * (len(p.num) + len(q.num) - 1)
+    for i, a in enumerate(p.num):
         if a:
-            for j, b in enumerate(q):
+            for j, b in enumerate(q.num):
                 out[i + j] += a * b
-    return upoly(out)
+    return UPoly(out, p.den * q.den)
 
 
 def scale(p: UPoly, c) -> UPoly:
     c = Fraction(c)
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
-def monic(p: UPoly) -> UPoly:
-    if not p:
-        return p
-    return scale(p, Fraction(1) / p[-1])
-
-
-def divmod_exact(p: UPoly, q: UPoly) -> tuple[UPoly, UPoly]:
-    """Quotient and remainder over the rationals."""
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(p)
-    out = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lc = q[-1]
-    while len(r) - 1 >= dq and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dq:
-            break
-        k = len(r) - 1 - dq
-        c = r[-1] / lc
-        out[k] = c
-        for j, b in enumerate(q):
-            r[j + k] -= c * b
-        r.pop()
-    return upoly(out), upoly(r)
-
-
-def rem(p: UPoly, q: UPoly) -> UPoly:
-    return divmod_exact(p, q)[1]
+    return UPoly([a * c.numerator for a in p.num], p.den * c.denominator)
 
 
 def derivative(p: UPoly) -> UPoly:
-    return upoly(c * i for i, c in enumerate(p) if i)
+    return UPoly([i * c for i, c in enumerate(p.num) if i], p.den)
 
 
-def evaluate(p: UPoly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
+# -- evaluation ------------------------------------------------------------------
+
+def homogeneous_value(p: UPoly, u: int, v: int) -> int:
+    """den v^n p(u/v) = sum num_i u^i v^(n-i), n = degree(p), for integers u, v."""
+    num = p.num
+    if not num:
+        return 0
+    acc, w = num[-1], 1
+    for c in num[-2::-1]:
+        w *= v
+        acc = acc * u + c * w
     return acc
 
 
-def gcd(p: UPoly, q: UPoly) -> UPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = p, q
+def sign_at(p: UPoly, x) -> int:
+    """Exact sign (-1, 0, 1) of p at the rational x."""
+    s = homogeneous_value(p, x.numerator, x.denominator)
+    return (s > 0) - (s < 0)
+
+
+# -- gcds and Sturm chains by primitive pseudo-remainders -------------------------
+
+def _primitive(c) -> tuple:
+    """Integer coefficients over their (positive) content."""
+    g = _igcd(*c)
+    return tuple(t // g for t in c) if g > 1 else tuple(c)
+
+
+def _prem(a: tuple, b: tuple) -> tuple:
+    """A positive multiple of the remainder of a by b, b nonzero, as a primitive tuple.
+
+    Each elimination step scales the running remainder by |lc(b)| before
+    subtracting a multiple of b, so the multiplier is |lc(b)|^k > 0.
+    """
+    r = list(a)
+    db = len(b) - 1
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > db:
+        c, k = r[-1] * s, len(r) - 1 - db
+        if m != 1:
+            r = [m * t for t in r]
+        for j, t in enumerate(b):
+            r[j + k] -= c * t
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def _gcd(a: tuple, b: tuple) -> tuple:
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, rem(a, b)
-    return monic(a)
+        a, b = b, _prem(a, b)
+    return tuple(-t for t in a) if a and a[-1] < 0 else a
+
+
+def gcd(p: UPoly, q: UPoly) -> UPoly:
+    """The gcd, primitive with a positive leading coefficient (zero for two zeros)."""
+    return UPoly(_gcd(p.num, q.num))
+
+
+def _quotient(a: tuple, b: tuple) -> tuple:
+    """a / b for integer a and a primitive b dividing it over the rationals.
+
+    By Gauss's lemma the quotient has integer coefficients, so each step of
+    the long division divides exactly; a remainder is a fault.
+    """
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], b[-1])
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for j, t in enumerate(b):
+                r[j + k] -= c * t
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _positive_primitive(p: UPoly) -> tuple:
+    """The numerators of p over their content, signed so the leading one is positive."""
+    a = _primitive(p.num)
+    return tuple(-t for t in a) if a and a[-1] < 0 else a
 
 
 def squarefree_part(p: UPoly) -> UPoly:
+    """p / gcd(p, p'), primitive with a positive leading coefficient."""
     if degree(p) <= 0:
-        return monic(p)
-    return monic(divmod_exact(p, gcd(p, derivative(p)))[0])
+        return UPoly([1] if p.num else [])
+    return UPoly(_quotient(_positive_primitive(p), _gcd(p.num, derivative(p).num)))
 
 
 def squarefree_decomposition(p: UPoly) -> list[tuple[int, UPoly]]:
-    """Yun's algorithm: [(multiplicity, monic squarefree factor), ...]."""
+    """Yun's algorithm: [(multiplicity, squarefree factor), ...].
+
+    Each factor is primitive with a positive leading coefficient.  b, c and
+    d stay positive multiples of the monic algorithm's, since every gcd is
+    and both quotients of a step divide by the same one.
+    """
     if degree(p) <= 0:
         return []
-    p = monic(p)
+    p = UPoly(_positive_primitive(p))
     dp = derivative(p)
-    a = gcd(p, dp)
-    b = divmod_exact(p, a)[0]
-    c = divmod_exact(dp, a)[0]
+    a = _gcd(p.num, dp.num)
+    b = UPoly(_quotient(p.num, a))
+    c = UPoly(_quotient(dp.num, a))
     d = sub(c, derivative(b))
     out = []
     i = 1
     while degree(b) > 0:
-        a = gcd(b, d)
-        if degree(a) > 0:
-            out.append((i, monic(a)))
-        b = divmod_exact(b, a)[0]
-        c = divmod_exact(d, a)[0]
+        a = _gcd(b.num, d.num)
+        if len(a) > 1:
+            out.append((i, UPoly(a)))
+        b = UPoly(_quotient(b.num, a))
+        c = UPoly(_quotient(d.num, a))
         d = sub(c, derivative(b))
         i += 1
     return out
 
 
 def sturm_chain(p: UPoly) -> list[UPoly]:
+    """p, p', then negated pseudo-remainders: positive multiples of the Euclidean chain."""
     chain = [p, derivative(p)]
-    while degree(chain[-1]) > 0:
-        r = rem(chain[-2], chain[-1])
+    a, b = chain[0].num, chain[1].num
+    while len(b) > 1:
+        r = _prem(a, b)
         if not r:
             break
-        chain.append(neg(r))
-    return [c for c in chain if c]
+        a, b = b, tuple(-t for t in r)
+        chain.append(UPoly(b))
+    return [c for c in chain if c.num]
 
 
-def _variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[UPoly], x) -> int:
+    u, v = x.numerator, x.denominator
+    count, last = 0, 0
+    for c in chain:
+        s = homogeneous_value(c, u, v)
+        if s:
+            if (s > 0) != (last > 0) and last:
+                count += 1
+            last = s
+    return count
 
 
 def sturm_count(chain: list[UPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
-    va = _variations([evaluate(c, a) for c in chain])
-    vb = _variations([evaluate(c, b) for c in chain])
-    return va - vb
+    return _variations(chain, a) - _variations(chain, b)
 
+
+# -- root isolation ----------------------------------------------------------------
 
 def root_bound(p: UPoly) -> Fraction:
     """Cauchy bound: every real root lies in [-B, B]."""
     if degree(p) < 1:
         return Fraction(1)
-    lc = abs(p[-1])
-    m = max(abs(c) for c in p[:-1]) if len(p) > 1 else Fraction(0)
-    return 1 + m / lc
+    return 1 + Fraction(max(abs(c) for c in p.num[:-1]), abs(p.num[-1]))
 
 
 def _nonroot_point(p: UPoly, x: Fraction, step: Fraction) -> Fraction:
     """Nudge x outward until it is not a root of p."""
-    while evaluate(p, x) == 0:
+    while sign_at(p, x) == 0:
         x += step
     return x
 
@@ -217,7 +307,7 @@ def isolate_squarefree(p: UPoly, eps: Fraction,
             continue
         mid = _nonroot_point(p, (a + b) / 2, (b - a) / 1024)
         if n == 1:
-            n_left = int((evaluate(p, a) > 0) != (evaluate(p, mid) > 0))
+            n_left = int((sign_at(p, a) > 0) != (sign_at(p, mid) > 0))
         else:
             n_left = sturm_count(chain, a, mid)
         stack.append((a, mid, n_left))
@@ -264,22 +354,22 @@ def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, F
 def refine(p: UPoly, interval: tuple[Fraction, Fraction], eps: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree p to width <= eps by bisection."""
     a, b = interval
-    fa = evaluate(p, a)
+    fa = sign_at(p, a)
     if fa == 0:
         raise ValueError("left endpoint is a root; not a valid isolating interval")
     while b - a > eps:
         mid = (a + b) / 2
-        fm = evaluate(p, mid)
+        fm = sign_at(p, mid)
         if fm == 0:
             # Land strictly around the root with a tiny sign-compatible margin.
             off = (b - a) / 1024
-            while evaluate(p, mid - off) == 0 or evaluate(p, mid + off) == 0:
+            while sign_at(p, mid - off) == 0 or sign_at(p, mid + off) == 0:
                 off /= 2
             a, b = mid - off, mid + off
-            fa = evaluate(p, a)
+            fa = sign_at(p, a)
             continue
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
+        if fa == fm:
+            a = mid
         else:
             b = mid
     return a, b

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
+import fraction_reference as ref
 from isocert import upoly as up
 from isocert.algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, quad_sign
 
@@ -131,8 +132,9 @@ def test_yun_decomposition():
             p = up.mul(p, factor)
     dec = dict((m, f) for m, f in up.squarefree_decomposition(p))
     assert set(dec) == {1, 2, 3}
-    assert dec[2] == up.monic(up.upoly([0, 1]))
-    assert dec[3] == up.monic(up.upoly([-1, 1]))
+    # Monic factors with integer coefficients: the primitive ones.
+    assert dec[2] == up.upoly(ref.monic(ref.upoly([0, 1])))
+    assert dec[3] == up.upoly(ref.monic(ref.upoly([-1, 1])))
 
 
 def test_algebraic_compare_and_sign():
