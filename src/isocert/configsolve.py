@@ -21,6 +21,10 @@ Everything downstream is exact: root intervals refine on demand, member
 coincidences and the sorted order are decided by exact sign tests in the
 field of the cubic root, and the returned power-sum enclosures are
 containment-correct rational intervals re-verified against the inputs.
+The arithmetic runs on integers: polynomials are `upoly.UPoly` integer
+forms, and interval Horner and the power sums work on integer numerators
+over one positive denominator; only the RatIntervals they return hold
+Fractions, the same rationals Fraction arithmetic would give.
 """
 
 from __future__ import annotations
@@ -48,18 +52,12 @@ class RatInterval:
             raise ValueError("inverted interval")
         self.lo, self.hi = lo, hi
 
-    def __add__(self, other):
-        o = _ri(other)
+    def __add__(self, o: "RatInterval") -> "RatInterval":
         return RatInterval(self.lo + o.lo, self.hi + o.hi)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = _ri(other)
+    def __mul__(self, o: "RatInterval") -> "RatInterval":
         c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return RatInterval(min(c), max(c))
-
-    __rmul__ = __mul__
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -74,10 +72,6 @@ class RatInterval:
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
-
-
-def _ri(x) -> RatInterval:
-    return x if isinstance(x, RatInterval) else RatInterval(x)
 
 
 def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
@@ -338,9 +332,9 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
         D = up.upoly([S / 2, 0, -6])            # (S - 12 x^2) / 2
         raw = [
             _Member(up.upoly([0, 1]), up.upoly([-1])),   # x0 - d
-            _Member(up.upoly([0, 1]), up.ZERO),               # x0
+            _Member(up.upoly([0, 1]), up.ZERO),          # x0
             _Member(up.upoly([0, 1]), up.upoly([1])),    # x0 + d
-            _Member(up.upoly([0, -3]), up.ZERO),              # -3 x0
+            _Member(up.upoly([0, -3]), up.ZERO),         # -3 x0
         ]
     else:
         D = up.upoly([S / 2, 0, -2])            # S/2 - 2 x^2

@@ -152,11 +152,17 @@ def _prem(a: tuple, b: tuple) -> tuple:
     return _primitive(r)
 
 
+def _positive_primitive(c) -> tuple:
+    """Integer coefficients over their content, signed so the leading one is positive."""
+    a = _primitive(c)
+    return tuple(-t for t in a) if a and a[-1] < 0 else a
+
+
 def _gcd(a: tuple, b: tuple) -> tuple:
     a, b = _primitive(a), _primitive(b)
     while b:
         a, b = b, _prem(a, b)
-    return tuple(-t for t in a) if a and a[-1] < 0 else a
+    return _positive_primitive(a)
 
 
 def gcd(p: UPoly, q: UPoly) -> UPoly:
@@ -186,17 +192,11 @@ def _quotient(a: tuple, b: tuple) -> tuple:
     return tuple(q)
 
 
-def _positive_primitive(p: UPoly) -> tuple:
-    """The numerators of p over their content, signed so the leading one is positive."""
-    a = _primitive(p.num)
-    return tuple(-t for t in a) if a and a[-1] < 0 else a
-
-
 def squarefree_part(p: UPoly) -> UPoly:
     """p / gcd(p, p'), primitive with a positive leading coefficient."""
     if degree(p) <= 0:
         return UPoly([1] if p.num else [])
-    return UPoly(_quotient(_positive_primitive(p), _gcd(p.num, derivative(p).num)))
+    return UPoly(_quotient(_positive_primitive(p.num), _gcd(p.num, derivative(p).num)))
 
 
 def squarefree_decomposition(p: UPoly) -> list[tuple[int, UPoly]]:
@@ -208,7 +208,7 @@ def squarefree_decomposition(p: UPoly) -> list[tuple[int, UPoly]]:
     """
     if degree(p) <= 0:
         return []
-    p = UPoly(_positive_primitive(p))
+    p = UPoly(_positive_primitive(p.num))
     dp = derivative(p)
     a = _gcd(p.num, dp.num)
     b = UPoly(_quotient(p.num, a))
@@ -246,7 +246,7 @@ def _variations(chain: list[UPoly], x) -> int:
     for c in chain:
         s = homogeneous_value(c, u, v)
         if s:
-            if (s > 0) != (last > 0) and last:
+            if last and (s > 0) != (last > 0):
                 count += 1
             last = s
     return count

@@ -292,3 +292,24 @@ def eval_on_interval(poly: UPoly, box: RatInterval) -> RatInterval:
     for c in reversed(poly):
         acc = acc * box + RatInterval(c)
     return acc
+
+
+def interval_power(iv: RatInterval, n: int) -> RatInterval:
+    if n == 0:
+        return RatInterval(1)
+    if n % 2 == 1 or iv.lo >= 0:
+        return RatInterval(iv.lo**n, iv.hi**n)
+    if iv.hi <= 0:
+        return RatInterval(iv.hi**n, iv.lo**n)
+    return RatInterval(0, max(iv.lo**n, iv.hi**n))
+
+
+def power_sums(lams: list[RatInterval]) -> dict[str, RatInterval]:
+    """Enclosures of p1..p4 as sums of interval powers."""
+    out = {}
+    for k in range(1, 5):
+        total = RatInterval(0)
+        for lam in lams:
+            total = total + interval_power(lam, k)
+        out[f"p{k}"] = total
+    return out

@@ -93,6 +93,20 @@ def test_interval_horner_matches_ratinterval_horner(p, a, b):
     assert (got.lo, got.hi) == (expect.lo, expect.hi)
 
 
+_INTERVALS = st.tuples(_RATIONALS, _RATIONALS).map(lambda t: cs.RatInterval(min(t), max(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INTERVALS, min_size=1, max_size=4))
+@example([cs.RatInterval(F(-1, 3), F(1, 2)), cs.RatInterval(F(-2), F(-1, 7)),
+          cs.RatInterval(0, F(5, 3)), cs.RatInterval(F(-5, 4), F(1, 10**20))])
+def test_power_sums_match_ratinterval_powers(lams):
+    # Intervals below 0, above 0 and across it, for odd and even powers.
+    got = cs._power_sums(lams)
+    expect = ref.power_sums(lams)
+    assert {k: (v.lo, v.hi) for k, v in got.items()} == {k: (v.lo, v.hi) for k, v in expect.items()}
+
+
 @settings(max_examples=150, deadline=None)
 @given(_POLYS | _FACTORED, _RATIONALS, _RATIONALS, st.builds(F, st.integers(1, _BIG), st.integers(1, _BIG)))
 def test_sturm_chains_and_counts_match(p, a, b, c):
