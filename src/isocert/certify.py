@@ -51,7 +51,7 @@ from .vinterval import VI, down, float_down, float_up, up
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
     "BAND_QUANTITIES", "certify_band",
-    "sample_Li_cross_check", "okumura_equality_case_exact",
+    "sample_Li_cross_check", "okumura_equality_case_exact", "collar_sign", "sampler_tau",
 ]
 
 

@@ -500,7 +500,7 @@ def _check_combinations(args: argparse.Namespace) -> None:
             args.tau = 0.05 * float(args.S) ** 0.5
         if args.tau == 0 or float(args.delta1) / 4 == 0:
             raise UsageError("pipeline: S or delta1 is too small for its floating-point stages")
-    if run == "pipeline" or run == "certify li" and args.cross_check:
+    if run == "pipeline" or (run == "certify li" and args.cross_check):
         try:
             certify.sampler_tau(args.tau)
         except ValueError as exc:

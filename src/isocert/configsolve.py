@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import upoly as up
 from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds
@@ -85,9 +84,7 @@ def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
     num = poly.num
     if not num:
         return RatInterval(0)
-    lo_, hi_ = box.lo, box.hi
-    V = lcm(lo_.denominator, hi_.denominator)
-    L, H = lo_.numerator * (V // lo_.denominator), hi_.numerator * (V // hi_.denominator)
+    (L, H), V = up.over_common_denominator((box.lo, box.hi))
     lo = hi = num[-1]
     w = 1
     for c in num[-2::-1]:
@@ -308,13 +305,11 @@ def _power_sums(lams: list[RatInterval]) -> dict[str, RatInterval]:
     of an interval is [lo^k, hi^k], [hi^k, lo^k] below 0, or [0, max] for an
     even k across 0, so each sum is the same rational as in RatIntervals.
     """
-    V = lcm(*(e.denominator for lam in lams for e in (lam.lo, lam.hi)))
-    ends = [(lam.lo.numerator * (V // lam.lo.denominator),
-             lam.hi.numerator * (V // lam.hi.denominator)) for lam in lams]
+    nums, V = up.over_common_denominator(e for lam in lams for e in (lam.lo, lam.hi))
     out = {}
     for k in range(1, 5):
         lo = hi = 0
-        for a, b in ends:
+        for a, b in zip(nums[::2], nums[1::2]):
             if k % 2 or a >= 0:
                 lo, hi = lo + a**k, hi + b**k
             elif b <= 0:

@@ -55,11 +55,16 @@ class UPoly:
 ZERO = UPoly(())
 
 
+def over_common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers n_i and V > 0 with x_i = n_i / V, V the lcm of the denominators."""
+    xs = list(xs)
+    V = _ilcm(*(x.denominator for x in xs))
+    return [x.numerator * (V // x.denominator) for x in xs], V
+
+
 def upoly(coeffs: Iterable) -> UPoly:
     """The polynomial with these rational coefficients, lowest degree first."""
-    cs = [Fraction(c) for c in coeffs]
-    den = _ilcm(*(c.denominator for c in cs))
-    return UPoly([c.numerator * (den // c.denominator) for c in cs], den)
+    return UPoly(*over_common_denominator(Fraction(c) for c in coeffs))
 
 
 def degree(p: UPoly) -> int:

@@ -49,10 +49,6 @@ def _product(factors, c):
     return p
 
 
-def _int(p):
-    return up.upoly(p)
-
-
 def _positive_multiple(q: up.UPoly, p_ref) -> bool:
     """q = c * p_ref for some rational c > 0."""
     coeffs = list(q)
@@ -68,13 +64,13 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_POLYS | _FACTORED, _RATIONALS)
 @example(ref.upoly([-2, 0, 1]), F(3, 2))
 @example(ref.upoly([F(1, 3), -1]), F(1, 3))                     # x is the root
 @example(_product([ref.upoly([-F(1, 7), 1])] * 3, F(-5, _BIG)), F(1, 7))
 def test_values_and_signs_match_fraction_horner(p, x):
-    P = _int(p)
+    P = up.upoly(p)
     assert list(P) == list(p)
     expect = ref.evaluate(p, x)
     h = up.homogeneous_value(P, x.numerator, x.denominator)
@@ -82,13 +78,13 @@ def test_values_and_signs_match_fraction_horner(p, x):
     assert up.sign_at(P, x) == _sign(expect)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_POLYS | _FACTORED, _RATIONALS, _RATIONALS)
 @example(ref.upoly([0, 0, 1]), F(-1), F(1))                       # x^2 across 0
 @example(ref.upoly([-1, 0, 0, 1]), F(1), F(1))                    # a point box on a root
 def test_interval_horner_matches_ratinterval_horner(p, a, b):
     box = cs.RatInterval(min(a, b), max(a, b))
-    got = cs.eval_on_interval(_int(p), box)
+    got = cs.eval_on_interval(up.upoly(p), box)
     expect = ref.eval_on_interval(p, box)
     assert (got.lo, got.hi) == (expect.lo, expect.hi)
 
@@ -96,7 +92,7 @@ def test_interval_horner_matches_ratinterval_horner(p, a, b):
 _INTERVALS = st.tuples(_RATIONALS, _RATIONALS).map(lambda t: cs.RatInterval(min(t), max(t)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(_INTERVALS, min_size=1, max_size=4))
 @example([cs.RatInterval(F(-1, 3), F(1, 2)), cs.RatInterval(F(-2), F(-1, 7)),
           cs.RatInterval(0, F(5, 3)), cs.RatInterval(F(-5, 4), F(1, 10**20))])
@@ -107,10 +103,10 @@ def test_power_sums_match_ratinterval_powers(lams):
     assert {k: (v.lo, v.hi) for k, v in got.items()} == {k: (v.lo, v.hi) for k, v in expect.items()}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_POLYS | _FACTORED, _RATIONALS, _RATIONALS, st.builds(F, st.integers(1, _BIG), st.integers(1, _BIG)))
 def test_sturm_chains_and_counts_match(p, a, b, c):
-    P = _int(p)
+    P = up.upoly(p)
     chain, expect = up.sturm_chain(P), ref.sturm_chain(p)
     assert len(chain) == len(expect)
     assert all(_positive_multiple(m, e) for m, e in zip(chain, expect))
@@ -122,16 +118,16 @@ def test_sturm_chains_and_counts_match(p, a, b, c):
         assert up.sturm_count(up.sturm_chain(up.scale(P, c)), a, b) == count
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_FACTORED | _POLYS, _FACTORED | _POLYS)
 @example(ref.upoly([-1, 1]), ref.upoly([]))
 @example(ref.upoly([1, -2, 1]), ref.upoly([-1, 0, 1]))           # (x-1)^2 and x^2 - 1
 def test_gcd_and_squarefree_factors_match(p, q):
-    g = up.gcd(_int(p), _int(q))
+    g = up.gcd(up.upoly(p), up.upoly(q))
     assert _positive_multiple(g, ref.gcd(p, q))
-    assert g == up.gcd(_int(q), _int(p))
-    assert _positive_multiple(up.squarefree_part(_int(p)), ref.squarefree_part(p))
-    got = up.squarefree_decomposition(_int(p))
+    assert g == up.gcd(up.upoly(q), up.upoly(p))
+    assert _positive_multiple(up.squarefree_part(up.upoly(p)), ref.squarefree_part(p))
+    got = up.squarefree_decomposition(up.upoly(p))
     expect = ref.squarefree_decomposition(p)
     assert [m for m, _ in got] == [m for m, _ in expect]
     assert all(_positive_multiple(f, e) for (_, f), (_, e) in zip(got, expect))
@@ -144,7 +140,7 @@ def _ref_root_in_closed(g, lo, hi) -> bool:
     return lo < hi and ref.sturm_count(ref.sturm_chain(ref.squarefree_part(g)), lo, hi) > 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(_FACTORED, _FACTORED)
 @example(ref.upoly([-2, 0, 1]), ref.upoly([2, 0, -1]))
 @example(_product([ref.upoly([-1, 1])] * 2 + [ref.upoly([1, 1])], F(-1)), ref.upoly([1, 1]))
@@ -152,13 +148,13 @@ def test_gcd_zero_decisions_match(p, q):
     # Each isolating interval holds one root of p, so q vanishes there
     # exactly when gcd(p, q) has a root in it.
     g = ref.gcd(p, q)
-    for lo, hi, _m, chain in up.isolate_with_multiplicity(_int(p), F(1, 2**10)):
+    for lo, hi, _m, chain in up.isolate_with_multiplicity(up.upoly(p), F(1, 2**10)):
         root = AlgebraicNumber(chain[0], lo, hi, chain)
         vanishes = ref.degree(g) > 0 and _ref_root_in_closed(g, lo, hi)
-        assert (root.sign_of(_int(q)) == 0) == vanishes
+        assert (root.sign_of(up.upoly(q)) == 0) == vanishes
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(_FACTORED | _POLYS, st.sampled_from([F(1, 2), F(1, 64), F(1, 2**20)]),
        st.builds(F, st.integers(1, _BIG), st.integers(1, _BIG)))
 @example(ref.upoly([-2, 0, 1]), F(1, 2**20), F(1))
@@ -166,12 +162,12 @@ def test_gcd_zero_decisions_match(p, q):
 def test_isolation_with_multiplicity_matches(p, eps, c):
     if ref.degree(p) < 1:
         return
-    got = up.isolate_with_multiplicity(_int(p), eps)
+    got = up.isolate_with_multiplicity(up.upoly(p), eps)
     expect = ref.isolate_with_multiplicity(p, eps)
     assert [r[:3] for r in got] == [r[:3] for r in expect]
     for (*_, chain), (*_, ref_chain) in zip(got, expect):
         assert all(_positive_multiple(m, e) for m, e in zip(chain, ref_chain))
     # The intervals depend on signs and on the ratio-only root bound alone,
     # so a positive multiple of p isolates the same way.
-    scaled = up.isolate_with_multiplicity(up.scale(_int(p), c), eps)
+    scaled = up.isolate_with_multiplicity(up.scale(up.upoly(p), c), eps)
     assert [r[:3] for r in scaled] == [r[:3] for r in got]
