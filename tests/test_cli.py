@@ -200,6 +200,25 @@ def test_golden_band_sign_certificate():
     assert out.stdout == (GOLDEN / "band_B1g.json").read_text()
 
 
+# (S, A3, --max-depth) for the walked band goldens: every quantity of both
+# sides, at a rational A3, at one where the quantities' frontiers part after
+# depth 14 (and depth 15 leaves open cells), and at a radical A3.
+BAND_GOLDENS = {
+    "8_1": ("8", "1", "30", 0),
+    "8_13": ("8", "13", "30", 0),
+    "8_13_depth15": ("8", "13", "15", 2),
+    "37_4_5sqrt3_2": ("37/4", "5*sqrt(3)/2", "30", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_GOLDENS))
+def test_golden_band_walk_reports(case, capsys):
+    S, A3, depth, code = BAND_GOLDENS[case]
+    assert cli.main(["certify", "band", "--quantity", "all", "--S", S, "--A3", A3,
+                     "--eps0", "1/10", "--delta1", "1/20", "--max-depth", depth, "--quiet"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"band_all_{case}.json").read_text()
+
+
 @pytest.mark.parametrize("argv, golden", [
     (("certify", "li", "--S", "8"), "certify_li.json"),
     (("certify", "okumura", "--tol", "1e-6"), "certify_okumura.json"),
