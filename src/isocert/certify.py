@@ -22,7 +22,11 @@ of cells is processed as numpy batches (see vinterval); cells split on
 their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
 Each side of the band has one frontier for all its quantities, with a mask
-per quantity, so every quantity walks the cells it would walk alone.
+per quantity, so every quantity walks the cells it would walk alone.  At
+each depth one side program (`_SideProgram`, compiled once per side and
+quantity set) encloses the numerators and denominators of all the side's
+G quantities in one pass, with the float operations of a term-by-term walk
+of each polynomial, so the enclosures are the walk's to the bit.
 
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
@@ -35,10 +39,11 @@ every band enclosure against exact rational values.
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from . import identities
 from .algebraic import QuadExt, _sqrt_bounds, quad_sign
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
-from .vinterval import VI, down, float_down, float_up, up
+from .vinterval import VI, float_down, float_up
 
 __all__ = [
     "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
@@ -153,6 +158,16 @@ class Chamber:
         self.g31 = self.g32 + self.g21
         self.g42 = self.g43 + self.g32
         self.g41 = self.g43 + self.g32 + self.g21
+
+    def select(self, mask) -> "Chamber":
+        """The chamber of the selected cells: every field is elementwise."""
+        out = Chamber.__new__(Chamber)
+        out.n = int(np.count_nonzero(mask))
+        for name in Chamber.__slots__:
+            if name != "n":
+                v = getattr(self, name)
+                setattr(out, name, VI(v.lo[mask], v.hi[mask]))
+        return out
 
     def p3(self) -> VI:
         """Cube power sum via the chart identity p3 = 3(l1+l2)(l1^2+l2^2-S/2).
@@ -584,12 +599,14 @@ def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[s
     of `live` marks the cells quantity i still needs.  Feasibility and
     enclosures are elementwise per cell, and splitting a selection of cells
     is selecting from the split cells, so each quantity gets exactly the
-    cells, split order, depth and supremum of a walk of its own.
+    cells, split order, depth and supremum of a walk of its own.  Per depth
+    one side program call encloses every G quantity over the feasible
+    cells, and the slope has its own gap form.
     """
     sqrt_eps0_lo, sqrt_delta1_hi, a3_lo, a3_hi = limits
-    ratfns = identities.gap_band_quantities(side)
-    exprs = [None if key == "m" else (_compile_poly(ratfns[key].num), _compile_poly(ratfns[key].den))
-             for key in (BAND_QUANTITIES[q][1] for q in quantities)]
+    keys = [BAND_QUANTITIES[q][1] for q in quantities]
+    rows = [i for i, key in enumerate(keys) if key != "m"]    # the program's, in its order
+    program = _side_program(side, tuple(keys[i] for i in rows))
     n = len(quantities)
     processed, feasible_seen, reached = (np.zeros(n, dtype=int) for _ in range(3))
     sup = [0.0] * n
@@ -608,12 +625,17 @@ def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[s
                  & (big.hi >= sqrt_eps0_lo) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi))
         feasible_seen += live.sum(axis=1)
         keep = live.any(axis=0)
-        cells, live = cells.select(keep), live[:, keep]
-        ch = Chamber(cells, sb)     # of the feasible cells only
-        for i, expr in enumerate(exprs):
+        cells, live, ch = cells.select(keep), live[:, keep], ch.select(keep)
+        if live[rows].any():
+            vals, oks = program([ch.l1, ch.l2, ch.l3, ch.l4])
+        for i, key in enumerate(keys):
             if not live[i].any():
                 continue
-            val, ok = _band_value(side, ch, expr, sqrt_eps0_lo)
+            if key == "m":
+                val, ok = _slope_value(side, ch, sqrt_eps0_lo)
+            else:
+                r = rows.index(i)
+                val, ok = VI(vals.lo[r], vals.hi[r]), oks[r]
             # Decided cells keep splitting until tighten_depth: the supremum
             # constant tightens while soundness is unaffected.
             done = live[i] & ok & (depth >= tighten_depth)
@@ -683,95 +705,145 @@ def _b_sign_certificate(quantity: str, side: str, key: str, region: dict) -> Cer
 
 
 _CHART = ("l1", "l2", "l3", "l4")     # the symbols of the band rational functions
-# Cells per batched product: it bounds the (terms x cells) arrays the
-# products hold at once, so peak memory stays near that of a term-by-term
-# walk however large the frontier grows.
-_CELL_BLOCK = 64
+# Cells per block of a side program: it bounds the (terms x cells) arrays
+# a block holds at once, under a megabyte for a side's 277 terms, however
+# large the frontier grows.
+_CELL_BLOCK = 32
+_OUTWARD = np.array([-np.inf, np.inf]).reshape(2, 1)   # the rounding direction of lo, then hi
 
 
-class _CompiledPoly(NamedTuple):
-    """A polynomial in l1..l4 laid out for `_vector_poly`, read once per certificate."""
+class _SideProgram:
+    """K rational functions in l1..l4 laid out to be enclosed in one pass.
 
-    degree: int                  # highest exponent: the power table's depth
-    groups: list[tuple[np.ndarray, VI]]   # per factor count: power rows, coefficients
-    order: np.ndarray            # group-stacked index of each term, in monomial order
-
-
-def _compile_poly(poly: MultiPoly) -> _CompiledPoly:
-    """Group the terms by factor count for `_vector_poly`.
-
-    A group of T terms with f factors each holds an (f, T) array of power
-    table rows (see `_power_table`), in symbol order, and its T
-    coefficients rounded outward as a (T, 1) column; `order` puts the
-    group-stacked terms back in descending monomial order.
+    The 2K polynomials (the K numerators, then the K denominators) are
+    sorted by descending term count.  Their terms are grouped by factor
+    count across polynomials: a group of T terms with f factors each holds
+    an (f, T) array of power table rows (see `_power_table`), in symbol
+    order, its T coefficients rounded outward as a (T, 1) column, and the
+    slots of its terms in the step-major layout, where step k holds the
+    k-th term of each polynomial that has one: a prefix of the sorted
+    polynomials, `steps[k]` = (offset, prefix length).  So every polynomial
+    sums exactly its own terms, in monomial order, with no padding.
     """
+
+    __slots__ = ("k", "degree", "size", "groups", "steps", "unsort")
+
+    def __init__(self, pairs: Sequence[tuple[MultiPoly, MultiPoly]]):
+        polys = [num for num, _ in pairs] + [den for _, den in pairs]
+        terms = [_chart_terms(p) for p in polys]
+        rank = sorted(range(len(polys)), key=lambda j: -len(terms[j]))
+        self.k = len(pairs)
+        self.unsort = np.argsort(rank)
+        self.steps, self.degree, self.size = [], 0, 0
+        groups: dict[int, list] = {}
+        for step in range(len(terms[rank[0]]) if rank else 0):
+            width = sum(len(terms[j]) > step for j in rank)
+            self.steps.append((self.size, width))
+            for j in rank[:width]:
+                factors, c = terms[j][step]
+                self.degree = max([self.degree] + [e for _, e in factors])
+                groups.setdefault(len(factors), []).append(
+                    (self.size, [(e - 1) * len(_CHART) + i for i, e in factors],
+                     np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
+                self.size += 1
+        self.groups = []
+        for f in sorted(groups):
+            slots, rows, c_lo, c_hi = zip(*groups[f])
+            self.groups.append((np.array(rows, dtype=np.intp).reshape(len(slots), f).T,
+                                VI(np.reshape(c_lo, (-1, 1)), np.reshape(c_hi, (-1, 1))),
+                                np.array(slots, dtype=np.intp)))
+
+    def polys(self, chart: Sequence[VI]) -> VI:
+        """Enclosures of the 2K polynomials, numerators first, over the cells
+        of l1..l4, as (2K, cells) arrays.
+
+        Each group's terms are multiplied out together, one 2-D VI product
+        per factor, left to right, then by the coefficients; step k adds the
+        k-th terms to its prefix of running sums with one outward rounding.
+        Every operation is elementwise and every float operation is the one
+        a term-by-term walk of each polynomial does, so the enclosures are
+        the same to the bit.  The arrays are (terms x cells): `__call__`
+        passes the cells in blocks.
+        """
+        powers = _power_table(chart, self.degree)
+        n = powers.lo.shape[1]
+        # Slot- and polynomial-major, lo then hi: every step is contiguous.
+        terms = np.empty((self.size, 2, n))
+        for rows, coeffs, slots in self.groups:
+            term = coeffs      # the constant terms, when rows is empty
+            if len(rows):
+                term = VI(powers.lo[rows[0]], powers.hi[rows[0]])
+                for r in rows[1:]:
+                    term = term * VI(powers.lo[r], powers.hi[r])
+                term = term * coeffs
+            terms[slots, 0], terms[slots, 1] = term.lo, term.hi
+        sums = np.zeros((len(self.unsort), 2, n))
+        for offset, width in self.steps:
+            part = sums[:width]
+            np.add(part, terms[offset:offset + width], out=part)
+            np.nextafter(part, _OUTWARD, out=part)
+        sums = sums[self.unsort]
+        return VI(sums[:, 0], sums[:, 1])
+
+    def __call__(self, chart: Sequence[VI]) -> tuple[VI, np.ndarray]:
+        """Enclosures of the K rational functions over the cells of l1..l4,
+        as (K, cells) arrays, and a mask of the entries whose denominator
+        excludes zero; the other entries are finite placeholders.
+
+        Cells go through in blocks of at most _CELL_BLOCK, which bounds the
+        arrays a block holds; every operation is elementwise, so the
+        blocking changes no bit.
+        """
+        n, k = len(chart[0].lo), self.k
+        lo, hi, ok = np.empty((k, n)), np.empty((k, n)), np.empty((k, n), dtype=bool)
+        for start in range(0, n, _CELL_BLOCK):
+            cells = slice(start, start + _CELL_BLOCK)
+            sums = self.polys([VI(v.lo[cells], v.hi[cells]) for v in chart])
+            num, den = VI(sums.lo[:k], sums.hi[:k]), VI(sums.lo[k:], sums.hi[k:])
+            nonzero = (den.lo > 0) | (den.hi < 0)
+            safe_den = VI(np.where(nonzero, den.lo, 1.0), np.where(nonzero, den.hi, 2.0))
+            pos = safe_den.lo > 0
+            den_pos = VI(np.where(pos, safe_den.lo, -safe_den.hi),
+                         np.where(pos, safe_den.hi, -safe_den.lo))
+            num_adj = VI(np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo))
+            val = num_adj.divide_by_positive(den_pos)
+            lo[:, cells], hi[:, cells], ok[:, cells] = val.lo, val.hi, nonzero
+        return VI(lo, hi), ok
+
+
+def _chart_terms(poly: MultiPoly) -> list[tuple[list[tuple[int, int]], float]]:
+    """The terms of a polynomial in l1..l4 in monomial order: for each, its
+    (chart index, exponent) factors in symbol order and its coefficient as
+    the nearest float."""
     names = poly.table.names
-    degree = 0
-    groups: dict[int, list] = {}
-    for pos, (mono, coeff) in enumerate(poly.sorted_terms()):
-        exps = [(_CHART.index(names[i]), e) for i, e in enumerate(poly.exponents(mono)) if e]
-        degree = max([degree] + [e for _, e in exps])
-        c = float(coeff)
-        groups.setdefault(len(exps), []).append(
-            (pos, [(e - 1) * len(_CHART) + i for i, e in exps],
-             np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
-    compiled, stacked = [], []
-    for f in sorted(groups):
-        pos, rows, c_lo, c_hi = zip(*groups[f])
-        stacked += pos
-        compiled.append((np.array(rows, dtype=np.intp).reshape(len(pos), f).T,
-                         VI(np.reshape(c_lo, (-1, 1)), np.reshape(c_hi, (-1, 1)))))
-    order = np.empty(len(stacked), dtype=np.intp)
-    order[stacked] = np.arange(len(stacked))
-    return _CompiledPoly(degree, compiled, order)
+    return [([(_CHART.index(names[i]), e) for i, e in enumerate(poly.exponents(mono)) if e],
+             float(coeff))
+            for mono, coeff in poly.sorted_terms()]
 
 
-def _band_value(side, ch: Chamber, expr: tuple | None, floor: float) -> tuple[VI, np.ndarray]:
-    """Enclosure of one band quantity, the side's slope when expr is None,
-    over the feasible subsets of the cells.
+@functools.cache
+def _side_program(side: str, keys: tuple[str, ...]) -> _SideProgram:
+    """The program of a side's quantities `keys`, compiled on first use."""
+    ratfns = identities.gap_band_quantities(side)
+    return _SideProgram([(ratfns[key].num, ratfns[key].den) for key in keys])
+
+
+def _slope_value(side, ch: Chamber, floor: float) -> tuple[VI, np.ndarray]:
+    """Enclosure of the side's slope m0 or m1 over the cells.
 
     Gap enclosures are intersected with the region-implied floors (sorted
     chamber: gaps >= 0; the wide gap >= sqrt(eps0)), which is sound because
     the certified claim quantifies over feasible points only.  Returns the
-    values and a mask of cells whose enclosure is finite (denominators
-    bounded away from zero); unresolved cells must be subdivided.
+    values and a mask of cells whose enclosure is finite.
     """
-    if expr is None:
-        def gap(i, j):
-            return getattr(ch, f"g{i}{j}")
+    def gap(i, j):
+        return getattr(ch, f"g{i}{j}")
 
-        # Every slope denominator is at least the band's wide gap, >= sqrt(eps0).
-        val = identities.gap_slope_form(
-            side, lambda i, j: gap(i, j).floor_at(0.0),
-            lambda x, pair: x.divide_by_positive(gap(*pair).floor_at(floor)))
-        return val, np.isfinite(val.lo) & np.isfinite(val.hi)
-    return _vector_ratfn(expr, ch)
-
-
-def _vector_ratfn(expr: tuple, ch: Chamber) -> tuple[VI, np.ndarray]:
-    """Vectorized enclosure over cells of a rational function of l1..l4,
-    given as its compiled numerator and denominator.
-
-    Cells go through in blocks of at most _CELL_BLOCK, which bounds the
-    (terms x cells) arrays of the batched products; every operation is
-    elementwise, so the blocking changes no bit.
-    """
-    degree = max(expr[0].degree, expr[1].degree)
-    num, den = VI(np.empty(ch.n), np.empty(ch.n)), VI(np.empty(ch.n), np.empty(ch.n))
-    for start in range(0, ch.n, _CELL_BLOCK):
-        cells = slice(start, start + _CELL_BLOCK)
-        powers = _power_table([VI(v.lo[cells], v.hi[cells]) for v in (ch.l1, ch.l2, ch.l3, ch.l4)],
-                              degree)
-        for out, poly in ((num, expr[0]), (den, expr[1])):
-            part = _vector_poly(poly, powers)
-            out.lo[cells], out.hi[cells] = part.lo, part.hi
-    ok = (den.lo > 0) | (den.hi < 0)
-    safe_den = VI(np.where(ok, den.lo, 1.0), np.where(ok, den.hi, 2.0))
-    pos = safe_den.lo > 0
-    den_pos = VI(np.where(pos, safe_den.lo, -safe_den.hi), np.where(pos, safe_den.hi, -safe_den.lo))
-    num_adj = VI(np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo))
-    val = num_adj.divide_by_positive(den_pos)
-    return val, ok
+    # Every slope denominator is at least the band's wide gap, >= sqrt(eps0).
+    val = identities.gap_slope_form(
+        side, lambda i, j: gap(i, j).floor_at(0.0),
+        lambda x, pair: x.divide_by_positive(gap(*pair).floor_at(floor)))
+    return val, np.isfinite(val.lo) & np.isfinite(val.hi)
 
 
 def _power_table(chart: list[VI], degree: int) -> VI:
@@ -782,31 +854,3 @@ def _power_table(chart: list[VI], degree: int) -> VI:
     for _ in range(degree - 1):
         rows.append(rows[-1] * base)
     return VI(np.concatenate([r.lo for r in rows]), np.concatenate([r.hi for r in rows]))
-
-
-def _vector_poly(poly: _CompiledPoly, powers: VI) -> VI:
-    """Enclosure of a compiled polynomial over the cells of a power table.
-
-    Each group's terms are multiplied out together, one 2-D VI product per
-    factor, left to right, then by the coefficients; the terms are summed
-    in monomial order with one outward rounding per term.  Every float
-    operation is the one a term-by-term walk does, so the enclosure is the
-    same to the bit.
-    """
-    n = powers.lo.shape[1]
-    los, his = [], []
-    for rows, coeffs in poly.groups:
-        if len(rows):
-            term = VI(powers.lo[rows[0]], powers.hi[rows[0]])
-            for r in rows[1:]:
-                term = term * VI(powers.lo[r], powers.hi[r])
-            term = term * coeffs
-            los.append(term.lo)
-            his.append(term.hi)
-        else:   # the constant term
-            los.append(np.broadcast_to(coeffs.lo, (1, n)))
-            his.append(np.broadcast_to(coeffs.hi, (1, n)))
-    lo = hi = np.zeros(n)
-    for t_lo, t_hi in zip(np.concatenate(los)[poly.order], np.concatenate(his)[poly.order]):
-        lo, hi = down(lo + t_lo), up(hi + t_hi)
-    return VI(lo, hi)

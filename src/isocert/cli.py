@@ -30,6 +30,7 @@ every run is serial.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -339,7 +340,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing and the
+    config overlay write only to the fresh Namespace of each run."""
     ap = _Parser(
         prog="isocert",
         description="Exact and interval certification toolkit for constrained "

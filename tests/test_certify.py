@@ -397,15 +397,16 @@ def _rational_cells(draw):
 @given(_rational_cells())
 @settings(max_examples=40, deadline=None)
 def test_band_quantity_enclosures_contain_exact_values(cells):
-    """Every cell _vector_ratfn marks ok encloses the exact value at its point."""
+    """Every entry a side program marks ok encloses the exact value at its point."""
     ch, points = cells
     assert len(_BAND_RATFNS) == 14
-    for side, key, expr in _BAND_RATFNS:
-        val, ok = ct._vector_ratfn((ct._compile_poly(expr.num), ct._compile_poly(expr.den)), ch)
+    program = ct._SideProgram([(expr.num, expr.den) for _, _, expr in _BAND_RATFNS])
+    val, ok = program([ch.l1, ch.l2, ch.l3, ch.l4])
+    for r, (side, key, expr) in enumerate(_BAND_RATFNS):
         for k, pt in enumerate(points):
-            if ok[k]:
+            if ok[r, k]:
                 exact = expr.evaluate(pt)
-                assert float(val.lo[k]) <= exact <= float(val.hi[k]), (side, key, pt)
+                assert float(val.lo[r, k]) <= exact <= float(val.hi[r, k]), (side, key, pt)
 
 
 def test_band_empty_region_trivial():
@@ -461,7 +462,7 @@ def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
     sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, F(1, 10**12))[0])
     sqrt_delta1_hi = float(_sqrt_bounds(delta1, F(1, 10**12))[1]) * (1 + 1e-12)
     ratfn = idn.gap_band_quantities(side)[key]
-    expr = None if key == "m" else (ct._compile_poly(ratfn.num), ct._compile_poly(ratfn.den))
+    program = None if key == "m" else ct._SideProgram([(ratfn.num, ratfn.den)])
     bound = float(_sqrt_bounds(S, F(1, 10**9))[1]) * (1 + 1e-12)
     tighten_depth = min(14, max_depth)
     cells = ct.CellBatch([-bound], [0.0], [-bound], [bound])
@@ -479,7 +480,12 @@ def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
         if not feasible.any():
             break
         sub = cells.select(feasible)
-        val, ok = ct._band_value(side, ct.Chamber(sub, ct._s_bounds(S)), expr, sqrt_eps0_lo)
+        ch = ct.Chamber(sub, ct._s_bounds(S))
+        if program is None:
+            val, ok = ct._slope_value(side, ch, sqrt_eps0_lo)
+        else:
+            val, ok = program([ch.l1, ch.l2, ch.l3, ch.l4])
+            val, ok = VI(val.lo[0], val.hi[0]), ok[0]
         if depth >= max_depth:
             if ok.any():
                 sup = max(sup, float(val.mag()[ok].max()))
@@ -594,7 +600,7 @@ def test_factored_forms_match_engine_extraction(drawn):
             assert exact[i] == gL[i + 1].evaluate(_lams(pt))
     for side, wide in (("g", (3, 2)), ("f", (2, 1))):
         ch, points = _chamber_gaps(cells, floor, raised=(wide,))
-        val, ok = ct._band_value(side, ch, None, float_down(floor))
+        val, ok = ct._slope_value(side, ch, float_down(floor))
         assert ok.all()
         slope = idn.gap_band_quantities(side)["m"]
         for k, pt in enumerate(points):

@@ -408,3 +408,17 @@ def test_record_payload_cannot_contradict_header():
     for key, value in (("name", "other"), ("status", "failed"), ("schema_version", "0.9")):
         with pytest.raises(reports.InternalError):
             reports.check_record("c", "proved", {key: value})
+
+
+def test_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # The parser is built once per process; a config overlay or a usage
+    # error of one run must leave nothing behind for the next.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("S = 9\nmax_depth = 12\n")
+    base = ["certify", "band", "--quantity", "m0", "--quiet"]
+    for argv in (base + ["--config", str(cfg)], base + ["--S", "-1"], base):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
+    assert code == 0 and json.loads(out)[0]["region"]["S"] == "8"

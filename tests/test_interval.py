@@ -3,12 +3,11 @@ use: containment, poles, refinement monotonicity, tight squares."""
 
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from isocert.certify import _compile_poly, _power_table, _vector_poly, _vector_ratfn
+from isocert.certify import _CELL_BLOCK, _SideProgram
 from isocert.exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
 from isocert.identities import gamma_L_polynomials, gap_band_quantities
 from isocert.vinterval import VI, float_down, float_up
@@ -27,9 +26,14 @@ def _box(**bounds) -> dict[str, VI]:
     return box
 
 
+def _chart(box: dict[str, VI]) -> list[VI]:
+    return [box[f"l{i}"] for i in range(1, 5)]
+
+
 def _enclose(poly: MultiPoly, box: dict[str, VI]) -> VI:
-    compiled = _compile_poly(poly)
-    return _vector_poly(compiled, _power_table([box[f"l{i}"] for i in range(1, 5)], compiled.degree))
+    """The enclosure of one polynomial: the numerator row of a one-pair program."""
+    sums = _SideProgram([(poly, MultiPoly.const(T, 1))]).polys(_chart(box))
+    return VI(sums.lo[0], sums.hi[0])
 
 
 def _contains(enc: VI, k: int, x) -> bool:
@@ -57,15 +61,15 @@ def test_possible_pole():
     # second's does not.
     expr = FactoredFn(FactorBase([L[1] - L[2]]), MultiPoly.const(T, 1), (1,)).to_ratfn()
     box = _box(l1=([-0.5, 1.0], [0.5, 2.0]), l2=([-0.5, -0.5], [0.5, 0.5]))
-    val, ok = _vector_ratfn((_compile_poly(expr.num), _compile_poly(expr.den)),
-                           SimpleNamespace(n=2, **box))
+    val, ok = _SideProgram([(expr.num, expr.den)])(_chart(box))
+    val, ok = VI(val.lo[0], val.hi[0]), ok[0]
     assert list(ok) == [False, True]
     # 1 / [1/2, 5/2] = [2/5, 2]
     assert _contains(val, 1, F(2, 5)) and _contains(val, 1, 2)
 
 
 def test_from_fraction_containment():
-    # Coefficients enter _vector_poly as floats widened one ulp outward.
+    # Coefficients enter a program as floats widened one ulp outward.
     for q in (F(1, 3), F(-7, 11), F(2), F(10**18 + 1, 3)):
         enc = _enclose(MultiPoly.const(T, q), _box(l1=([0.0], [0.0])))
         assert _contains(enc, 0, q)
@@ -118,9 +122,13 @@ def _term_walk(poly: MultiPoly, box: dict[str, VI], n: int) -> VI:
     return total
 
 
+def _same_bits(want: np.ndarray, got: np.ndarray) -> bool:
+    return want.shape == got.shape and np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
 def test_compiled_polys_match_term_walk_bitwise():
     # Batching reorders no float operation, so enclosures are bit-identical,
-    # signed zeros included; numerator and denominator share one power table.
+    # signed zeros included; all polynomials of a side share one program.
     for n in (1, 50, 400):
         rng = random.Random(11 + n)
         lo = {f"l{i}": [rng.uniform(-3, 3) for _ in range(n)] for i in range(1, 5)}
@@ -129,15 +137,73 @@ def test_compiled_polys_match_term_walk_bitwise():
             name = f"l{rng.randint(1, 4)}"
             lo[name][k], hi[name][k] = rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0)])
         box = _box(**{k: (lo[k], hi[k]) for k in lo})
-        chart = [box[f"l{i}"] for i in range(1, 5)]
         for side in ("g", "f"):
-            for expr in gap_band_quantities(side).values():
-                num, den = _compile_poly(expr.num), _compile_poly(expr.den)
-                powers = _power_table(chart, max(num.degree, den.degree))
-                for poly, compiled in ((expr.num, num), (expr.den, den)):
-                    want, got = _term_walk(poly, box, n), _vector_poly(compiled, powers)
-                    assert np.array_equal(want.lo.view(np.int64), got.lo.view(np.int64))
-                    assert np.array_equal(want.hi.view(np.int64), got.hi.view(np.int64))
+            exprs = list(gap_band_quantities(side).values())
+            got = _SideProgram([(e.num, e.den) for e in exprs]).polys(_chart(box))
+            for j, poly in enumerate([e.num for e in exprs] + [e.den for e in exprs]):
+                want = _term_walk(poly, box, n)
+                assert _same_bits(want.lo, got.lo[j])
+                assert _same_bits(want.hi, got.hi[j])
+
+
+_EDGE_BOXES = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, 0.0), (2.0, 2.0)])
+_FREE_BOXES = st.tuples(st.floats(-3, 3), st.floats(0, 0.5)).map(lambda b: (b[0], b[0] + b[1]))
+
+
+@st.composite
+def _program_cases(draw):
+    """Boxes over a cell count at and around the cell-block edges, and
+    polynomial pairs of unequal term counts, with a constant polynomial."""
+    b = _CELL_BLOCK
+    n = draw(st.sampled_from([1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 4 * b + 1]))
+    cells = draw(st.lists(st.tuples(*[_EDGE_BOXES | _FREE_BOXES] * 4), min_size=n, max_size=n))
+    box = _box(**{f"l{i + 1}": ([c[i][0] for c in cells], [c[i][1] for c in cells])
+                  for i in range(4)})
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * 4),
+                     st.fractions(-50, 50, max_denominator=9).filter(bool))
+
+    def poly(terms):
+        return sum((c * L[1] ** e[0] * L[2] ** e[1] * L[3] ** e[2] * L[4] ** e[3] for e, c in terms),
+                   MultiPoly.zero(T))
+
+    polys = [poly(t) for t in draw(st.lists(st.lists(term, min_size=1, max_size=12),
+                                            min_size=1, max_size=5))]
+    polys.append(MultiPoly.const(T, draw(st.fractions(-9, 9, max_denominator=7).filter(bool))))
+    pairs = [(polys[i], polys[-1 - i]) for i in range(len(polys) // 2 + 1)]
+    return box, n, pairs
+
+
+def _divide(num: VI, den: VI) -> tuple[VI, np.ndarray]:
+    """Reference: num / den over cells where den excludes zero, by the
+    sign of den, with the placeholder [1, 2] where it does not."""
+    ok = (den.lo > 0) | (den.hi < 0)
+    safe = VI(np.where(ok, den.lo, 1.0), np.where(ok, den.hi, 2.0))
+    pos = safe.lo > 0
+    den_pos = VI(np.where(pos, safe.lo, -safe.hi), np.where(pos, safe.hi, -safe.lo))
+    num_adj = VI(np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo))
+    return num_adj.divide_by_positive(den_pos), ok
+
+
+@given(_program_cases())
+@settings(max_examples=30, deadline=None)
+def test_side_program_matches_term_walk_bitwise(case):
+    # Each polynomial's sum runs over exactly its own terms in monomial
+    # order, whatever the other polynomials' term counts; the quotients,
+    # taken in cell blocks, are those of the term walks' sums.
+    box, n, pairs = case
+    program = _SideProgram(pairs)
+    got = program.polys(_chart(box))
+    with np.errstate(over="ignore"):     # a denominator near zero may overflow to inf
+        val, ok = program(_chart(box))
+    for r, (num, den) in enumerate(pairs):
+        walks = [_term_walk(poly, box, n) for poly in (num, den)]
+        for j, want in ((r, walks[0]), (len(pairs) + r, walks[1])):
+            assert _same_bits(want.lo, got.lo[j])
+            assert _same_bits(want.hi, got.hi[j])
+        with np.errstate(over="ignore"):
+            want, want_ok = _divide(*walks)
+        assert _same_bits(want.lo, val.lo[r]) and _same_bits(want.hi, val.hi[r])
+        assert np.array_equal(want_ok, ok[r])
 
 
 def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
@@ -148,16 +214,14 @@ def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
     box = _box(**{k: (v, [x + rng.uniform(0, 0.5) for x in v]) for k, v in lo.items()})
 
     def cells(part):
-        return SimpleNamespace(n=len(range(400)[part]),
-                               **{k: VI(v.lo[part], v.hi[part]) for k, v in box.items()})
+        return [VI(v.lo[part], v.hi[part]) for v in _chart(box)]
 
-    for expr in gap_band_quantities("g").values():
-        compiled = (_compile_poly(expr.num), _compile_poly(expr.den))
-        whole, ok = _vector_ratfn(compiled, cells(slice(None)))
-        parts = [_vector_ratfn(compiled, cells(p)) for p in (slice(0, 150), slice(150, None))]
-        for got, want in ((whole.lo, [v.lo for v, _ in parts]), (whole.hi, [v.hi for v, _ in parts]),
-                          (ok, [k for _, k in parts])):
-            assert np.array_equal(got.view(np.int8), np.concatenate(want).view(np.int8))
+    program = _SideProgram([(e.num, e.den) for e in gap_band_quantities("g").values()])
+    whole, ok = program(cells(slice(None)))
+    parts = [program(cells(p)) for p in (slice(0, 150), slice(150, None))]
+    for got, want in ((whole.lo, [v.lo for v, _ in parts]), (whole.hi, [v.hi for v, _ in parts]),
+                      (ok, [k for _, k in parts])):
+        assert np.array_equal(got.view(np.int8), np.concatenate(want, axis=1).view(np.int8))
 
 
 def test_power_tightness():
