@@ -79,15 +79,6 @@ class QuadExt:
             out = out * base
         return out
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        d = self._join(other)
-        norm = other.a * other.a - other.b * other.b * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero value")
-        inv = QuadExt.make(other.a / norm, -other.b / norm, d)
-        return self * inv
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
         return quad_sign(self.a, self.b, self.d)
@@ -142,6 +133,16 @@ def quad_sign(a, b, d) -> int:
     # Opposite signs: the term of larger square wins.
     diff = a * a - b * b * d
     return sa if diff > 0 else sb if diff < 0 else 0
+
+
+def cubic_bound_sign(S, A3) -> int:
+    """Exact sign of S^3 - 3 A3^2; S and A3 rational or QuadExt.
+
+    For A3 >= 0 it decides A3 against the cubic bound S^(3/2)/sqrt(3) on the
+    sphere p1 = 0, p2 = S of four principal curvatures: negative beyond the
+    bound, zero on it.
+    """
+    return (_coerce(S) ** 3 - A3 * A3 * 3).sign()
 
 
 def _coerce(x) -> QuadExt:
@@ -219,10 +220,6 @@ class AlgebraicNumber:
         lo, hi = up.refine(self.poly, (self.lo, self.hi), Fraction(eps))
         return AlgebraicNumber(self.poly, lo, hi, self.chain)
 
-    def interval(self, eps: Fraction) -> tuple[Fraction, Fraction]:
-        r = self.refine(eps)
-        return r.lo, r.hi
-
     def sign_of(self, q: up.UPoly) -> int:
         """Exact sign of q evaluated at this number.
 
@@ -243,9 +240,6 @@ class AlgebraicNumber:
             if va and va == up.sign_at(q, cur.hi):
                 return va
             cur = cur.refine((cur.hi - cur.lo) / 16)
-
-    def sign(self) -> int:
-        return self.sign_of(up.upoly([0, 1]))
 
     def compare(self, other: "AlgebraicNumber") -> int:
         """-1, 0, +1; equality decided exactly via common roots."""

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import identities
-from .algebraic import QuadExt, _sqrt_bounds, quad_sign
+from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign, quad_sign
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
 from .vinterval import VI, float_down, float_up
@@ -569,7 +569,7 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
     # 3 A3^2 <= S^3 bounds p3 on the sphere p1 = 0, p2 = S (n = 4), exactly.
     # On the bound only lam1 = lam2 = lam3 or lam2 = lam3 = lam4 has p3 = A3:
     # there lam3 = lam2, which neither band admits.
-    cubic = (S**3 - A3 * A3 * 3).sign()
+    cubic = cubic_bound_sign(S, A3)
     empty = ("the constraint sphere is a point" if S <= 0
              else "A3 beyond the cubic bound" if cubic < 0
              else "A3 on the cubic bound" if cubic == 0 else None)
@@ -824,8 +824,8 @@ def _chart_terms(poly: MultiPoly) -> list[tuple[list[tuple[int, int]], float]]:
 @functools.cache
 def _side_program(side: str, keys: tuple[str, ...]) -> _SideProgram:
     """The program of a side's quantities `keys`, compiled on first use."""
-    ratfns = identities.gap_band_quantities(side)
-    return _SideProgram([(ratfns[key].num, ratfns[key].den) for key in keys])
+    quantities = identities.gap_band_quantities(side)
+    return _SideProgram([(quantities[key].num, quantities[key].den_poly()) for key in keys])
 
 
 def _slope_value(side, ch: Chamber, floor: float) -> tuple[VI, np.ndarray]:

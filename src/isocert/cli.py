@@ -40,6 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify, configsolve, geomex, identities, mollify, reports
+from .algebraic import cubic_bound_sign
 from .reports import check_record
 
 THREADS_ENV = "ISOCERT_THREADS"
@@ -267,7 +268,7 @@ def run_pipeline(args) -> tuple[list[dict], int]:
     for name in geomex.catalog_names():
         model = geomex.get_model(name)
         minimal = model.power_sums["p1"].sign() == 0
-        bound_ok = (model.S**3 - model.A3 * model.A3 * 3).sign() >= 0
+        bound_ok = cubic_bound_sign(model.S, model.A3) >= 0
         recs.append(check_record(
             f"landmark_{name}", "pass" if (minimal and bound_ok) else "fail",
             {"S": str(model.S), "A3": str(model.A3),

@@ -29,12 +29,13 @@ Fractions, the same rationals Fraction arithmetic would give.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import upoly as up
-from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds
+from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign
 
 
 # -- exact rational intervals -------------------------------------------------
@@ -158,8 +159,7 @@ class ScalarParams:
         if self.A3.sign() < 0:
             out.append(f"A3={self.A3} negative; the standing convention flips signs")
         # A3 < S^{3/2}/sqrt(3)  <=>  3*A3^2 < S^3 for A3 >= 0.
-        three_a3_sq = self.A3 * self.A3 * 3
-        if (QuadExt.rational(self.S**3) - three_a3_sq).sign() <= 0 and self.A3.sign() >= 0:
+        if cubic_bound_sign(self.S, self.A3) <= 0 and self.A3.sign() >= 0:
             out.append("A3 is at or beyond the strict cubic-bound S^(3/2)/sqrt(3)")
         return out
 
@@ -341,7 +341,8 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
         ]
     if x0.sign_of(D) < 0:
         return None
-    order = sorted(range(4), key=lambda i: _SortKey(raw, x0, D, i))
+    order = sorted(range(4), key=functools.cmp_to_key(
+        lambda i, j: _sign_member_diff(raw[i], raw[j], x0, D)))
     members = [raw[i] for i in order]
     # Multiplicities via exact adjacent equality.
     distinct, mults = [0], [1]
@@ -364,16 +365,6 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
         params=params,
         warnings=list(warnings),
     )
-
-
-class _SortKey:
-    """Exact comparator adapter for sorting members."""
-
-    def __init__(self, raw, x0, D, i):
-        self.raw, self.x0, self.D, self.i = raw, x0, D, i
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return _sign_member_diff(self.raw[self.i], self.raw[other.i], self.x0, self.D) < 0
 
 
 def _pattern_satisfied(tag: str, members, x0, D) -> bool:

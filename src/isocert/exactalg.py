@@ -33,15 +33,12 @@ Representation:
   FactoredFn              = num over a product of powers of the monic
                             irreducible factors of a FactorBase, the powers
                             kept as an exponent tuple; no operation needs a
-                            polynomial gcd.
-  RatFn                   = num / den in normal form, as emitted by
-                            `FactoredFn.to_ratfn`: every base factor that
-                            divides num has been cancelled and den is the
-                            expanded product of the remaining factors.  The
-                            factors are monic and irreducible, so num and den
-                            are coprime, den is monic under the graded lex
-                            order, and two equal rational functions are
-                            structurally equal.
+                            polynomial gcd.  `normalize` gives the normal
+                            form: every base factor that divides num has
+                            been cancelled.  The factors are monic and
+                            irreducible, so num and the expanded denominator
+                            `den_poly` are coprime, and two equal rational
+                            functions over one base have equal num and den.
 
 Index conventions for the curvature problem are handled at symbol-interning
 time: second-derivative symbols h_ijk are fully symmetric, so `SymbolTable.h`
@@ -63,14 +60,6 @@ MAX_EXPONENT = 0x7F
 _FIELD_BITS = 8
 _FIELD_MASK = 0xFF
 _GUARD_BIT = 0x80
-
-
-class PoleError(ZeroDivisionError):
-    """Raised when a rational function is evaluated at a zero of its denominator."""
-
-    def __init__(self, factor: str):
-        super().__init__(f"pole: denominator {factor} vanishes at the given point")
-        self.factor = factor
 
 
 class SymbolMismatchError(ValueError):
@@ -456,61 +445,6 @@ def divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
 
 # -- rational functions ------------------------------------------------------
 
-class RatFn:
-    """Rational function in normal form: coprime parts, monic denominator.
-
-    Built only by `FactoredFn.to_ratfn`, `from_poly` and `zero`, which all
-    emit the normal form, so structural equality decides equality.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFn":
-        return cls(p, MultiPoly.const(p.table, 1))
-
-    @classmethod
-    def zero(cls, table: SymbolTable) -> "RatFn":
-        return cls.from_poly(MultiPoly.zero(table))
-
-    @property
-    def table(self) -> SymbolTable:
-        return self.num.table
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den == MultiPoly.const(self.table, 1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value; raises PoleError when the denominator vanishes."""
-        dv = self.den.evaluate(point)
-        if dv == 0:
-            raise PoleError(str(self.den))
-        return self.num.evaluate(point) / dv
-
-    def symbols_used(self) -> set[str]:
-        return self.num.symbols_used() | self.den.symbols_used()
-
-    def __repr__(self) -> str:
-        return f"RatFn({self})"
-
-    def __str__(self) -> str:
-        if self.is_poly():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
 class FactoredFn:
     """num / product-of-known-factors, for pipelines with a fixed factor base.
 
@@ -518,8 +452,9 @@ class FactoredFn:
     monic irreducible polynomials (the curvature-gap differences, in this
     package).  Addition and multiplication then never need a polynomial gcd:
     common denominators are exponent-wise maxima and cancellation is trial
-    division by the base factors.  `to_ratfn` emits the usual normal form;
-    it is exact because the base factors are irreducible and monic.
+    division by the base factors.  `normalize` emits the normal form; it is
+    exact because the base factors are irreducible and monic.  `str` renders
+    num alone over a trivial denominator, else (num) / (den_poly).
     """
 
     __slots__ = ("base", "num", "den")
@@ -554,7 +489,7 @@ class FactoredFn:
     __rmul__ = __mul__
 
     def normalize(self) -> "FactoredFn":
-        """Cancel every base factor dividing the numerator."""
+        """The normal form: every base factor dividing the numerator cancelled."""
         num = self.num
         den = list(self.den)
         if num.is_zero():
@@ -569,14 +504,17 @@ class FactoredFn:
                 den[i] -= 1
         return FactoredFn(self.base, num, tuple(den))
 
-    def to_ratfn(self) -> RatFn:
-        """Exact normal-form RatFn (no gcd search needed)."""
-        r = self.normalize()
-        den_poly = self.base.factor_power(r.den)
-        return RatFn(r.num, den_poly)
+    def den_poly(self) -> MultiPoly:
+        """The expanded denominator."""
+        return self.base.factor_power(self.den)
 
     def __repr__(self) -> str:
         return f"FactoredFn(({self.num}) / {self.den})"
+
+    def __str__(self) -> str:
+        if not any(self.den):
+            return str(self.num)
+        return f"({self.num}) / ({self.den_poly()})"
 
 
 class FactorBase:

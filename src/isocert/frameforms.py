@@ -29,7 +29,7 @@ transcribed target formula.
 Every denominator that can occur on this pipeline is a product of the six
 curvature gaps l_i - l_j, so coefficients are carried as FactoredFn over
 that base: no polynomial gcd is ever needed mid-computation, and the final
-conversion to a normal-form RatFn is exact.
+normalization (trial division by the base factors) is exact.
 
 Sign conventions: wedge monomials are kept with strictly increasing
 generator order and the reordering parity absorbed into the coefficient;
@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactalg import FactorBase, FactoredFn, MultiPoly, RatFn, SymbolTable
+from .exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
 
 # Generator encoding: coframe legs are 1..4, connection forms are 10*i + j
 # with i < j.  Plain integer comparison then gives the canonical order.
@@ -197,30 +197,16 @@ class Form:
                         out[key] = s
         return Form(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self - other).is_really_zero()
-
-    def is_really_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
-
-    def coefficient(self, gens: Iterable[int]) -> RatFn:
-        """Exact normal-form coefficient of the given wedge monomial."""
-        return self.coefficient_raw(gens).to_ratfn()
-
     def coefficient_raw(self, gens: Iterable[int]) -> FactoredFn:
+        """Coefficient of the given wedge monomial, as stored (not normalized)."""
         key, sign = _sort_gens(gens)
         if sign == 0:
             return _ZERO
         c = self.terms.get(key)
         return _ZERO if c is None else c * sign
 
-    def vol_coefficient(self) -> RatFn:
-        """Coefficient of w1^w2^w3^w4 (requires a pure coframe form)."""
-        return self.vol_coefficient_raw().to_ratfn()
-
     def vol_coefficient_raw(self) -> FactoredFn:
+        """Coefficient of w1^w2^w3^w4 (requires a pure coframe form)."""
         for m in self.terms:
             if any(g >= 10 for g in m):
                 raise ValueError("form still contains connection generators")
@@ -234,7 +220,7 @@ class Form:
         parts = []
         for m in sorted(self.terms):
             mono = "^".join(names[g] for g in m) or "1"
-            parts.append(f"({self.terms[m].to_ratfn()}) {mono}")
+            parts.append(f"({self.terms[m].normalize()}) {mono}")
         return "Form(" + " + ".join(parts) + ")"
 
 
@@ -271,18 +257,6 @@ def _gauss_factor(i: int, j: int, mode: str) -> MultiPoly:
     if mode == "expanded":
         return _POLY_ONE + lam(i) * lam(j)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def diagonal_derivative_relations(i: int) -> dict[str, RatFn]:
-    """Coefficients of h_44i in the eliminated diagonal derivatives h_jji.
-
-    Solving  sum_j h_jji = sum_j l_j h_jji = sum_j l_j^2 h_jji = 0  for
-    h_11i, h_22i, h_33i in terms of h_44i (Vandermonde system in the l_j).
-    """
-    coeffs = _diagonal_coeffs()
-    return {
-        SymbolTable.h_name(j, j, i): coeffs[f"h{j}{j}"].to_ratfn() for j in (1, 2, 3)
-    }
 
 
 def _diagonal_coeffs() -> dict[str, FactoredFn]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import QuadExt
+from .algebraic import QuadExt, cubic_bound_sign
 
 _TWO_DISTINCT_NOTE = (
     "catalog note: this example has exactly two distinct principal curvatures "
@@ -80,16 +80,6 @@ class ModelHypersurface:
         return {k: v.interval(Fraction(width)) for k, v in self.power_sums.items()}
 
 
-def _sort_quad(vals: list[QuadExt]) -> list[QuadExt]:
-    out = list(vals)
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and (out[j - 1] - out[j]).sign() > 0:
-            out[j - 1], out[j] = out[j], out[j - 1]
-            j -= 1
-    return out
-
-
 def _mults_of(ordered: list[QuadExt]) -> tuple:
     mults = [1]
     for a, b in zip(ordered, ordered[1:]):
@@ -130,7 +120,7 @@ def clifford_torus(k: int) -> ModelHypersurface:
             pos = QuadExt.make(0, Fraction(1, 3), 3)
             neg = QuadExt.make(0, -1, 3)
     vals = [pos] * k + [neg] * (4 - k)
-    ordered = _sort_quad(vals)
+    ordered = sorted(vals)
     return ModelHypersurface(
         name=f"clifford_torus_{k}",
         spectrum=tuple(ordered),
@@ -147,7 +137,7 @@ def isoparametric_g4() -> ModelHypersurface:
         QuadExt.make(-1, 1, 2),
         QuadExt.make(1, 1, 2),
     ]
-    ordered = _sort_quad(vals)
+    ordered = sorted(vals)
     return ModelHypersurface(
         name="isoparametric_g4",
         spectrum=tuple(ordered),
@@ -187,11 +177,9 @@ def _clause(description: str, holds: bool, detail: str = "") -> dict:
 
 def _cubic_bound_strict(model: ModelHypersurface) -> bool:
     """A3 in [0, S^(3/2)/sqrt(3)) decided exactly via 3 A3^2 < S^3."""
-    a3 = model.A3
-    if a3.sign() < 0:
+    if model.A3.sign() < 0:
         return False
-    s_cubed = model.S**3
-    return (s_cubed - a3 * a3 * 3).sign() > 0
+    return cubic_bound_sign(model.S, model.A3) > 0
 
 
 def check_model(model: ModelHypersurface, theorem: int) -> dict:

