@@ -200,22 +200,27 @@ def test_golden_band_sign_certificate():
     assert out.stdout == (GOLDEN / "band_B1g.json").read_text()
 
 
-# (S, A3, --max-depth) for the walked band goldens: every quantity of both
-# sides, at a rational A3, at one where the quantities' frontiers part after
-# depth 14 (and depth 15 leaves open cells), and at a radical A3.
+# (S, A3, eps0, delta1, --max-depth, exit code) for the walked band goldens:
+# every quantity of both sides, at a rational A3, at one where the
+# quantities' frontiers part after depth 14 (and depths 13-15 leave open
+# cells; 13 and 14 are where the walk starts reading enclosures), and at two
+# radical A3, one a sweep point near the cubic bound.
 BAND_GOLDENS = {
-    "8_1": ("8", "1", "30", 0),
-    "8_13": ("8", "13", "30", 0),
-    "8_13_depth15": ("8", "13", "15", 2),
-    "37_4_5sqrt3_2": ("37/4", "5*sqrt(3)/2", "30", 0),
+    "8_1": ("8", "1", "1/10", "1/20", "30", 0),
+    "8_13": ("8", "13", "1/10", "1/20", "30", 0),
+    "8_13_depth13": ("8", "13", "1/10", "1/20", "13", 2),
+    "8_13_depth14": ("8", "13", "1/10", "1/20", "14", 2),
+    "8_13_depth15": ("8", "13", "1/10", "1/20", "15", 2),
+    "37_4_5sqrt3_2": ("37/4", "5*sqrt(3)/2", "1/10", "1/20", "30", 0),
+    "17_2_29sqrt3_4": ("17/2", "29*sqrt(3)/4", "1/11", "7/110", "30", 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAND_GOLDENS))
 def test_golden_band_walk_reports(case, capsys):
-    S, A3, depth, code = BAND_GOLDENS[case]
+    S, A3, eps0, delta1, depth, code = BAND_GOLDENS[case]
     assert cli.main(["certify", "band", "--quantity", "all", "--S", S, "--A3", A3,
-                     "--eps0", "1/10", "--delta1", "1/20", "--max-depth", depth, "--quiet"]) == code
+                     "--eps0", eps0, "--delta1", delta1, "--max-depth", depth, "--quiet"]) == code
     assert capsys.readouterr().out == (GOLDEN / f"band_all_{case}.json").read_text()
 
 
