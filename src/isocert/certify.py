@@ -21,12 +21,15 @@ exactly and the interval enclosures are containment-correct.  The frontier
 of cells is processed as numpy batches (see vinterval); cells split on
 their widest coordinate, and a claim is proved when every feasible leaf
 clears its margin.  Certified suprema are reported as explicit constants.
-Each side of the band has one frontier for all its quantities, with a mask
-per quantity, so every quantity walks the cells it would walk alone.  At
-each depth one side program (`_SideProgram`, compiled once per side and
-quantity set) encloses the numerators and denominators of all the side's
-G quantities in one pass, with the float operations of a term-by-term walk
-of each polynomial, so the enclosures are the walk's to the bit.
+Both sides of the band share one frontier for all their quantities, with
+a mask per quantity, so every quantity walks the cells it would walk alone.
+No cell is decided below the tighten depth min(14, max_depth), so no
+enclosure is computed there.  From that depth on, per side and depth, one
+side program (`_SideProgram`, compiled once per side and quantity set)
+encloses the numerators and denominators of the side's G quantities that
+still have a live cell in one pass, with the float operations of a
+term-by-term walk of each polynomial, so the enclosures are the walk's to
+the bit.
 
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
@@ -553,7 +556,7 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
     Slope quantities (m0, m1) get a certified enclosure within [0, C] or
     [-C, 0]; B-quantities are nonpositive by factor signs (no subdivision
     needed); the bounded remainders G get a certified constant C with
-    |G| <= C.  The slope and G quantities of each side share one branch
+    |G| <= C.  The slope and G quantities of both sides share one branch
     and bound (see `_band_walk`).
     """
     for q in quantities:
@@ -584,29 +587,30 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
               float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12),
               np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf))
     bound = float(_sqrt_bounds(S, Fraction(1, 10**9))[1]) * (1 + 1e-12)
-    sb = _s_bounds(S)
-    for side in "gf":
-        walked = [q for q in quantities if q not in certs and BAND_QUANTITIES[q][0] == side]
-        if walked:
-            certs.update(_band_walk(side, walked, regions[side], sb, bound, limits, max_depth))
+    walked = [q for q in dict.fromkeys(quantities) if q not in certs]
+    if walked:
+        certs.update(_band_walk(walked, regions, _s_bounds(S), bound, limits, max_depth))
     return [certs[q] for q in quantities]
 
 
-def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[str, Certificate]:
-    """One branch and bound over the chart for the walked quantities of a side.
+def _band_walk(quantities, regions, sb, bound, limits, max_depth) -> dict[str, Certificate]:
+    """One branch and bound over the chart for the walked quantities of both sides.
 
-    The frontier is the union of the quantities' own frontiers, and row i
-    of `live` marks the cells quantity i still needs.  Feasibility and
-    enclosures are elementwise per cell, and splitting a selection of cells
-    is selecting from the split cells, so each quantity gets exactly the
-    cells, split order, depth and supremum of a walk of its own.  Per depth
-    one side program call encloses every G quantity over the feasible
-    cells, and the slope has its own gap form.
+    The frontier is the union of the quantities' own frontiers, with one
+    Chamber per depth, and row i of `live` marks the cells quantity i still
+    needs; each side's feasibility test (its small and big gap swapped)
+    prunes that side's rows only.  Below the tighten depth no cell is
+    decided, so there the walk only prunes and splits and computes no
+    enclosure; from it on, `_decide_side` encloses each side's live
+    quantities.  Feasibility and enclosures are elementwise per cell, and
+    splitting a selection of cells is selecting from the split cells, so
+    each quantity gets exactly the cells, split order, depth, supremum and
+    open cells of a walk of its own.
     """
     sqrt_eps0_lo, sqrt_delta1_hi, a3_lo, a3_hi = limits
     keys = [BAND_QUANTITIES[q][1] for q in quantities]
-    rows = [i for i, key in enumerate(keys) if key != "m"]    # the program's, in its order
-    program = _side_program(side, tuple(keys[i] for i in rows))
+    sides = {side: [i for i, q in enumerate(quantities) if BAND_QUANTITIES[q][0] == side]
+             for side in "gf"}
     n = len(quantities)
     processed, feasible_seen, reached = (np.zeros(n, dtype=int) for _ in range(3))
     sup = [0.0] * n
@@ -619,39 +623,27 @@ def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[s
         processed += live.sum(axis=1)
         reached[live.any(axis=1)] = depth
         ch = Chamber(cells, sb)
-        small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
         p3 = ch.p3()
-        live &= ((ch.disc.hi >= 0) & (small.hi >= 0) & (small.lo <= sqrt_delta1_hi)
-                 & (big.hi >= sqrt_eps0_lo) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi))
+        on_band = (ch.disc.hi >= 0) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi)
+        for side, rows in sides.items():
+            small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
+            live[rows] &= (on_band & (small.hi >= 0) & (small.lo <= sqrt_delta1_hi)
+                           & (big.hi >= sqrt_eps0_lo))
         feasible_seen += live.sum(axis=1)
-        keep = live.any(axis=0)
-        cells, live, ch = cells.select(keep), live[:, keep], ch.select(keep)
-        if live[rows].any():
-            vals, oks = program([ch.l1, ch.l2, ch.l3, ch.l4])
-        for i, key in enumerate(keys):
-            if not live[i].any():
-                continue
-            if key == "m":
-                val, ok = _slope_value(side, ch, sqrt_eps0_lo)
-            else:
-                r = rows.index(i)
-                val, ok = VI(vals.lo[r], vals.hi[r]), oks[r]
-            # Decided cells keep splitting until tighten_depth: the supremum
-            # constant tightens while soundness is unaffected.
-            done = live[i] & ok & (depth >= tighten_depth)
-            if done.any():
-                sup[i] = max(sup[i], float(val.mag()[done].max()))
-            live[i] &= ~done
-            if depth >= max_depth:
-                open_cells[i] = cells.select(live[i]).rows()
+        # Decided cells keep splitting until tighten_depth: the supremum
+        # constant tightens while soundness is unaffected.
+        if depth >= tighten_depth:
+            for side, rows in sides.items():
+                _decide_side(side, rows, keys, live, ch, sup, sqrt_eps0_lo)
         if depth >= max_depth:
+            open_cells = [cells.select(row).rows() for row in live]
             break
         keep = live.any(axis=0)
         cells, live = cells.select(keep).split(), np.tile(live[:, keep], 2)
         depth += 1
     out = {}
     for i, q in enumerate(quantities):
-        stats = {"claim": f"band_{q}", "region": region, "margin": 0.0,
+        stats = {"claim": f"band_{q}", "region": regions[BAND_QUANTITIES[q][0]], "margin": 0.0,
                  "cells_processed": int(processed[i]), "max_depth_reached": int(reached[i])}
         if not feasible_seen[i]:
             out[q] = Certificate(status="trivial", notes=["empty band region"], **stats)
@@ -662,6 +654,37 @@ def _band_walk(side, quantities, region, sb, bound, limits, max_depth) -> dict[s
         out[q] = Certificate(status="inconclusive" if open_cells[i] else "proved", bound=sup[i],
                              notes=[note], open_cells=open_cells[i], **stats)
     return out
+
+
+def _decide_side(side, rows, keys, live, ch: Chamber, sup, floor) -> None:
+    """Enclose the live quantities of a side (rows `rows` of `live`) over the
+    cells where one of them is live; clear each row's decided cells from
+    `live` and raise its `sup` to their largest magnitude.
+
+    One side program call encloses the side's G quantities that still have
+    a live cell, in key order, so a side compiles at most 15 programs; the
+    slope has its own gap form.
+    """
+    rows = [i for i in rows if live[i].any()]
+    if not rows:
+        return
+    on = live[rows].any(axis=0)
+    sub = ch.select(on)
+    walked = sorted((i for i in rows if keys[i] != "m"), key=keys.__getitem__)
+    if walked:
+        vals, oks = _side_program(side, tuple(keys[i] for i in walked))(
+            [sub.l1, sub.l2, sub.l3, sub.l4])
+    for i in rows:
+        if keys[i] == "m":
+            val, ok = _slope_value(side, sub, floor)
+        else:
+            r = walked.index(i)
+            val, ok = VI(vals.lo[r], vals.hi[r]), oks[r]
+        mine = live[i, on]
+        done = mine & ok
+        if done.any():
+            sup[i] = max(sup[i], float(val.mag()[done].max()))
+        live[i, on] = mine & ~ok
 
 
 def _band_region(side, S, A3, eps0, delta1) -> dict:

@@ -519,14 +519,88 @@ def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
     (8, 13, F(1, 10), F(1, 20), 30),
     (F(37, 4), "5*sqrt(3)/2", F(1, 10), F(1, 20), 30),
     (F(1, 10**6), 0, F(1, 10), F(1, 20), 30),
+    (8, 13, F(1, 10), F(1, 20), 13),     # the walk decides cells from min(14, max_depth) on
+    (8, 13, F(1, 10), F(1, 20), 14),
+    (8, -12, F(1, 2), F(1, 4), 30),      # the g side's band is pruned empty by depth 7
 ])
 def test_shared_band_walk_matches_per_quantity_walks(S, A3, eps0, delta1, max_depth):
-    """Every quantity of the one walk per side gets the certificate of a walk
-    of its own: the same cells, split order, depth, supremum and open cells."""
-    certs = ct.certify_band(S, A3, eps0, delta1, max_depth=max_depth)
+    """Every quantity of the one walk of both sides gets the certificate of a
+    walk of its own: the same cells, split order, depth, supremum and open cells."""
+    _assert_matches_per_quantity_walks(tuple(ct.BAND_QUANTITIES), S, A3, eps0, delta1, max_depth)
+
+
+@pytest.mark.parametrize("quantities, max_depth", [
+    (("m0", "G3f"), 30),
+    (("G4f", "B1g", "m0", "G2g", "G1f"), 30),
+    (("G3f", "m1", "G2g"), 15),
+])
+def test_band_walk_of_mixed_sides_matches_per_quantity_walks(quantities, max_depth):
+    """The frontier mixes rows of both sides, in any order of quantities."""
+    _assert_matches_per_quantity_walks(quantities, 8, 13, F(1, 10), F(1, 20), max_depth)
+
+
+def _assert_matches_per_quantity_walks(quantities, S, A3, eps0, delta1, max_depth):
+    certs = ct.certify_band(S, A3, eps0, delta1, quantities, max_depth=max_depth)
     assert [c.to_json() for c in certs] == [
-        _band_walk_per_quantity(q, S, A3, eps0, delta1, max_depth).to_json()
-        for q in ct.BAND_QUANTITIES]
+        _band_walk_per_quantity(q, S, A3, eps0, delta1, max_depth).to_json() for q in quantities]
+
+
+@pytest.mark.parametrize("S, A3, eps0, delta1, max_depth", [
+    (8, 13, F(1, 10), F(1, 20), 30),     # the G quantities go on after m0 and m1 finish
+    (8, 13, F(1, 10), F(1, 20), 10),     # max_depth below 14
+    (8, -12, F(1, 2), F(1, 4), 30),      # the g side's band is pruned empty by depth 7
+])
+def test_band_walk_encloses_only_what_a_decision_reads(monkeypatch, S, A3, eps0, delta1, max_depth):
+    """No enclosure below the depth where cells start to be decided, and the
+    side program of a depth covers exactly the G quantities with a live cell.
+
+    The depth of a call is read off its cells: a depth-d cell is 1/2^d of
+    the first cell, [-bound, 0] x [-bound, bound]."""
+    bound = float(_sqrt_bounds(F(S), F(1, 10**9))[1]) * (1 + 1e-12)
+    calls = []
+
+    def depth_of(l1, l2):
+        depths = np.rint(np.log2(2 * bound * bound / ((l1.hi - l1.lo) * (l2.hi - l2.lo))))
+        assert len(set(depths)) == 1
+        return int(depths[0])
+
+    program, slope = ct._side_program, ct._slope_value
+
+    def recording_program(side, keys):
+        run = program(side, keys)
+
+        def call(chart):
+            calls.append((side, keys, depth_of(*chart[:2])))
+            return run(chart)
+        return call
+
+    def recording_slope(side, ch, floor):
+        calls.append((side, ("m",), depth_of(ch.l1, ch.l2)))
+        return slope(side, ch, floor)
+
+    monkeypatch.setattr(ct, "_side_program", recording_program)
+    monkeypatch.setattr(ct, "_slope_value", recording_slope)
+    walked = [q for q, (_, key) in ct.BAND_QUANTITIES.items() if not key.startswith("B")]
+    alone = {}
+    for q in walked:
+        calls.clear()
+        [cert] = ct.certify_band(S, A3, eps0, delta1, (q,), max_depth=max_depth)
+        alone[q] = {depth for _, _, depth in calls}
+        assert [key for _, (key,), _ in calls] == [ct.BAND_QUANTITIES[q][1]] * len(alone[q])
+        assert alone[q] <= set(range(min(14, max_depth), cert.max_depth_reached + 1))
+    calls.clear()
+    ct.certify_band(S, A3, eps0, delta1, max_depth=max_depth)
+    assert calls and min(depth for _, _, depth in calls) >= min(14, max_depth)
+    want = []
+    for depth in sorted(set().union(*alone.values())):
+        for side in "gf":
+            live = [key for q, (s, key) in ct.BAND_QUANTITIES.items()
+                    if s == side and depth in alone.get(q, ())]
+            if "m" in live:
+                want.append((side, ("m",), depth))
+            if [key for key in live if key != "m"]:
+                want.append((side, tuple(key for key in live if key != "m"), depth))
+    assert sorted(calls) == sorted(want)
 
 
 def test_certificates_deterministic():
