@@ -594,12 +594,13 @@ def test_band_walk_encloses_only_what_a_decision_reads(monkeypatch, S, A3, eps0,
     want = []
     for depth in sorted(set().union(*alone.values())):
         for side in "gf":
-            live = [key for q, (s, key) in ct.BAND_QUANTITIES.items()
-                    if s == side and depth in alone.get(q, ())]
+            live = [ct.BAND_QUANTITIES[q][1] for q in walked
+                    if ct.BAND_QUANTITIES[q][0] == side and depth in alone[q]]
+            g_keys = tuple(key for key in live if key != "m")
             if "m" in live:
                 want.append((side, ("m",), depth))
-            if [key for key in live if key != "m"]:
-                want.append((side, tuple(key for key in live if key != "m"), depth))
+            if g_keys:
+                want.append((side, g_keys, depth))
     assert sorted(calls) == sorted(want)
 
 
