@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, reports, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -274,6 +275,17 @@ def test_golden_solve_reports(case, capsys):
         assert cli.main(["solve", "--system", tag, "--S", S, "--A3", A3, "--quiet"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"solve_{case}.json").read_text()
 
+
+def test_solve_reports_match_the_digest_manifest(capsys):
+    # Every distinct solve argv of the benchmark's sweep seeds 1-10, with the
+    # sha256 of its report and its exit code.
+    differ = []
+    for entry in json.loads((GOLDEN / "solve_digests.json").read_text()):
+        code = cli.main(entry["argv"] + ["--quiet"])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (digest, code) != (entry["sha256"], entry["exit"]):
+            differ.append(" ".join(entry["argv"]))
+    assert not differ
 
 def test_removed_near_radius_flag_is_a_usage_error():
     out = run_cli("certify", "okumura", "--near-radius", "1e-3", "--quiet")
