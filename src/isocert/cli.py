@@ -22,9 +22,8 @@ raised once the run has started (a library's ValueError included) is a
 fault of the program: it exits 70 with the traceback on stderr, so a crash
 never reads as a failed check.  A flat key=value config file can preset
 any flag of the chosen subcommand; explicit flags win, unknown keys are
-rejected.  --threads (else the config file, else $ISOCERT_THREADS, else 1)
-is checked like any other input but changes neither results nor speed:
-every run is serial.
+rejected.  --threads (default 1) is checked like any other input but
+changes neither results nor speed: every run is serial.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -42,8 +40,6 @@ import numpy as np
 from . import certify, configsolve, geomex, identities, mollify, reports
 from .algebraic import cubic_bound_sign
 from .reports import check_record
-
-THREADS_ENV = "ISOCERT_THREADS"
 
 IDENTITY_GROUPS: dict[str, tuple[str, ...]] = {
     **{name: (name,) for name in identities.DTHETA_NAMES},
@@ -86,7 +82,7 @@ def _config_json(cfg: configsolve.CurvatureConfig, precision: Fraction) -> dict:
         "defining_poly": [str(c) for c in cfg.defining_poly],
         "multiplicities": list(cfg.multiplicities),
         "constraint_satisfied_sorted": cfg.constraint_satisfied,
-        "verified": cfg.verify_constraints(precision),
+        "verified": cfg.verify_constraints(ps),
         "warnings": list(cfg.warnings),
     }
 
@@ -249,7 +245,8 @@ def run_pipeline(args) -> tuple[list[dict], int]:
     precision = Fraction(1, 10**12)
     for tag in ("I", "II", "III"):
         cfgs = configsolve.solve_system(tag, params, precision)
-        ok = all(all(c.verify_constraints(precision).values()) for c in cfgs)
+        ok = all(all(c.verify_constraints(c.power_sum_intervals(precision)).values())
+                 for c in cfgs)
         recs.append(check_record(
             f"solve_system_{tag}", "pass" if ok else "fail",
             {"count": len(cfgs),
@@ -335,16 +332,16 @@ def _int_at_least(low: int):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report array to this path")
     p.add_argument("--config", help="flat key=value file presetting this subcommand's flags")
-    p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help=f"worker count, at least 1 (default from ${THREADS_ENV} or 1); "
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="worker count, at least 1 (default 1); "
                         "changes neither results nor speed: every run is serial")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing and the
-    config overlay write only to the fresh Namespace of each run."""
+    """The command-line parser, built once per process: parsing writes only
+    to the fresh Namespace of each run."""
     ap = _Parser(
         prog="isocert",
         description="Exact and interval certification toolkit for constrained "
@@ -419,21 +416,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: list[str]) -> None:
-    """Overlay key=value file entries under explicit command-line flags."""
-    if not getattr(args, "config", None):
-        return
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's key = value entries as flags right after the subcommand.
+
+    The command line's own flags come later, so argparse lets them win,
+    abbreviated or not, and the file can preset a required flag.
+    """
+    # Every spelling of --config that argparse accepts starts with --c;
+    # without one, skip building the finder (about 30 us per run).
+    if not any(a.startswith("--c") for a in argv[1:]):
+        return argv
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparser = subparsers.choices.get(argv[0]) if argv else None
+    if subparser is None:
+        return argv
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
     try:
-        with open(args.config) as fh:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:      # the subcommand's own parse reports it
+        return argv
+    if not path:
+        return argv
+    try:
+        with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    subparser = next(a for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction)).choices[args.command]
-    actions = {a.dest: a for a in subparser._actions}
-    known = set(vars(args))
+    # Only flags can be preset; the subcommand and its positionals cannot.
+    flags = {a.dest: a for a in subparser._actions
+             if a.option_strings and a.dest not in ("config", "help")}
+    entries = []
     for i, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -441,21 +454,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if "=" not in line:
             raise UsageError(f"config line {i}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        # Only flags can be preset; the subcommand and its positionals cannot.
-        action = actions.get(dest) if dest in known else None
-        if action is None or not action.option_strings or dest == "config":
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"config line {i}: unknown key {key!r}")
-        if dest in explicit:
-            continue
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
-            continue
-        try:
-            # Convert and check like the flag itself, also where the default is None.
-            setattr(args, dest, subparser._get_values(action, [value.strip("\"'")]))
-        except argparse.ArgumentError as exc:
-            raise UsageError(f"config line {i}: {exc}") from None
+        flag = action.option_strings[0]
+        if not isinstance(action, argparse._StoreTrueAction):
+            entries.append(flag + "=" + value.strip("\"'"))
+        elif value.lower() in ("1", "true", "yes"):
+            entries.append(flag)
+    return argv[:1] + entries + argv[1:]
 
 
 def _emit_report(recs: list[dict], args: argparse.Namespace) -> None:
@@ -485,12 +492,6 @@ _RUNNERS = {
 
 def _check_combinations(args: argparse.Namespace) -> None:
     """Refuse what no single flag's type can see; fill the defaults that depend on other flags."""
-    if args.threads is None:
-        # Read only now, so that a config file's value outranks the environment's.
-        try:
-            args.threads = _int_at_least(1)(os.environ.get(THREADS_ENV) or "1")
-        except (argparse.ArgumentTypeError, ValueError) as exc:   # ValueError: not an integer
-            raise UsageError(f"${THREADS_ENV}: {exc}") from None
     run = f"certify {args.kind}" if args.command == "certify" else args.command
     if run in ("certify li", "pipeline") and args.S <= 0:
         raise UsageError(f"{run} requires S > 0: the gap chamber is a point at S = 0")
@@ -530,8 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, parser, argv)
+        args = parser.parse_args(_with_config(parser, argv))
         _check_combinations(args)
         recs, code = _RUNNERS[args.command](args)
         if recs:

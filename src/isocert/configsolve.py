@@ -14,13 +14,15 @@ Each system collapses to one rational cubic in a single variable:
   II, III  the doubled value x is a root of  12 x^3 - 3 S x = A3, and the
            simple pair is  -x +- sqrt(S/2 - 2 x^2).
 
-For irrational A3 of the form b*sqrt(d) the cubic c is paired with its
-radical conjugate and the product c*cbar (a rational sextic) is isolated
-instead; membership in c is then certified by excluding a root of cbar.
-Everything downstream is exact: root intervals refine on demand, member
-coincidences and the sorted order are decided by exact sign tests in the
-field of the cubic root, and the returned power-sum enclosures are
-containment-correct rational intervals re-verified against the inputs.
+For irrational A3 of the form b*sqrt(d) the cubic c = base - A3 is paired
+with its radical conjugate cbar = base + A3, and the product c*cbar = base^2
+- A3^2 (a rational sextic) is isolated instead.  At each of its roots base
+is +A3 or -A3, never 0, so a root belongs to c exactly when the exact sign
+of base there is the sign of A3.  Everything downstream is exact: root
+intervals refine on demand, member coincidences and the sorted order are
+decided by exact sign tests in the field of the cubic root, and the
+power-sum enclosures a report prints are containment-correct rational
+intervals, checked against the inputs.
 The arithmetic runs on integers: polynomials are `upoly.UPoly` integer
 forms, and interval Horner and the power sums work on integer numerators
 over one positive denominator; only the RatIntervals they return hold
@@ -175,42 +177,25 @@ def _cubic_coeffs(tag: str, S: Fraction) -> up.UPoly:
     raise ValueError(f"unknown system tag {tag!r}")
 
 
-def _cubic_roots(tag: str, params: ScalarParams) -> list[AlgebraicNumber]:
-    """Exact real roots of the eliminating cubic, for rational or radical A3."""
+def _cubic_roots(tag: str, params: ScalarParams) -> tuple[up.UPoly, list[AlgebraicNumber]]:
+    """The defining polynomial (the cubic, or the sextic for radical A3) and
+    the exact real roots of the eliminating cubic, in ascending order."""
     base = _cubic_coeffs(tag, params.S)
     a3 = params.A3
     if a3.is_rational():
-        cubic = up.sub(base, up.upoly([a3.rational_value()]))
-        return [
-            AlgebraicNumber(chain[0], lo, hi, chain)
-            for lo, hi, _m, chain in up.isolate_with_multiplicity(cubic, Fraction(1, 2**20))
-        ]
-    if a3.a != 0:
+        defining = up.sub(base, up.upoly([a3.rational_value()]))
+    elif a3.a != 0:
         raise ValueError("A3 must be rational or a pure square-root multiple")
-    # c(x) = base(x) - A3, cbar(x) = base(x) + A3; c*cbar = base^2 - A3^2 is
-    # rational.  A root of the sextic belongs to c exactly when cbar stays
-    # away from zero there (c and cbar share no roots since A3 != 0).
-    a3_sq = (a3 * a3).rational_value()
-    sextic = up.sub(up.mul(base, base), up.upoly([a3_sq]))
-    roots = []
-    for lo, hi, _m, chain in up.isolate_with_multiplicity(sextic, Fraction(1, 2**20)):
-        alg = AlgebraicNumber(chain[0], lo, hi, chain)
-        if _is_root_of_shifted(alg, base, a3):
-            roots.append(alg)
-    return roots
-
-
-def _is_root_of_shifted(alg: AlgebraicNumber, base: up.UPoly, a3: QuadExt) -> bool:
-    """Exact: does base(x) - a3 vanish at alg (vs base(x) + a3)?"""
-    cur = alg
-    while True:
-        enc = eval_on_interval(base, RatInterval(cur.lo, cur.hi))
-        # base(alg) equals either +a3 or -a3; decide which.
-        if not enc.contains(a3):
-            return False
-        if not enc.contains(-a3):
-            return True
-        cur = cur.refine((cur.hi - cur.lo) / 16)
+    else:
+        defining = up.sub(up.mul(base, base), up.upoly([(a3 * a3).rational_value()]))
+    roots = [
+        AlgebraicNumber(chain[0], lo, hi, chain)
+        for lo, hi, _m, chain in up.isolate_with_multiplicity(defining, Fraction(1, 2**20))
+    ]
+    if not a3.is_rational():
+        # base = +-A3 != 0 at a root of the sextic; keep the roots of base - A3.
+        roots = [r for r in roots if r.sign_of(base) == a3.sign()]
+    return defining, roots
 
 
 # -- member descriptions ---------------------------------------------------------
@@ -228,6 +213,9 @@ class _Member:
         if not up.is_zero(self.q):
             val = val + eval_on_interval(self.q, box) * root
         return val
+
+
+_ZERO_MEMBER = _Member(up.ZERO, up.ZERO)
 
 
 def _sign_member_diff(m1: _Member, m2: _Member, x0: AlgebraicNumber, D: up.UPoly) -> int:
@@ -259,7 +247,6 @@ class CurvatureConfig:
     D: up.UPoly
     members: list[_Member]          # sorted ascending
     multiplicities: list[int]       # per distinct value, ascending order
-    distinct: list[int]             # index into members of each distinct value
     constraint_satisfied: bool
     defining_poly: up.UPoly
     params: ScalarParams
@@ -288,13 +275,12 @@ class CurvatureConfig:
                 return out
             attempt /= 16
 
-    def verify_constraints(self, precision) -> dict[str, bool]:
-        """Interval re-verification of the defining power sums."""
-        ps = self.power_sum_intervals(precision)
+    def verify_constraints(self, power_sums: dict[str, RatInterval]) -> dict[str, bool]:
+        """Do the given enclosures of p1, p2, p3 contain 0, S and A3?"""
         return {
-            "p1_contains_zero": ps["p1"].contains(0),
-            "p2_contains_S": ps["p2"].contains(self.params.S),
-            "p3_contains_A3": ps["p3"].contains(self.params.A3),
+            "p1_contains_zero": power_sums["p1"].contains(0),
+            "p2_contains_S": power_sums["p2"].contains(self.params.S),
+            "p3_contains_A3": power_sums["p3"].contains(self.params.A3),
         }
 
 
@@ -344,22 +330,27 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
     order = sorted(range(4), key=functools.cmp_to_key(
         lambda i, j: _sign_member_diff(raw[i], raw[j], x0, D)))
     members = [raw[i] for i in order]
-    # Multiplicities via exact adjacent equality.
-    distinct, mults = [0], [1]
-    for i in range(1, 4):
-        if _sign_member_diff(members[i], members[i - 1], x0, D) == 0:
+    # Exact adjacent equalities, once: they give the multiplicities and the
+    # II/III patterns; tag I asks for m2 + m0 - 2 m1 = 0.
+    equal = [_sign_member_diff(members[i + 1], members[i], x0, D) == 0 for i in range(3)]
+    mults = [1]
+    for eq in equal:
+        if eq:
             mults[-1] += 1
         else:
-            distinct.append(i)
             mults.append(1)
-    satisfied = _pattern_satisfied(tag, members, x0, D)
+    if tag == "I":
+        arithmetic = _Member(up.sub(up.add(members[2].p, members[0].p), up.scale(members[1].p, 2)),
+                             up.sub(up.add(members[2].q, members[0].q), up.scale(members[1].q, 2)))
+        satisfied = _sign_member_diff(arithmetic, _ZERO_MEMBER, x0, D) == 0
+    else:
+        satisfied = equal[1] if tag == "II" else equal[0]
     return CurvatureConfig(
         tag=tag,
         x0=x0,
         D=D,
         members=members,
         multiplicities=mults,
-        distinct=distinct,
         constraint_satisfied=satisfied,
         defining_poly=defining,
         params=params,
@@ -367,33 +358,12 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
     )
 
 
-def _pattern_satisfied(tag: str, members, x0, D) -> bool:
-    """Does the sorted tuple satisfy the tag's coincidence pattern?"""
-    gaps = [
-        _sign_member_diff(members[i + 1], members[i], x0, D) for i in range(3)
-    ]  # each is 0 (equal) or +1
-    if tag == "I":
-        diff_p = up.sub(up.add(members[2].p, members[0].p), up.scale(members[1].p, 2))
-        diff_q = up.sub(up.add(members[2].q, members[0].q), up.scale(members[1].q, 2))
-        return (
-            _sign_member_diff(
-                _Member(diff_p, diff_q), _Member(up.ZERO, up.ZERO), x0, D
-            )
-            == 0
-        )
-    if tag == "II":
-        return gaps[1] == 0
-    if tag == "III":
-        return gaps[0] == 0
-    raise ValueError(tag)
-
-
 def _negation_symmetric(cfg: CurvatureConfig) -> bool:
     """Sorted members satisfy m_i = -m_{5-i} (multiset fixed by negation)."""
     for i, j in ((0, 3), (1, 2)):
         p = up.add(cfg.members[i].p, cfg.members[j].p)
         q = up.add(cfg.members[i].q, cfg.members[j].q)
-        if _sign_member_diff(_Member(p, q), _Member(up.ZERO, up.ZERO), cfg.x0, cfg.D) != 0:
+        if _sign_member_diff(_Member(p, q), _ZERO_MEMBER, cfg.x0, cfg.D) != 0:
             return False
     return True
 
@@ -407,29 +377,17 @@ def solve_system(tag: str, params: ScalarParams, precision=Fraction(1, 10**12)) 
     flagged, not dropped.
     """
     warnings = params.admissibility_warnings()
-    roots = _cubic_roots(tag, params)
-    base = _cubic_coeffs(tag, params.S)
-    if params.A3.is_rational():
-        defining = up.sub(base, up.upoly([params.A3.rational_value()]))
-    else:
-        defining = up.sub(up.mul(base, base), up.upoly([(params.A3 * params.A3).rational_value()]))
-    configs: list[tuple[AlgebraicNumber, CurvatureConfig]] = []
+    defining, roots = _cubic_roots(tag, params)
+    configs: list[CurvatureConfig] = []
     for x0 in roots:
         cfg = _build_config(tag, x0, params, defining, warnings)
-        if cfg is None:
-            continue
-        duplicate = False
-        for prev_x0, prev_cfg in configs:
-            neg_prev = _negated(prev_x0)
-            if x0.compare(neg_prev) == 0 and _negation_symmetric(prev_cfg):
-                duplicate = True
-                break
-        if not duplicate:
-            configs.append((x0, cfg))
-    out = [cfg for _x0, cfg in configs]
-    for cfg in out:
+        if cfg is not None and not any(
+                x0.compare(_negated(prev.x0)) == 0 and _negation_symmetric(prev)
+                for prev in configs):
+            configs.append(cfg)
+    for cfg in configs:
         cfg.lambda_intervals(Fraction(precision))
-    return out
+    return configs
 
 
 def _negated(alg: AlgebraicNumber) -> AlgebraicNumber:
@@ -443,34 +401,19 @@ def case_branch_identities(params: ScalarParams) -> dict:
     """Exact symbolic checks for the excluded top-pair branch and the
     equality-pattern cube identity.
 
-    (a) with the top pair equal and the bottom pair  -x -+ sqrt(S/2 - 2x^2),
-        the cube sum collapses to  -6 x (S/2 - 2 x^2)  identically;
+    (a) with the top pair equal and the bottom pair  -x -+ d,  the cube sum
+        is  -6 x d^2  identically, so  -6 x (S/2 - 2 x^2)  at d = sqrt(S/2 - 2x^2);
     (b) that product is negative whenever  x > 0  and  S/2 - 2 x^2 > 0,
         certified by the signs of its three factors on that region;
     (c) the pattern (3t, -t, -t, -t) satisfies  3 p3^2 = p2^3  identically.
     """
     from .exactalg import MultiPoly, SymbolTable
 
-    tab = SymbolTable(["x", "S", "d"])
+    tab = SymbolTable(["x", "d"])
     x = MultiPoly.var(tab, "x")
-    S = MultiPoly.var(tab, "S")
     d = MultiPoly.var(tab, "d")
-    lam1 = -x - d
-    lam2 = -x + d
-    p3 = lam1**3 + lam2**3 + x**3 + x**3
-    d_sq = S * Fraction(1, 2) - x**2 * 2
-    # Rewrite even powers of d through d^2 = S/2 - 2x^2.
-    reduced = MultiPoly.zero(tab)
-    i_d = tab.index("d")
-    for mono, coeff in p3.terms.items():
-        e, rest_mono = p3.split_exponent(mono, i_d)
-        rest = MultiPoly(tab, {rest_mono: coeff})
-        if e % 2 == 1:
-            rest = rest * d
-        reduced = reduced + rest * d_sq ** (e // 2)
-    target = x * (-6) * d_sq
-    sym_ok = (reduced - target).is_zero()
-    d_free = reduced.degree_in("d") == 0
+    p3 = (-x - d) ** 3 + (-x + d) ** 3 + x**3 * 2
+    sym_ok = (p3 - x * d**2 * (-6)).is_zero()
 
     sign_cert = {
         "expression": "-6 * x * (S/2 - 2*x^2)",
@@ -497,9 +440,9 @@ def case_branch_identities(params: ScalarParams) -> dict:
     p3p = (t * 3) ** 3 + (-t) ** 3 * 3
     cube_ok = (p3p**2 * 3 - p2**3).is_zero()
     return {
-        "top_pair_cube_sum_identity": bool(sym_ok and d_free),
+        "top_pair_cube_sum_identity": sym_ok,
         "negativity_certificate": sign_cert,
         "negativity_spot_checks_pass": all(spots) if spots else True,
         "equality_pattern_3p3sq_eq_p2cubed": bool(cube_ok),
-        "status": "pass" if (sym_ok and d_free and cube_ok and (all(spots) if spots else True)) else "fail",
+        "status": "pass" if (sym_ok and cube_ok and (all(spots) if spots else True)) else "fail",
     }

@@ -28,8 +28,7 @@ Representation:
   MultiPoly.terms         = dict mapping packed monomials to nonzero
                             coefficients.  The zero polynomial is the empty
                             dict.  Exponents are read back only through
-                            `MultiPoly.exponents`, `MultiPoly.split_exponent`
-                            and `MultiPoly.degree_in`.
+                            `MultiPoly.exponents`.
   FactoredFn              = num over a product of powers of the monic
                             irreducible factors of a FactorBase, the powers
                             kept as an exponent tuple; no operation needs a
@@ -203,15 +202,6 @@ class MultiPoly:
         """Exponent of every symbol in the packed monomial m, in table order."""
         # One byte per field, symbol 0 most significant: big-endian bytes.
         return tuple((m & self.table.fields).to_bytes(len(self.table.names), "big"))
-
-    def split_exponent(self, m: int, i: int) -> tuple[int, int]:
-        """(e, rest): the exponent of symbol index i in m, and m with it set to 0."""
-        e = (m >> self.table.shifts[i]) & _FIELD_MASK
-        return e, m - e * self.table.units[i]
-
-    def degree_in(self, name: str) -> int:
-        shift = self.table.shifts[self.table.index(name)]
-        return max(((m >> shift) & _FIELD_MASK for m in self.terms), default=0)
 
     def symbols_used(self) -> set[str]:
         # Field i of the OR of all monomials is nonzero iff symbol i occurs.

@@ -150,6 +150,29 @@ def test_config_values_take_the_option_type(tmp_path):
     assert cli.main(argv + ["--config", str(cfg)]) == reports.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", [["--max-depth", "5"], ["--max", "5"], ["--max-d=5"]])
+def test_explicit_flag_outranks_the_config_file_when_abbreviated(tmp_path, capsys, flag):
+    # The file asks for depth 20, where G1g is proved; depth 5 leaves it open.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("max_depth = 20\n")
+    argv = ["certify", "band", "--quantity", "G1g", "--S", "8", "--A3", "1", "--quiet"]
+    assert cli.main(argv + flag + ["--config", str(cfg)]) == reports.EXIT_INCONCLUSIVE
+    [rec] = json.loads(capsys.readouterr().out)
+    assert rec["status"] == "inconclusive"
+
+
+def test_config_file_presets_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("S = 8\nA3 = 1\neps0 = 1/10\ndelta1 = 1/20\nsamples = 50\n")
+    assert cli.main(["pipeline", "--config", str(cfg), "--quiet"]) == reports.EXIT_PASS
+    from_file = capsys.readouterr().out
+    assert cli.main(["pipeline", f"--conf={cfg}", "--quiet"]) == reports.EXIT_PASS
+    assert from_file == capsys.readouterr().out
+    assert cli.main(["pipeline", "--S", "8", "--A3", "1", "--eps0", "1/10", "--delta1", "1/20",
+                     "--samples", "50", "--quiet"]) == reports.EXIT_PASS
+    assert from_file == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["examples", "--list"],
     ["mollifier", "--delta", "0.1", "--samples", "5", "--emit", "csv"],
@@ -287,6 +310,7 @@ def test_solve_reports_match_the_digest_manifest(capsys):
             differ.append(" ".join(entry["argv"]))
     assert not differ
 
+
 def test_removed_near_radius_flag_is_a_usage_error():
     out = run_cli("certify", "okumura", "--near-radius", "1e-3", "--quiet")
     assert out.returncode == 64
@@ -400,22 +424,18 @@ def test_examples_quiet_writes_no_clause_listing(capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_bad_worker_counts_are_usage_errors(monkeypatch, capsys, value):
+def test_bad_worker_counts_are_usage_errors(capsys, value):
     argv = ["examples", "--list", "--quiet"]
     assert cli.main(argv + ["--threads", value]) == reports.EXIT_USAGE
-    monkeypatch.setenv(cli.THREADS_ENV, value)
-    assert cli.main(argv) == reports.EXIT_USAGE
     assert "internal error" not in capsys.readouterr().err
 
 
-def test_config_worker_count_outranks_the_environment(tmp_path, monkeypatch, capsys):
+def test_config_worker_count_is_checked_like_the_flag(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("threads = 2\n")
-    argv = ["examples", "--list", "--quiet"]
-    monkeypatch.setenv(cli.THREADS_ENV, "0")
-    assert cli.main(argv + ["--config", str(cfg)]) == reports.EXIT_PASS
-    assert cli.main(argv) == reports.EXIT_USAGE
-    assert "ISOCERT_THREADS" in capsys.readouterr().err
+    cfg.write_text("threads = 0\n")
+    assert cli.main(["examples", "--list", "--quiet", "--config", str(cfg)]) == reports.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--threads" in err
 
 
 def test_record_payload_cannot_contradict_header():

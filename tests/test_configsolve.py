@@ -10,9 +10,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocert import configsolve as cs
 from isocert import upoly as up
+from isocert.algebraic import AlgebraicNumber
 
 
 def test_parse_value_forms():
@@ -32,9 +34,56 @@ def test_parse_value_forms():
 
 def test_cubic_roots_share_the_chain_of_their_factor():
     # The chain isolation built for the cubic; each number still counts with it.
-    roots = cs._cubic_roots("I", cs.ScalarParams.make(12, 0))
+    _cubic, roots = cs._cubic_roots("I", cs.ScalarParams.make(12, 0))
     assert len(roots) == 3 and all(r.chain is roots[0].chain for r in roots)
     assert roots[0].chain == up.sturm_chain(up.squarefree_part(roots[0].poly))
+
+
+def _is_root_of_shifted(alg, base, a3) -> bool:
+    """Reference: does base - a3 vanish at the sextic root alg (vs base + a3)?
+
+    The interval route: refine until the enclosure of base over the root's
+    interval excludes one of +-a3.
+    """
+    cur = alg
+    while True:
+        enc = cs.eval_on_interval(base, cs.RatInterval(cur.lo, cur.hi))
+        if not enc.contains(a3):
+            return False
+        if not enc.contains(-a3):
+            return True
+        cur = cur.refine((cur.hi - cur.lo) / 16)
+
+
+@st.composite
+def _radical_params(draw):
+    """(S, A3) with A3 = +-k*sqrt(r)/m near the cubic bound S^(3/2)/sqrt(3), or on it."""
+    sign = draw(st.sampled_from(("", "-")))
+    if draw(st.booleans()):
+        # S = 3p/q and A3 = 3p*sqrt(pq)/q^2 satisfy 3 A3^2 = S^3.
+        p, q = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+        return F(3 * p, q), f"{sign}{3 * p}*sqrt({p * q})/{q * q}"
+    S = F(draw(st.integers(1, 56)), 4)
+    r, m = draw(st.sampled_from((2, 3, 5, 6, 7, 4))), draw(st.integers(1, 6))
+    share = draw(st.sampled_from((0.3, 0.9, 0.99, 1.0, 1.01)))
+    k = max(1, math.floor(share * math.sqrt(float(S) ** 3 / 3) * m / math.sqrt(r)))
+    k = max(1, k + draw(st.integers(-1, 1)))
+    return S, f"{sign}{k}*sqrt({r})/{m}"
+
+
+@given(_radical_params())
+@settings(max_examples=60, deadline=None)
+def test_radical_roots_by_sign_match_the_interval_route(point):
+    params = cs.ScalarParams.make(*point)
+    a3 = params.A3
+    for tag in ("I", "II", "III"):
+        base = cs._cubic_coeffs(tag, params.S)
+        sextic, roots = cs._cubic_roots(tag, params)
+        assert sextic == up.sub(up.mul(base, base), up.upoly([(a3 * a3).rational_value()]))
+        every = [AlgebraicNumber(chain[0], lo, hi, chain)
+                 for lo, hi, _m, chain in up.isolate_with_multiplicity(sextic, F(1, 2**20))]
+        kept = [(r.lo, r.hi) for r in every if _is_root_of_shifted(r, base, a3)]
+        assert [(r.lo, r.hi) for r in roots] == kept
 
 
 def test_system_I_even_spacing():
@@ -47,7 +96,7 @@ def test_system_I_even_spacing():
     gap = 2 * math.sqrt(3 / 5)
     for a, b in zip(mids, mids[1:]):
         assert abs(float(b - a) - gap) < 1e-12
-    checks = satisfied[0].verify_constraints(F(1, 10**12))
+    checks = satisfied[0].verify_constraints(satisfied[0].power_sum_intervals(F(1, 10**12)))
     assert all(checks.values())
     # The non-pattern solution is reported but flagged.
     flagged = [c for c in cfgs if not c.constraint_satisfied]
@@ -67,7 +116,7 @@ def test_system_II_radical_triple():
     expected = [-1 / math.sqrt(3)] * 3 + [math.sqrt(3)]
     for got, want in zip(mids, expected):
         assert abs(got - want) < 1e-10
-    assert all(cfg.verify_constraints(F(1, 10**10)).values())
+    assert all(cfg.verify_constraints(cfg.power_sum_intervals(F(1, 10**10))).values())
 
 
 def test_system_II_mirrored_radical():
