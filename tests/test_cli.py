@@ -299,11 +299,14 @@ def test_golden_solve_reports(case, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"solve_{case}.json").read_text()
 
 
-def test_solve_reports_match_the_digest_manifest(capsys):
-    # Every distinct solve argv of the benchmark's sweep seeds 1-10, with the
-    # sha256 of its report and its exit code.
+@pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json"])
+def test_solve_reports_match_the_digest_manifest(manifest, capsys):
+    # Report sha256 and exit code of every distinct solve argv of the
+    # benchmark's sweep seeds 1-10 (solve_digests), and of its certify li
+    # --cross-check and certify okumura argvs plus the north-star pipeline
+    # (report_digests).
     differ = []
-    for entry in json.loads((GOLDEN / "solve_digests.json").read_text()):
+    for entry in json.loads((GOLDEN / manifest).read_text()):
         code = cli.main(entry["argv"] + ["--quiet"])
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         if (digest, code) != (entry["sha256"], entry["exit"]):
