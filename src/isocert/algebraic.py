@@ -1,8 +1,11 @@
 """Exact real algebraic numbers in the two flavors this package needs.
 
 QuadExt is a value a + b*sqrt(d) in a fixed real quadratic extension; all
-ring operations and sign tests are exact rational arithmetic.  The model
-spectra and the chamber sampling cross-checks live entirely in such fields.
+ring operations and sign tests are exact rational arithmetic.  As in
+exactalg, integral parts stay Python ints, so integer values (the Li
+cross-check's exact route) never pay for Fractions; a rational square
+radicand is folded into a, so sqrt(4) is the rational 2.  The model spectra
+and the chamber sampling cross-checks live entirely in such fields.
 
 AlgebraicNumber pairs an exact defining polynomial with an isolating
 interval that can be refined on demand; it covers roots of the elimination
@@ -21,20 +24,23 @@ from . import upoly as up
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b and fixed rational radicand d >= 0."""
+    """a + b*sqrt(d) with rational a, b and fixed rational radicand d >= 0,
+    each an int where integral; d is 0 or not a rational square."""
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    a: int | Fraction
+    b: int | Fraction
+    d: int | Fraction
 
     @classmethod
     def make(cls, a, b=0, d=0) -> "QuadExt":
-        a, b, d = Fraction(a), Fraction(b), Fraction(d)
+        a, b, d = _scalar(a), _scalar(b), _scalar(d)
         if d < 0:
             raise ValueError("radicand must be nonnegative")
-        if b == 0 or d == 0:
-            b = d = Fraction(0)
-        return cls(a, b, d)
+        if b:
+            n, m = isqrt(d.numerator), isqrt(d.denominator)
+            if n * n == d.numerator and m * m == d.denominator:    # sqrt(d) is rational
+                a, b = _scalar(a + b * Fraction(n, m)), 0
+        return cls(a, b, d) if b else cls(a, 0, 0)
 
     @classmethod
     def rational(cls, a) -> "QuadExt":
@@ -143,6 +149,14 @@ def cubic_bound_sign(S, A3) -> int:
     bound, zero on it.
     """
     return (_coerce(S) ** 3 - A3 * A3 * 3).sign()
+
+
+def _scalar(x) -> int | Fraction:
+    """x as an exact rational: an int where integral, else a Fraction."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _coerce(x) -> QuadExt:

@@ -34,8 +34,9 @@ the bit.
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
 certifiers expand them over exact polynomials or evaluate them over
-intervals, and the cross-check over intervals as a filter, falling back to
-integers extended by sqrt(disc) where an enclosure touches 0.
+intervals.  The cross-check's chart, collar tests and gaps are written once
+here: a float filter evaluates them over intervals, and where an enclosure
+touches 0, over `QuadExt` at a scale where every value is an integer.
 The tests check the gap form equal to the printed products exactly and
 every band enclosure against exact rational values.
 """
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import identities
-from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign, quad_sign
+from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
 from .vinterval import VI, float_down, float_up
@@ -269,24 +271,6 @@ def sampler_tau(tau) -> Fraction:
     return t
 
 
-class _QuadInt:
-    """a + b*sqrt(D) with integers a, b: the exact ring of the Li cross-check."""
-
-    __slots__ = ("a", "b", "D")
-
-    def __init__(self, a: int, b: int, D: int):
-        self.a, self.b, self.D = a, b, D
-
-    def __add__(self, o: "_QuadInt") -> "_QuadInt":
-        return _QuadInt(self.a + o.a, self.b + o.b, self.D)
-
-    def __sub__(self, o: "_QuadInt") -> "_QuadInt":
-        return _QuadInt(self.a - o.a, self.b - o.b, self.D)
-
-    def __mul__(self, o: "_QuadInt") -> "_QuadInt":
-        return _QuadInt(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D)
-
-
 # randrange(0, 4097) keeps the top 13 bits of a Mersenne Twister word and
 # draws again while they are >= 4097; randrange(-4096, 4097) keeps the top
 # 14 and draws again while they are >= 8193.  A word below _P1_TOP is kept
@@ -323,27 +307,49 @@ def _pair_draws(rng: random.Random):
                (kept[1:2 * n:2] >> 18).astype(np.int64) - 4096)
 
 
+# Where the Li chart is read: a lift of integers, a sqrt (0 below 0) and `_LiChart`'s constants.
+_Ring = namedtuple("_Ring", "lift sqrt c1 c3 r r_tau")
+
+
+def _li_chart(x, y, ring: _Ring) -> tuple:
+    """x + y and x - 3y as integers, m = 3x^2 + 3y^2 - 2xy and sqrt(r - m) in the ring."""
+    m = ring.lift(3 * x * x + 3 * y * y - 2 * x * y)
+    return x + y, x - 3 * y, m, ring.sqrt(ring.r - m)
+
+
+def _collar_tests(chart: tuple, ring: _Ring) -> tuple:
+    """g21 >= tau, D td^2 >= tn^2 q^2 and g32 >= tau, each as a value >= 0 where it holds."""
+    s, t, m, root = chart
+    return ring.lift(s) - ring.c1, ring.r_tau - m, ring.lift(t) - ring.c3 - root
+
+
+def _gaps(chart: tuple, ring: _Ring) -> tuple:
+    """g21, g31, g32, g41, g42, g43, scaled by 2q/bn in the filter's units."""
+    s, t, _, root = chart
+    g21, g32, g43 = ring.lift(2 * s), ring.lift(t) - root, root + root
+    g31, g42 = g32 + g21, g43 + g32
+    return g21, g31, g32, g42 + g21, g42, g43
+
+
 class _LiChart:
-    """The scaled chart of the Li cross-check, exactly and as float enclosures.
+    """The scaled chart of the Li cross-check, as float enclosures and exactly.
 
     A point is lam1 = P1/q, lam2 = P2/q with P1 = -x bn, P2 = y bn for
     x = randrange(0, 4097), y = randrange(-4096, 4097), and S q^2 an
     integer, so disc q^2 = D = 2 (S q^2 - P1^2 - P2^2) - (P1 + P2)^2 is an
-    integer.  The exact route decides each test over integers extended by
-    sqrt(D).  The filter divides every test by a positive integer (bn td or
-    bn^2 td^2), which leaves small integers in x and y, exact as floats, and
-    four rationals, each rounded outward once:
+    integer.  Divided by bn td or bn^2 td^2, the three tests read
 
         g21 >= tau    <=>  (x + y) - c1 >= 0,            c1 = tn q / (bn td),
         D td^2 >= tn^2 q^2  <=>  (r - c1^2) - m >= 0,    r = D/bn^2 + m = 2 S q^2 / bn^2,
         g32 >= tau    <=>  (x - 3y) - 2 c1 - sqrt(r - m) >= 0,
 
-    with m = 3x^2 + 3y^2 - 2xy, so that D = bn^2 (r - m).  (The exact route
-    also asks D > 0; where the second enclosure lies above 0, D > 0 too, so
-    the filter needs no fourth test.)  Gaps scaled by 2q/bn are
+    with m = 3x^2 + 3y^2 - 2xy, so D = bn^2 (r - m) > 0 where the second holds
+    (where D < 0, sqrt clamps to 0 and the second fails).  Gaps scaled by 2q/bn are
     g21 = 2(x + y), g32 = (x - 3y) - sqrt(r - m) and g43 = 2 sqrt(r - m);
-    gamma*L_i is homogeneous in the gaps, so its signs are the exact
-    route's.
+    gamma*L_i is homogeneous in the gaps, so the scale keeps its signs.  The
+    filter reads this over `VI` batches, where x and y are exact and c1, 2 c1,
+    r and r - c1^2 are each rounded outward once; the exact route over
+    `QuadExt` at x bn td, y bn td, where every value is an integer.
     """
 
     def __init__(self, S: Fraction, tau: Fraction):
@@ -356,80 +362,31 @@ class _LiChart:
         self.tn, self.td = tau.numerator, tau.denominator
         c1 = Fraction(self.tn * self.q, self.bn * self.td)
         r = Fraction(2 * self.Sq2, self.bn * self.bn)
-        self.c1, self.c3, self.r, self.r_tau = (
-            VI(float_down(v), float_up(v)) for v in (c1, 2 * c1, r, r - c1 * c1))
+        self.filter = _Ring(_exact, VI.sqrt_clamped,
+                            *(VI(float_down(v), float_up(v)) for v in (c1, 2 * c1, r, r - c1 * c1)))
+        c1, r = self.tn * self.q, 2 * self.Sq2 * self.td * self.td
+        self.exact = _Ring(int, lambda v: QuadExt.make(0, 1, max(v, 0)), c1, 2 * c1, r, r - c1 * c1)
 
-    def exact_disc(self, P1: int, P2: int) -> int | None:
-        """D when the point passes the three tests, else None."""
-        q, tn, td = self.q, self.tn, self.td
-        # g21 >= tau  <=>  (P2 - P1) td >= tn q.
-        if (P2 - P1) * td < tn * q:
-            return None
-        s_num = -(P1 + P2)
-        D = 2 * (self.Sq2 - P1 * P1 - P2 * P2) - s_num * s_num   # disc * q^2
-        # g43 = sqrt(D)/q >= tau  <=>  D td^2 >= tn^2 q^2.
-        if D <= 0 or D * td * td < tn * tn * q * q:
-            return None
-        # All gaps scaled by 2q: value = a + b sqrt(D); g32 = g32a - sqrt(D).
-        # g32 >= tau  <=>  (g32a td - 2 q tn) - td sqrt(D) >= 0.
-        if quad_sign((s_num - 2 * P2) * td - 2 * q * tn, -td, D) < 0:
-            return None
-        return D
-
-    @staticmethod
-    def exact_violations(P1: int, P2: int, D: int) -> list[int]:
-        """The i with gamma*L_i >= 0 at an accepted point."""
-        g21 = _QuadInt(2 * (P2 - P1), 0, D)
-        g32 = _QuadInt(-(P1 + P2) - 2 * P2, -1, D)
-        g43 = _QuadInt(0, 2, D)
-        g31, g42 = g32 + g21, g43 + g32
-        vals = identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
-        return [i for i, v in enumerate(vals, start=1) if quad_sign(v.a, v.b, D) >= 0]
-
-    def _disc(self, x: np.ndarray, y: np.ndarray) -> tuple[VI, VI]:
-        """m, and sqrt(r - m) = sqrt(D)/bn (sound wherever D >= 0)."""
-        m = _exact(3 * x * x + 3 * y * y - 2 * x * y)
-        return m, (self.r - m).sqrt_clamped()
+    def _holds(self, x: np.ndarray, y: np.ndarray, values) -> np.ndarray:
+        """Where each of `values(chart, ring)` is >= 0, one row per value, one column per
+        point: decided by the filter where an enclosure excludes 0, else for the point alone."""
+        signs = [_excludes_zero(v) for v in values(_li_chart(x, y, self.filter), self.filter)]
+        holds = np.array([pos for _, pos in signs])
+        k = self.bn * self.td
+        for i in np.flatnonzero(~np.logical_and.reduce([d for d, _ in signs])).tolist():
+            chart = _li_chart(int(x[i]) * k, int(y[i]) * k, self.exact)
+            holds[:, i] = [v >= 0 for v in values(chart, self.exact)]
+        return holds
 
     def accepted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mask of the candidates that pass the three tests.
-
-        A candidate the filter leaves undecided goes through `exact_disc`
-        alone.  The root encloses sqrt(D)/bn only where D >= 0; elsewhere
-        the exact route rejects, so a decided rejection is right there too,
-        and a decided pass needs the second test above 0, hence D > 0.
-        """
-        m, root = self._disc(x, y)
-        tests = [_excludes_zero(v) for v in (_exact(x + y) - self.c1, self.r_tau - m,
-                                              _exact(x - 3 * y) - self.c3 - root)]
-        fails = np.logical_or.reduce([d & ~pos for d, pos in tests])
-        passes = np.logical_and.reduce([pos for _, pos in tests])
-        for i in np.flatnonzero(~(fails | passes)).tolist():
-            passes[i] = self.exact_disc(-int(x[i]) * self.bn, int(y[i]) * self.bn) is not None
-        return passes
+        """Mask of the candidates that pass the three tests."""
+        return self._holds(x, y, _collar_tests).all(axis=0)
 
     def violations(self, x: np.ndarray, y: np.ndarray) -> list[dict]:
-        """The violation records of a batch of accepted points, in order.
-
-        A point with any of its four signs undecided by the filter goes
-        through `exact_violations` alone.
-        """
-        root = self._disc(x, y)[1]
-        g21 = _exact(2 * (x + y))
-        g32 = _exact(x - 3 * y) - root
-        g43 = root.scale(2.0)
-        g31, g42 = g32 + g21, g43 + g32
-        signs = [_excludes_zero(v)
-                 for v in identities.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)]
-        decided = np.stack([d for d, _ in signs], axis=1).all(axis=1)
-        bad = np.stack([pos for _, pos in signs], axis=1)
-        out = []
-        for k in np.flatnonzero(~decided | bad.any(axis=1)).tolist():
-            P1, P2 = -int(x[k]) * self.bn, int(y[k]) * self.bn
-            found = ((np.flatnonzero(bad[k]) + 1).tolist() if decided[k]
-                     else self.exact_violations(P1, P2, self.exact_disc(P1, P2)))
-            out += [{"i": i, "P1": P1, "P2": P2, "q": self.q} for i in found]
-        return out
+        """The violation records (gamma*L_i >= 0) of a batch of accepted points, in order."""
+        holds = self._holds(x, y, lambda chart, ring: identities.gamma_L_printed(*_gaps(chart, ring)))
+        return [{"i": i + 1, "P1": -int(x[k]) * self.bn, "P2": int(y[k]) * self.bn, "q": self.q}
+                for k, i in np.argwhere(holds.T).tolist()]
 
 
 def _exact(a: np.ndarray) -> VI:
@@ -451,11 +408,10 @@ def sample_Li_cross_check(S, tau, count=100_000, seed=20260808) -> dict:
 
     Points are sampled as dyadic rationals in the chart (see `_LiChart`),
     drawn in bulk from the stream `random.Random(seed).randrange` gives.
-    Each rejection test and each of the four product signs is decided in
-    floating point only where an outward-rounded enclosure excludes 0;
-    otherwise exactly, by integer arithmetic in the extension by sqrt(disc),
-    for that point alone.  The first `count` accepted points in stream
-    order are checked.
+    The rejection tests and the four product signs are decided in floating
+    point where every outward-rounded enclosure excludes 0, else exactly, in
+    `QuadExt`, for that point alone.  The first `count` accepted points in
+    stream order are checked.
     """
     S = Fraction(S)
     tau = sampler_tau(tau)

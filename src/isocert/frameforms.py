@@ -376,12 +376,12 @@ def _d_generator(g: int, mode: str) -> Form:
     return out + Form.monomial((i, j), -_gauss_factor(i, j, mode))
 
 
-def exterior_derivative(form: Form, mode: str = "symbolic", raw: bool = False) -> Form:
+def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
     """d on the closure of {w_i, w_ij, curvature scalars} under wedge and sum.
 
-    With raw=True the mixed-generator result is returned before connection
-    substitution (used by the derivation-law tests); its coefficients
-    already carry h_44i in place of h_11i, h_22i, h_33i.
+    The result is in the mixed generators, before connection substitution
+    (`substitute_connections`); its coefficients already carry h_44i in
+    place of h_11i, h_22i, h_33i.
     """
     out = Form.zero()
     for m, coeff in form.terms.items():
@@ -392,9 +392,7 @@ def exterior_derivative(form: Form, mode: str = "symbolic", raw: bool = False) -
             sign = -1 if pos % 2 else 1
             piece = _d_generator(g, mode).wedge(Form({rest: _ONE}))
             out = out + piece.scale(coeff * sign)
-    if raw:
-        return out
-    return substitute_connections(out)
+    return out
 
 
 # -- the 3-form built from the six theta blocks ------------------------------

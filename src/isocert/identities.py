@@ -317,10 +317,10 @@ def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     if name.startswith("dtheta_"):
         i, j = int(name[-2]), int(name[-1])
-        engine = ff.exterior_derivative(ff.theta(i, j), mode=mode).vol_coefficient_raw()
-        return _report(name, mode, engine, dtheta_target(i, j, mode))
+        d = ff.substitute_connections(ff.exterior_derivative(ff.theta(i, j), mode=mode))
+        return _report(name, mode, d.vol_coefficient_raw(), dtheta_target(i, j, mode))
     if name == "dphi":
-        engine = ff.exterior_derivative(ff.phi(), mode=mode).vol_coefficient_raw()
+        engine = ff.substitute_connections(ff.exterior_derivative(ff.phi(), mode=mode)).vol_coefficient_raw()
         gL = gamma_L_polynomials()
         extracted = {f"gamma_L{i}": str(gL[i]) for i in gL}
         extracted["gamma"] = str(gamma_polynomial())

@@ -145,6 +145,22 @@ def test_li_cross_check_deterministic():
     assert a == b
 
 
+class _QuadInt:
+    """a + b*sqrt(D) with integers a, b: the reference loop's own exact ring."""
+
+    def __init__(self, a: int, b: int, D: int):
+        self.a, self.b, self.D = a, b, D
+
+    def __add__(self, o):
+        return _QuadInt(self.a + o.a, self.b + o.b, self.D)
+
+    def __sub__(self, o):
+        return _QuadInt(self.a - o.a, self.b - o.b, self.D)
+
+    def __mul__(self, o):
+        return _QuadInt(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D)
+
+
 def _li_cross_check_reference(S, tau, count=100_000, seed=20260808) -> dict:
     """Reference: the one-point-at-a-time exact loop the bulk sampler replaced."""
     S = F(S)
@@ -176,9 +192,9 @@ def _li_cross_check_reference(S, tau, count=100_000, seed=20260808) -> dict:
         if quad_sign(g32a * td - two_q * tn, -td, D) < 0:
             continue
         accepted += 1
-        g21 = ct._QuadInt(2 * (P2 - P1), 0, D)
-        g32 = ct._QuadInt(g32a, -1, D)
-        g43 = ct._QuadInt(0, 2, D)
+        g21 = _QuadInt(2 * (P2 - P1), 0, D)
+        g32 = _QuadInt(g32a, -1, D)
+        g43 = _QuadInt(0, 2, D)
         g31, g42 = g32 + g21, g43 + g32
         vals = idn.gamma_L_printed(g21, g31, g32, g42 + g21, g42, g43)
         for i, v in enumerate(vals, start=1):
@@ -232,9 +248,14 @@ def test_li_chart_constants_are_rounded_outward():
     assert 4096 * chart.bn >= 2**53
     c1 = F(chart.tn * chart.q, chart.bn * chart.td)
     r = F(2 * chart.Sq2, chart.bn**2)
-    for enc, exact in ((chart.c1, c1), (chart.c3, 2 * c1), (chart.r, r), (chart.r_tau, r - c1 * c1)):
+    filt, exact_ring = chart.filter, chart.exact
+    for enc, exact in ((filt.c1, c1), (filt.c3, 2 * c1), (filt.r, r), (filt.r_tau, r - c1 * c1)):
         assert F(float(enc.lo)) <= exact <= F(float(enc.hi))
         assert F(float(enc.lo)) < F(float(enc.hi))      # none of these is a float
+    # The exact route's constants are the same rationals at x bn td, y bn td.
+    k = chart.bn * chart.td
+    assert (exact_ring.c1, exact_ring.c3) == (c1 * k, 2 * c1 * k)
+    assert (exact_ring.r, exact_ring.r_tau) == (r * k * k, (r - c1 * c1) * k * k)
 
 
 @pytest.mark.parametrize("S, tau, count, seed", [
@@ -248,9 +269,23 @@ def test_li_chart_constants_are_rounded_outward():
     (_S_WIDE, 0.05 * math.sqrt(8), 300, 4),
     (8, 0.05, 1, 7),
     (8, 0.05, 0, 8),
+    (1, F(1, 64), 2000, 5),
 ])
-def test_li_cross_check_matches_the_exact_loop(S, tau, count, seed):
+def test_li_cross_check_matches_the_exact_loop(monkeypatch, S, tau, count, seed):
+    exact_points = []
+    li_chart = ct._li_chart
+
+    def spy(x, y, ring):
+        if isinstance(x, int):      # the exact route: one point, at x bn td, y bn td
+            exact_points.append((x, y))
+        return li_chart(x, y, ring)
+
+    monkeypatch.setattr(ct, "_li_chart", spy)
     assert ct.sample_Li_cross_check(S, tau, count, seed) == _li_cross_check_reference(S, tau, count, seed)
+    if (S, tau) == (1, F(1, 64)):
+        # c1 = tau q / bn is the integer 64, so g21 >= tau is an equality on
+        # the line x + y = 64, where no enclosure excludes 0 (bn td = 64).
+        assert exact_points and all(x + y == 64 * 64 for x, y in exact_points)
 
 
 @pytest.mark.parametrize("tau", [1e-9, 4e-7, 0.0])

@@ -314,6 +314,16 @@ def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     assert not differ
 
 
+def test_a_square_radicand_solves_like_its_rational_root(capsys):
+    # sqrt(4) is the rational 2: one report and the cubic, not the sextic.
+    for radical, rational in (("sqrt(4)", "2"), ("3*sqrt(9/4)/2", "9/4")):
+        outs = []
+        for A3 in (radical, rational):
+            assert cli.main(["solve", "--system", "II", "--S", "8", "--A3", A3, "--quiet"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 def test_removed_near_radius_flag_is_a_usage_error():
     out = run_cli("certify", "okumura", "--near-radius", "1e-3", "--quiet")
     assert out.returncode == 64
