@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from isocert import certify, cli, identities, mollify, reports
+from isocert import certify, cli, configsolve, identities, mollify, reports
 from isocert.exactalg import MonomialOverflowError
 
 ENTRY = [sys.executable, "-m", "isocert"]
@@ -299,18 +299,38 @@ def test_golden_solve_reports(case, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"solve_{case}.json").read_text()
 
 
-@pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json"])
+def _call_report(func: str, args: list) -> tuple[str, int]:
+    """The report of a module function with no subcommand, rendered as one record."""
+    if func == "case_branch_identities":
+        rep = configsolve.case_branch_identities(configsolve.ScalarParams.make(*args))
+        name = "case_branch_identities"
+    else:
+        delta, eps0, samples = args
+        rep = mollify.gap_value_property_report(delta, eps0, samples=samples)
+        name = "gap_value_properties"
+    recs = [reports.check_record(name, rep.pop("status"), rep)]
+    return reports.render(recs), reports.exit_code(recs)
+
+
+@pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json",
+                                      "sweep_digests.json"])
 def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     # Report sha256 and exit code of every distinct solve argv of the
-    # benchmark's sweep seeds 1-10 (solve_digests), and of its certify li
+    # benchmark's sweep seeds 1-10 (solve_digests), of its certify li
     # --cross-check and certify okumura argvs plus the north-star pipeline
-    # (report_digests).
+    # (report_digests), and of its certify band, mollifier and cutoff argvs
+    # and its two function-call items, given by name and arguments
+    # (sweep_digests).
     differ = []
     for entry in json.loads((GOLDEN / manifest).read_text()):
-        code = cli.main(entry["argv"] + ["--quiet"])
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        if (digest, code) != (entry["sha256"], entry["exit"]):
-            differ.append(" ".join(entry["argv"]))
+        if "call" in entry:
+            text, code = _call_report(entry["call"], entry["args"])
+            label = f"{entry['call']}{tuple(entry['args'])}"
+        else:
+            code = cli.main(entry["argv"] + ["--quiet"])
+            text, label = capsys.readouterr().out, " ".join(entry["argv"])
+        if (hashlib.sha256(text.encode()).hexdigest(), code) != (entry["sha256"], entry["exit"]):
+            differ.append(label)
     assert not differ
 
 
