@@ -175,19 +175,27 @@ def _sqrt_bounds(d: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     bisection never moves hi, hence the cap; for d < 0 it never moves lo,
     so j = 0.)
     """
-    d, eps = Fraction(d), Fraction(eps)
-    if d == 0:
-        return Fraction(0), Fraction(0)
+    d = Fraction(d)
+    lo, hi, den = _sqrt_grid(d.numerator, d.denominator, Fraction(eps))
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _sqrt_grid(dn: int, dd: int, eps: Fraction) -> tuple[int, int, int]:
+    """`_sqrt_bounds` of d = dn / dd, dd > 0, as integers lo, hi over one den > 0.
+
+    Every step reads d only through ratios and signs, so dn / dd need not
+    be in lowest terms.
+    """
+    if dn == 0:
+        return 0, 0, 1
     if eps <= 0:
         raise ValueError("precision must be positive")
-    dn, dd = d.numerator, d.denominator
     hn, hd = (dn, dd) if dn > dd else (1, 1)      # H = max(1, d) = hn / hd
     k = ((hn * eps.denominator - 1) // (hd * eps.numerator)).bit_length()   # least k with H <= eps 2^k
     j = 0
-    if d > 0:   # j^2 <= d / step^2 = d 4^k / H^2, floored in integers
+    if dn > 0:   # j^2 <= d / step^2 = d 4^k / H^2, floored in integers
         j = min(isqrt((dn * hd * hd << 2 * k) // (dd * hn * hn)), (1 << k) - 1)
-    step_den = hd << k                               # step = H / 2^k = hn / step_den
-    return Fraction(j * hn, step_den), Fraction((j + 1) * hn, step_den)
+    return j * hn, (j + 1) * hn, hd << k          # step = H / 2^k = hn / (hd 2^k)
 
 
 class AlgebraicNumber:

@@ -44,6 +44,7 @@ every band enclosure against exact rational values.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import namedtuple
 from collections.abc import Sequence
@@ -312,20 +313,31 @@ _Ring = namedtuple("_Ring", "lift sqrt c1 c3 r r_tau")
 
 
 def _li_chart(x, y, ring: _Ring) -> tuple:
-    """x + y and x - 3y as integers, m = 3x^2 + 3y^2 - 2xy and sqrt(r - m) in the ring."""
-    m = ring.lift(3 * x * x + 3 * y * y - 2 * x * y)
-    return x + y, x - 3 * y, m, ring.sqrt(ring.r - m)
+    """x + y and x - 3y as integers, and m = 3x^2 + 3y^2 - 2xy in the ring."""
+    return x + y, x - 3 * y, ring.lift(3 * x * x + 3 * y * y - 2 * x * y)
 
 
-def _collar_tests(chart: tuple, ring: _Ring) -> tuple:
-    """g21 >= tau, D td^2 >= tn^2 q^2 and g32 >= tau, each as a value >= 0 where it holds."""
-    s, t, m, root = chart
-    return ring.lift(s) - ring.c1, ring.r_tau - m, ring.lift(t) - ring.c3 - root
+def _root(m, ring: _Ring):
+    """sqrt(r - m) in the ring."""
+    return ring.sqrt(ring.r - m)
+
+
+def _polynomial_tests(chart: tuple, ring: _Ring) -> tuple:
+    """g21 >= tau and D td^2 >= tn^2 q^2, each as a value >= 0 where it holds."""
+    s, _, m = chart
+    return ring.lift(s) - ring.c1, ring.r_tau - m
+
+
+def _root_test(chart: tuple, ring: _Ring) -> tuple:
+    """g32 >= tau, as a value >= 0 where it holds."""
+    _, t, m = chart
+    return (ring.lift(t) - ring.c3 - _root(m, ring),)
 
 
 def _gaps(chart: tuple, ring: _Ring) -> tuple:
     """g21, g31, g32, g41, g42, g43, scaled by 2q/bn in the filter's units."""
-    s, t, _, root = chart
+    s, t, m = chart
+    root = _root(m, ring)
     g21, g32, g43 = ring.lift(2 * s), ring.lift(t) - root, root + root
     g31, g42 = g32 + g21, g43 + g32
     return g21, g31, g32, g42 + g21, g42, g43
@@ -349,7 +361,11 @@ class _LiChart:
     gamma*L_i is homogeneous in the gaps, so the scale keeps its signs.  The
     filter reads this over `VI` batches, where x and y are exact and c1, 2 c1,
     r and r - c1^2 are each rounded outward once; the exact route over
-    `QuadExt` at x bn td, y bn td, where every value is an integer.
+    `QuadExt` at x bn td, y bn td, where every value is an integer.  The first
+    two tests are polynomial in the integers x and y, so `accepted` decides
+    them first, exactly, in int64 (the `integer` ring: x + y >= ceil(c1) and
+    m <= floor(r - c1^2)); only their survivors take the filter, and the
+    exact route where it cannot decide, for the square-root test.
     """
 
     def __init__(self, S: Fraction, tau: Fraction):
@@ -364,6 +380,10 @@ class _LiChart:
         r = Fraction(2 * self.Sq2, self.bn * self.bn)
         self.filter = _Ring(_exact, VI.sqrt_clamped,
                             *(VI(float_down(v), float_up(v)) for v in (c1, 2 * c1, r, r - c1 * c1)))
+        # In int64, x + y >= ceil(c1) and m <= floor(r - c1^2): |x + y| and m
+        # stay below 2^28, so clamping the thresholds to +-2^62 decides the same.
+        self.integer = _Ring(np.asarray, None, _clamp64(math.ceil(c1)), None, None,
+                             _clamp64(math.floor(r - c1 * c1)))
         c1, r = self.tn * self.q, 2 * self.Sq2 * self.td * self.td
         self.exact = _Ring(int, lambda v: QuadExt.make(0, 1, max(v, 0)), c1, 2 * c1, r, r - c1 * c1)
 
@@ -379,14 +399,24 @@ class _LiChart:
         return holds
 
     def accepted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mask of the candidates that pass the three tests."""
-        return self._holds(x, y, _collar_tests).all(axis=0)
+        """Mask of the candidates that pass the three tests: the two polynomial
+        ones decided exactly in int64, then the square-root one on their survivors."""
+        passed = np.logical_and.reduce(
+            [v >= 0 for v in _polynomial_tests(_li_chart(x, y, self.integer), self.integer)])
+        keep = np.flatnonzero(passed)
+        passed[keep] = self._holds(x[keep], y[keep], _root_test)[0]
+        return passed
 
     def violations(self, x: np.ndarray, y: np.ndarray) -> list[dict]:
         """The violation records (gamma*L_i >= 0) of a batch of accepted points, in order."""
         holds = self._holds(x, y, lambda chart, ring: identities.gamma_L_printed(*_gaps(chart, ring)))
         return [{"i": i + 1, "P1": -int(x[k]) * self.bn, "P2": int(y[k]) * self.bn, "q": self.q}
                 for k, i in np.argwhere(holds.T).tolist()]
+
+
+def _clamp64(v: int) -> int:
+    """v clamped to [-2^62, 2^62], inside the int64 range."""
+    return max(-2**62, min(v, 2**62))
 
 
 def _exact(a: np.ndarray) -> VI:
@@ -454,8 +484,10 @@ def certify_okumura(n=4, tol=1e-6) -> Certificate:
     """
     if n != 4:
         raise ValueError("only the 4-dimensional inequality is certified here")
-    p2, p3 = identities.gap_power_sums(*GAP_VARS)
-    holds, terms, smallest = _coefficient_signs(4**6 * (p2**3 - 3 * p3**2), 1)
+    # The power sums of the gaps 4a, 4b, 4c are 4^2 p2 and 4^3 p3, with integer
+    # coefficients: P2^3 - 3 P3^2 is 4^6 (p2^3 - 3 p3^2), all in ints.
+    P2, P3 = identities.gap_power_sums(*(4 * g for g in GAP_VARS))
+    holds, terms, smallest = _coefficient_signs(P2**3 - 3 * P3**2, 1)
     notes = [f"4^6 (p2^3 - 3 p3^2) in {_GAP_NAMES}: {terms} terms, "
              f"{'every' if holds else 'not every'} coefficient positive, smallest {smallest}"]
     if holds:
@@ -695,17 +727,24 @@ class _SideProgram:
     """K rational functions in l1..l4 laid out to be enclosed in one pass.
 
     The 2K polynomials (the K numerators, then the K denominators) are
-    sorted by descending term count.  Their terms are grouped by factor
-    count across polynomials: a group of T terms with f factors each holds
-    an (f, T) array of power table rows (see `_power_table`), in symbol
-    order, its T coefficients rounded outward as a (T, 1) column, and the
-    slots of its terms in the step-major layout, where step k holds the
-    k-th term of each polynomial that has one: a prefix of the sorted
-    polynomials, `steps[k]` = (offset, prefix length).  So every polynomial
-    sums exactly its own terms, in monomial order, with no padding.
+    sorted by descending term count.  A term is a chain of f factor rows of
+    the power table (see `_power_table`), in symbol order, times its
+    coefficient rounded outward.  A chain's first k rows are its prefix of
+    length k, and each distinct prefix is multiplied out once, level by
+    level: `levels[k]` holds the distinct prefixes of length k + 2 as
+    (parent, row) index arrays, each the product of its parent prefix and
+    one more row.  Prefixes are numbered after the `base` rows of the power
+    table, so a parent or row indexes one table, and a one-row prefix is
+    its table row.  The terms are grouped by factor count: a group holds
+    the table rows of its terms' whole chains (None for the constants),
+    their coefficients as a (T, 1) column, and their slots in the
+    step-major layout, where step k holds the k-th term of each polynomial
+    that has one: a prefix of the sorted polynomials, `steps[k]` = (offset,
+    prefix length).  So every polynomial sums exactly its own terms, in
+    monomial order, with no padding.
     """
 
-    __slots__ = ("k", "degree", "size", "groups", "steps", "unsort")
+    __slots__ = ("k", "degree", "size", "base", "levels", "groups", "steps", "unsort")
 
     def __init__(self, pairs: Sequence[tuple[MultiPoly, MultiPoly]]):
         polys = [num for num, _ in pairs] + [den for _, den in pairs]
@@ -722,13 +761,25 @@ class _SideProgram:
                 factors, c = terms[j][step]
                 self.degree = max([self.degree] + [e for _, e in factors])
                 groups.setdefault(len(factors), []).append(
-                    (self.size, [(e - 1) * len(_CHART) + i for i, e in factors],
+                    (self.size, tuple((e - 1) * len(_CHART) + i for i, e in factors),
                      np.nextafter(c, -np.inf), np.nextafter(c, np.inf)))
                 self.size += 1
+        self.base = len(_CHART) * max(self.degree, 1)     # the rows of the power table
+        chains = [rows for f in sorted(groups) for _, rows, _, _ in groups[f] if f]
+        ids = {rows[:1]: rows[0] for rows in chains}
+        self.levels, count = [], self.base
+        for length in range(2, max(groups, default=0) + 1):
+            parent, row = [], []
+            for rows in chains:
+                if len(rows) >= length and rows[:length] not in ids:
+                    ids[rows[:length]], count = count, count + 1
+                    parent.append(ids[rows[:length - 1]])
+                    row.append(rows[length - 1])
+            self.levels.append((np.array(parent, dtype=np.intp), np.array(row, dtype=np.intp)))
         self.groups = []
         for f in sorted(groups):
             slots, rows, c_lo, c_hi = zip(*groups[f])
-            self.groups.append((np.array(rows, dtype=np.intp).reshape(len(slots), f).T,
+            self.groups.append((np.array([ids[r] for r in rows], dtype=np.intp) if f else None,
                                 VI(np.reshape(c_lo, (-1, 1)), np.reshape(c_hi, (-1, 1))),
                                 np.array(slots, dtype=np.intp)))
 
@@ -736,25 +787,30 @@ class _SideProgram:
         """Enclosures of the 2K polynomials, numerators first, over the cells
         of l1..l4, as (2K, cells) arrays.
 
-        Each group's terms are multiplied out together, one 2-D VI product
-        per factor, left to right, then by the coefficients; step k adds the
-        k-th terms to its prefix of running sums with one outward rounding.
-        Every operation is elementwise and every float operation is the one
-        a term-by-term walk of each polynomial does, so the enclosures are
-        the same to the bit.  The arrays are (terms x cells): `__call__`
-        passes the cells in blocks.
+        The power table and the prefixes of each level share one (rows,
+        cells) table; each level is one 2-D VI product of its parents and
+        rows, and each group of terms one product of their whole chains and
+        their coefficients.  Step k then adds the k-th terms to its prefix
+        of running sums with one outward rounding.  Every operation is
+        elementwise, and each term is the same left-to-right chain of VI
+        products a term-by-term walk of its polynomial multiplies out, so the
+        enclosures are the walk's to the bit.  The arrays are (rows x cells):
+        `__call__` passes the cells in blocks.
         """
         powers = _power_table(chart, self.degree)
         n = powers.lo.shape[1]
+        lo = np.empty((self.base + sum(len(parent) for parent, _ in self.levels), n))
+        hi = np.empty_like(lo)
+        lo[:self.base], hi[:self.base] = powers.lo, powers.hi
+        start = self.base
+        for parent, row in self.levels:
+            prod = VI(lo[parent], hi[parent]) * VI(lo[row], hi[row])
+            lo[start:start + len(parent)], hi[start:start + len(parent)] = prod.lo, prod.hi
+            start += len(parent)
         # Slot- and polynomial-major, lo then hi: every step is contiguous.
         terms = np.empty((self.size, 2, n))
-        for rows, coeffs, slots in self.groups:
-            term = coeffs      # the constant terms, when rows is empty
-            if len(rows):
-                term = VI(powers.lo[rows[0]], powers.hi[rows[0]])
-                for r in rows[1:]:
-                    term = term * VI(powers.lo[r], powers.hi[r])
-                term = term * coeffs
+        for final, coeffs, slots in self.groups:
+            term = coeffs if final is None else VI(lo[final], hi[final]) * coeffs
             terms[slots, 0], terms[slots, 1] = term.lo, term.hi
         sums = np.zeros((len(self.unsort), 2, n))
         for offset, width in self.steps:

@@ -23,10 +23,14 @@ intervals refine on demand, member coincidences and the sorted order are
 decided by exact sign tests in the field of the cubic root, and the
 power-sum enclosures a report prints are containment-correct rational
 intervals, checked against the inputs.
-The arithmetic runs on integers: polynomials are `upoly.UPoly` integer
-forms, and interval Horner and the power sums work on integer numerators
-over one positive denominator; only the RatIntervals they return hold
-Fractions, the same rationals Fraction arithmetic would give.
+The arithmetic runs on integers end to end.  Polynomials are `upoly.UPoly`
+integer forms, and root isolation and refinement bisect integer numerators
+over one denominator.  A `RatInterval` is an integer pair over a positive
+denominator, so interval Horner, the square-root enclosure, the member
+enclosures, the power sums and every width and containment test stay in
+integers.  Fractions are built only for the isolating endpoints an
+`AlgebraicNumber` holds and for the endpoints a report renders; they are
+the rationals Fraction arithmetic would give, refined in the same order.
 """
 
 from __future__ import annotations
@@ -35,42 +39,58 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import upoly as up
-from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign
+from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, _sqrt_grid, cubic_bound_sign
 
 
 # -- exact rational intervals -------------------------------------------------
 
 class RatInterval:
-    """Closed interval with Fraction endpoints; exact containment arithmetic."""
+    """Closed interval [a/d, b/d] with integers a <= b and d > 0; exact containment
+    arithmetic in integers.  a/d and b/d need not be in lowest terms: every test
+    reads them by value, and `lo` and `hi` give them as Fractions."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, lo, hi=None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
-        if lo > hi:
+    def __init__(self, a: int, b: int, d: int = 1):
+        if a > b:
             raise ValueError("inverted interval")
-        self.lo, self.hi = lo, hi
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def of(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
+        """The interval [lo, hi] of two Fractions, over the lcm of their denominators."""
+        (a, b), d = up.over_common_denominator((lo, hi))
+        return cls(a, b, d)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, o: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + o.lo, self.hi + o.hi)
+        return RatInterval(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
 
     def __mul__(self, o: "RatInterval") -> "RatInterval":
-        c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RatInterval(min(c), max(c))
+        c = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
+        return RatInterval(min(c), max(c), self.d * o.d)
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def width_at_most(self, eps: Fraction) -> bool:
+        """Is hi - lo <= eps?"""
+        return (self.b - self.a) * eps.denominator <= eps.numerator * self.d
 
     def contains(self, x) -> bool:
+        """Does the interval hold the rational or `QuadExt` x?"""
         if isinstance(x, QuadExt):
-            return (x - QuadExt.rational(self.lo)).sign() >= 0 and (
-                QuadExt.rational(self.hi) - x
-            ).sign() >= 0
+            xd = x * self.d
+            return (xd - self.a).sign() >= 0 and (xd - self.b).sign() <= 0
         x = Fraction(x)
-        return self.lo <= x <= self.hi
+        return self.a * x.denominator <= x.numerator * self.d <= self.b * x.denominator
 
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -82,29 +102,28 @@ def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
     With box = [L, H] / V and poly = num / den, the running interval after
     k steps is an integer pair over den V^k: each product keeps its order
     and each coefficient enters as num_i V^k, so min and max pick the same
-    endpoints as Horner in RatIntervals would.
+    endpoints as Horner in Fraction intervals would.
     """
     num = poly.num
     if not num:
-        return RatInterval(0)
-    (L, H), V = up.over_common_denominator((box.lo, box.hi))
+        return RatInterval(0, 0)
+    L, H, V = box.a, box.b, box.d
     lo = hi = num[-1]
     w = 1
     for c in num[-2::-1]:
         w *= V
         ends = (lo * L, lo * H, hi * L, hi * H)
         lo, hi = min(ends) + c * w, max(ends) + c * w
-    d = poly.den * w
-    return RatInterval(Fraction(lo, d), Fraction(hi, d))
+    return RatInterval(lo, hi, poly.den * w)
 
 
 def sqrt_enclosure(box: RatInterval, eps: Fraction) -> RatInterval:
-    """Rational enclosure of sqrt over a nonnegative-leaning interval."""
-    lo = max(box.lo, Fraction(0))
-    hi = max(box.hi, Fraction(0))
-    lo_s = _sqrt_bounds(lo, eps)[0] if lo > 0 else Fraction(0)
-    hi_s = _sqrt_bounds(hi, eps)[1]
-    return RatInterval(lo_s, hi_s)
+    """Rational enclosure of sqrt over a nonnegative-leaning interval: the
+    `_sqrt_bounds` grid cells of its endpoints clamped at 0, in integers."""
+    lo, hi = max(box.a, 0), max(box.b, 0)
+    lo_n, _, lo_d = _sqrt_grid(lo, box.d, eps) if lo else (0, 0, 1)
+    _, hi_n, hi_d = _sqrt_grid(hi, box.d, eps)
+    return RatInterval(lo_n * hi_d, hi_n * lo_d, lo_d * hi_d)
 
 
 # -- parameters ----------------------------------------------------------------
@@ -257,10 +276,10 @@ class CurvatureConfig:
         eps = Fraction(precision)
         x0 = self.x0
         while True:
-            box = RatInterval(x0.lo, x0.hi)
+            box = RatInterval.of(x0.lo, x0.hi)
             root = sqrt_enclosure(eval_on_interval(self.D, box), eps / 8)
             out = [m.enclosure(box, root) for m in self.members]
-            if all(o.width() <= eps for o in out):
+            if all(o.width_at_most(eps) for o in out):
                 self.x0 = x0
                 return out
             x0 = x0.refine((x0.hi - x0.lo) / 16)
@@ -271,7 +290,7 @@ class CurvatureConfig:
         attempt = eps / 16
         while True:
             out = _power_sums(self.lambda_intervals(attempt))
-            if all(v.width() <= eps for v in out.values()):
+            if all(v.width_at_most(eps) for v in out.values()):
                 return out
             attempt /= 16
 
@@ -287,22 +306,23 @@ class CurvatureConfig:
 def _power_sums(lams: list[RatInterval]) -> dict[str, RatInterval]:
     """Enclosures of p1..p4: the sums of the k-th powers of the member enclosures.
 
-    In integers over V^k, V the common denominator of the endpoints; a power
-    of an interval is [lo^k, hi^k], [hi^k, lo^k] below 0, or [0, max] for an
-    even k across 0, so each sum is the same rational as in RatIntervals.
+    In integers over V^k, V the lcm of the members' denominators; a power of
+    an interval is [lo^k, hi^k], [hi^k, lo^k] below 0, or [0, max] for an
+    even k across 0, so each sum is the rational interval arithmetic gives.
     """
-    nums, V = up.over_common_denominator(e for lam in lams for e in (lam.lo, lam.hi))
+    V = lcm(*(lam.d for lam in lams))
+    ends = [(lam.a * (V // lam.d), lam.b * (V // lam.d)) for lam in lams]
     out = {}
     for k in range(1, 5):
         lo = hi = 0
-        for a, b in zip(nums[::2], nums[1::2]):
+        for a, b in ends:
             if k % 2 or a >= 0:
                 lo, hi = lo + a**k, hi + b**k
             elif b <= 0:
                 lo, hi = lo + b**k, hi + a**k
             else:
                 hi += max(a**k, b**k)
-        out[f"p{k}"] = RatInterval(Fraction(lo, V**k), Fraction(hi, V**k))
+        out[f"p{k}"] = RatInterval(lo, hi, V**k)
     return out
 
 

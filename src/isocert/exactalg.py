@@ -155,6 +155,11 @@ def _as_fraction(x: Scalar) -> Scalar:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _integral(x: Scalar) -> Scalar:
+    """An exact scalar as an int where it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -249,7 +254,13 @@ class MultiPoly:
             q = _as_fraction(other)
             if q == 0:
                 return MultiPoly(self.table)
-            return MultiPoly._own(self.table, {m: c * q for m, c in self.terms.items()})
+            # Integral products stay ints, so (12 a) / 4 is 3 a with an int 3;
+            # an int times an int needs no check.
+            if isinstance(q, int):
+                terms = {m: c * q if type(c) is int else _integral(c * q) for m, c in self.terms.items()}
+            else:
+                terms = {m: _integral(c * q) for m, c in self.terms.items()}
+            return MultiPoly._own(self.table, terms)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -60,8 +60,9 @@ def _gl_rows(fn, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
 
     Returns a (2, rows) array.  fn is evaluated once per node block and
     feeds both integrals.  Each row takes the nodes of a one-interval rule
-    and its own 1-D `np.dot`, so every integral has the bits of integrating
-    that interval alone: a 2-D product may add the terms in another order.
+    and its own 1-D dot product (`wts.dot`), so every integral has the bits
+    of integrating that interval alone: a 2-D product may add the terms in
+    another order.  The scaling by the half-widths is elementwise.
     """
     x, wts = _gl_nodes(order)
     out = np.empty((2, len(a)))
@@ -70,8 +71,8 @@ def _gl_rows(fn, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
         mid, half = (a[blk] + b[blk]) / 2, (b[blk] - a[blk]) / 2
         s = mid[:, None] + half[:, None] * x
         rho = fn(s)
-        for j, (h, r, sr) in enumerate(zip(half, rho, s * rho), lo):
-            out[0, j], out[1, j] = h * np.dot(wts, r), h * np.dot(wts, sr)
+        for k, rows in enumerate((rho, s * rho)):
+            out[k, blk] = half * np.fromiter(map(wts.dot, rows), float, len(half))
     return out
 
 
@@ -159,18 +160,29 @@ class Mollifier:
         return lm[0], lm[1]
 
     def _convolve(self, t: np.ndarray) -> np.ndarray:
-        """Integral of rho(s) |t - s| ds by panels, in the panel order of one point."""
+        """Integral of rho(s) |t - s| ds by panels, in the panel order of one point.
+
+        Per block of _ROW_BLOCK points, the terms are one (2 panels + 1,
+        points) array: a row of +0.0, then per panel its left or right part,
+        or the straddling panel's left part, and then its right part (0.0 for
+        the others), each a term of its own.  `np.add.accumulate` adds them
+        down each column one after the other, as a running sum does;
+        `np.add.reduce` may not, for a one-column block.  Starting at +0.0
+        keeps the bits: a sum started there is never -0.0.
+        """
         edges, m0, m1 = self.panels
         lm0, lm1 = self._partials(t)
-        cut_left = t * lm0 - lm1
-        # Adding 0.0 keeps the bits: a sum started at +0.0 is never -0.0.
-        total = np.zeros_like(t)
-        for i in range(len(m0)):
-            left, right = edges[i + 1] <= t, edges[i] >= t
-            tm = t * m0[i]
-            total += np.where(left, tm - m1[i], np.where(right, m1[i] - tm, cut_left))
-            # The straddling panel's right part comes second, as a term of its own.
-            total += np.where(left | right, 0.0, (m1[i] - lm1) - t * (m0[i] - lm0))
+        m0, m1 = m0[:, None], m1[:, None]
+        total = np.empty_like(t)
+        for lo in range(0, len(t), _ROW_BLOCK):
+            blk = slice(lo, lo + _ROW_BLOCK)
+            tb, a0, a1 = t[blk], lm0[blk], lm1[blk]
+            left, right = edges[1:, None] <= tb, edges[:-1, None] >= tb
+            tm = tb * m0
+            terms = np.zeros((2 * len(m0) + 1, len(tb)))
+            terms[1::2] = np.where(left, tm - m1, np.where(right, m1 - tm, tb * a0 - a1))
+            terms[2::2] = np.where(left | right, 0.0, (m1 - a1) - tb * (m0 - a0))
+            total[blk] = np.add.accumulate(terms, axis=0)[-1]
         return total
 
     def value(self, t, via_quadrature: bool = False):
@@ -252,6 +264,13 @@ def _step_slope(x: float) -> float:
     return (dbx * b1 + bx * db1) / (s * s)
 
 
+@cache
+def _step_slope_peak() -> float:
+    """The largest slope of the raw step on a fixed 4096-point grid of [0, 1];
+    it does not depend on eps, so it is measured once, on first use."""
+    return max(_step_slope(float(x)) for x in np.linspace(0.0, 1.0, 4096))
+
+
 class Cutoff:
     """Smooth ramp: 0 below eps/3, 1 above eps, monotone in between."""
 
@@ -261,10 +280,8 @@ class Cutoff:
         self.eps = float(eps)
         self.lo = self.eps / 3
         self.span = self.eps - self.lo
-        xs = np.linspace(0.0, 1.0, 4096)
-        peak = max(_step_slope(float(x)) for x in xs)
         # eta'(t) = psi'(x)/span with span = 2 eps/3, so c = peak * 3/2.
-        self.slope_constant = peak * self.eps / self.span
+        self.slope_constant = _step_slope_peak() * self.eps / self.span
 
     def value(self, t: float) -> float:
         return _step_raw((float(t) - self.lo) / self.span)

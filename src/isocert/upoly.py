@@ -13,6 +13,9 @@ those integers:
   count is the same;
 * multiplicities come from Yun's squarefree decomposition, with exact
   integer quotients (Gauss's lemma keeps them integral);
+* isolation and refinement bisect a pair of integer numerators over one
+  positive denominator (the midpoint of A, B over D is A + B over 2D), and
+  build Fractions only for the endpoints they return;
 * isolating intervals have rational endpoints that are never roots
   themselves.
 """
@@ -245,8 +248,8 @@ def sturm_chain(p: UPoly) -> list[UPoly]:
     return [c for c in chain if c.num]
 
 
-def _variations(chain: list[UPoly], x) -> int:
-    u, v = x.numerator, x.denominator
+def _variations(chain: list[UPoly], u: int, v: int) -> int:
+    """Sign changes of the chain at u/v, v > 0."""
     count, last = 0, 0
     for c in chain:
         s = homogeneous_value(c, u, v)
@@ -259,7 +262,8 @@ def _variations(chain: list[UPoly], x) -> int:
 
 def sturm_count(chain: list[UPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
-    return _variations(chain, a) - _variations(chain, b)
+    return (_variations(chain, a.numerator, a.denominator)
+            - _variations(chain, b.numerator, b.denominator))
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -271,11 +275,11 @@ def root_bound(p: UPoly) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in p.num[:-1]), abs(p.num[-1]))
 
 
-def _nonroot_point(p: UPoly, x: Fraction, step: Fraction) -> Fraction:
-    """Nudge x outward until it is not a root of p."""
-    while sign_at(p, x) == 0:
-        x += step
-    return x
+def _nonroot_point(p: UPoly, u: int, v: int, step: int) -> int:
+    """Nudge u/v (v > 0) by step/v until it is not a root of p; the numerator it reaches."""
+    while not homogeneous_value(p, u, v):
+        u += step
+    return u
 
 
 def isolate_squarefree(p: UPoly, eps: Fraction,
@@ -286,7 +290,10 @@ def isolate_squarefree(p: UPoly, eps: Fraction,
     given.  Endpoints are never roots, so sign evaluation at endpoints
     stays conclusive during later refinement.  Bisection counts roots by
     the chain until an interval holds one; from there, p's signs at the
-    endpoint and the midpoint tell which half holds it.
+    endpoint and the midpoint tell which half holds it.  An interval is a
+    pair of integer numerators A, B over one denominator D > 0; its
+    midpoint is A + B over 2D, nudged right by (B - A)/1024D while it is a
+    root, and only the endpoints returned become Fractions.
     """
     if is_zero(p):
         raise ValueError("zero polynomial")
@@ -295,28 +302,34 @@ def isolate_squarefree(p: UPoly, eps: Fraction,
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("precision must be positive")
+    en, ed = eps.numerator, eps.denominator
     if chain is None:
         chain = sturm_chain(p)
     bound = root_bound(p)
-    lo = _nonroot_point(p, -bound, Fraction(-1, 7))
-    hi = _nonroot_point(p, bound, Fraction(1, 7))
-    total = sturm_count(chain, lo, hi)
+    # -bound and bound over 7 times their denominator, so a nudge of 1/7 is one step.
+    D = 7 * bound.denominator
+    A = _nonroot_point(p, -7 * bound.numerator, D, -bound.denominator)
+    B = _nonroot_point(p, 7 * bound.numerator, D, bound.denominator)
+    total = _variations(chain, A, D) - _variations(chain, B, D)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
+    stack = [(A, B, D, total)]
     while stack:
-        a, b, n = stack.pop()
+        a, b, d, n = stack.pop()
         if n == 0:
             continue
-        if n == 1 and b - a <= eps:
-            out.append((a, b))
+        if n == 1 and (b - a) * ed <= en * d:
+            out.append((Fraction(a, d), Fraction(b, d)))
             continue
-        mid = _nonroot_point(p, (a + b) / 2, (b - a) / 1024)
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        if not homogeneous_value(p, mid, d):
+            a, b, d, mid = 1024 * a, 1024 * b, 1024 * d, 1024 * mid
+            mid = _nonroot_point(p, mid, d, (b - a) // 1024)
         if n == 1:
-            n_left = int((sign_at(p, a) > 0) != (sign_at(p, mid) > 0))
+            n_left = int((homogeneous_value(p, a, d) > 0) != (homogeneous_value(p, mid, d) > 0))
         else:
-            n_left = sturm_count(chain, a, mid)
-        stack.append((a, mid, n_left))
-        stack.append((mid, b, n - n_left))
+            n_left = _variations(chain, a, d) - _variations(chain, mid, d)
+        stack.append((a, mid, d, n_left))
+        stack.append((mid, b, d, n - n_left))
     out.sort()
     # Separate intervals that touch at a shared endpoint, so the closed
     # intervals are pairwise disjoint.
@@ -357,24 +370,32 @@ def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, F
 
 
 def refine(p: UPoly, interval: tuple[Fraction, Fraction], eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of squarefree p to width <= eps by bisection."""
-    a, b = interval
-    fa = sign_at(p, a)
+    """Shrink an isolating interval of squarefree p to width <= eps by bisection.
+
+    The interval is a pair of integer numerators over one denominator d > 0,
+    as in `isolate_squarefree`; the midpoint of a, b over d is a + b over 2d.
+    """
+    (a, b), d = over_common_denominator(interval)
+    eps = Fraction(eps)
+    en, ed = eps.numerator, eps.denominator
+    fa = homogeneous_value(p, a, d)
     if fa == 0:
         raise ValueError("left endpoint is a root; not a valid isolating interval")
-    while b - a > eps:
-        mid = (a + b) / 2
-        fm = sign_at(p, mid)
+    while (b - a) * ed > en * d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        fm = homogeneous_value(p, mid, d)
         if fm == 0:
-            # Land strictly around the root with a tiny sign-compatible margin.
-            off = (b - a) / 1024
-            while sign_at(p, mid - off) == 0 or sign_at(p, mid + off) == 0:
-                off /= 2
-            a, b = mid - off, mid + off
-            fa = sign_at(p, a)
+            # Land strictly around the root with a tiny sign-compatible margin:
+            # mid -+ (b - a)/(k d), for k = 1024, 2048, ...
+            w, k = b - a, 1024
+            while (not homogeneous_value(p, k * mid - w, k * d)
+                   or not homogeneous_value(p, k * mid + w, k * d)):
+                k *= 2
+            a, b, d = k * mid - w, k * mid + w, k * d
+            fa = homogeneous_value(p, a, d)
             continue
-        if fa == fm:
+        if (fa > 0) == (fm > 0):
             a = mid
         else:
             b = mid
-    return a, b
+    return Fraction(a, d), Fraction(b, d)

@@ -1,9 +1,10 @@
-"""The Fraction kernel that `isocert.upoly` and `configsolve.eval_on_interval`
-replaced: the reference the integer kernel is tested against.
+"""The Fraction kernel that `isocert.upoly` and `configsolve`'s integer
+intervals replaced: the reference the integer kernel is tested against.
 
 A polynomial here is a tuple of Fractions, lowest degree first, with no
-trailing zero.  Every function is the straightforward rational version:
-Euclidean remainders, monic gcds, Horner in Fractions.
+trailing zero, and an interval a `RatInterval` with Fraction endpoints.
+Every function is the straightforward rational version: Euclidean
+remainders, monic gcds, bisection and Horner in Fractions.
 """
 
 from __future__ import annotations
@@ -11,9 +12,39 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from isocert.configsolve import RatInterval
+from isocert.algebraic import QuadExt, _sqrt_bounds
 
 UPoly = tuple  # tuple[Fraction, ...]
+
+
+class RatInterval:
+    """Closed interval with Fraction endpoints; exact containment arithmetic."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        lo = Fraction(lo)
+        hi = lo if hi is None else Fraction(hi)
+        if lo > hi:
+            raise ValueError("inverted interval")
+        self.lo, self.hi = lo, hi
+
+    def __add__(self, o: "RatInterval") -> "RatInterval":
+        return RatInterval(self.lo + o.lo, self.hi + o.hi)
+
+    def __mul__(self, o: "RatInterval") -> "RatInterval":
+        c = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return RatInterval(min(c), max(c))
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def contains(self, x) -> bool:
+        if isinstance(x, QuadExt):
+            return (x - QuadExt.rational(self.lo)).sign() >= 0 and (
+                QuadExt.rational(self.hi) - x
+            ).sign() >= 0
+        return self.lo <= Fraction(x) <= self.hi
 
 
 def upoly(coeffs: Iterable) -> UPoly:
@@ -292,6 +323,15 @@ def eval_on_interval(poly: UPoly, box: RatInterval) -> RatInterval:
     for c in reversed(poly):
         acc = acc * box + RatInterval(c)
     return acc
+
+
+def sqrt_enclosure(box: RatInterval, eps: Fraction) -> RatInterval:
+    """Rational enclosure of sqrt over a nonnegative-leaning interval."""
+    lo = max(box.lo, Fraction(0))
+    hi = max(box.hi, Fraction(0))
+    lo_s = _sqrt_bounds(lo, eps)[0] if lo > 0 else Fraction(0)
+    hi_s = _sqrt_bounds(hi, eps)[1]
+    return RatInterval(lo_s, hi_s)
 
 
 def interval_power(iv: RatInterval, n: int) -> RatInterval:

@@ -74,6 +74,10 @@ def test_certified_forms_have_one_coefficient_sign():
     assert [ct._coefficient_signs(p, sign) for p, sign in forms] == [
         (True, 8, -1), (True, 10, -1), (True, 10, -1), (True, 8, -1), (True, 22, 4096)]
     assert [sum(p.terms.values()) for p, _ in forms[:4]] == [-16] * 4
+    # certify_okumura's form: from the power sums of the gaps 4a, 4b, 4c, all in ints.
+    P2, P3 = idn.gap_power_sums(*(4 * g for g in ct.GAP_VARS))
+    scaled = P2**3 - 3 * P3**2
+    assert scaled == forms[-1][0] and all(type(c) is int for c in scaled.terms.values())
 
 
 def test_one_flipped_coefficient_is_refused():
@@ -256,6 +260,38 @@ def test_li_chart_constants_are_rounded_outward():
     k = chart.bn * chart.td
     assert (exact_ring.c1, exact_ring.c3) == (c1 * k, 2 * c1 * k)
     assert (exact_ring.r, exact_ring.r_tau) == (r * k * k, (r - c1 * c1) * k * k)
+    # The int64 stage's thresholds are the integers that decide the polynomial tests.
+    assert (chart.integer.c1, chart.integer.r_tau) == (math.ceil(c1), math.floor(r - c1 * c1))
+
+
+def _on_the_thresholds(chart) -> tuple[list, list]:
+    """Candidates (x, y) with x + y = ceil(c1), and with m = 3x^2 + 3y^2 - 2xy = floor(r - c1^2)."""
+    c1 = F(chart.tn * chart.q, chart.bn * chart.td)
+    s, m = math.ceil(c1), math.floor(F(2 * chart.Sq2, chart.bn**2) - c1 * c1)
+    line = [(x, s - x) for x in range(0, 4097, 7) if abs(s - x) <= 4096]
+    circle = []
+    for x in range(4097):       # 3y = x -+ sqrt(3m - 8x^2)
+        d = 3 * m - 8 * x * x
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            circle += [(x, (x + e) // 3) for e in (math.isqrt(d), -math.isqrt(d))
+                       if (x + e) % 3 == 0 and abs(x + e) <= 3 * 4096]
+    return line, circle
+
+
+@pytest.mark.parametrize("S, tau", [(8, 0.05), (1, F(1, 64)), (8, 1.0), (6, 0.2), (_S_WIDE, 0.05),
+                                    (8, 5.0)])
+def test_staged_collar_tests_match_the_unstaged_ones(S, tau):
+    # The int64 stage and the square-root test on its survivors accept the
+    # candidates all three tests of the filter and exact route accept,
+    # including those exactly on either integer threshold.
+    chart = ct._LiChart(F(S), ct.sampler_tau(tau))
+    line, circle = _on_the_thresholds(chart)
+    assert circle or (S, tau) not in ((8, 1.0), (6, 0.2))
+    x, y = next(ct._pair_draws(random.Random(9)))
+    x = np.concatenate([x, np.array([p[0] for p in line + circle], np.int64)])
+    y = np.concatenate([y, np.array([p[1] for p in line + circle], np.int64)])
+    unstaged = chart._holds(x, y, lambda c, ring: ct._polynomial_tests(c, ring) + ct._root_test(c, ring))
+    assert np.array_equal(chart.accepted(x, y), unstaged.all(axis=0))
 
 
 @pytest.mark.parametrize("S, tau, count, seed", [
@@ -284,8 +320,9 @@ def test_li_cross_check_matches_the_exact_loop(monkeypatch, S, tau, count, seed)
     assert ct.sample_Li_cross_check(S, tau, count, seed) == _li_cross_check_reference(S, tau, count, seed)
     if (S, tau) == (1, F(1, 64)):
         # c1 = tau q / bn is the integer 64, so g21 >= tau is an equality on
-        # the line x + y = 64, where no enclosure excludes 0 (bn td = 64).
-        assert exact_points and all(x + y == 64 * 64 for x, y in exact_points)
+        # the line x + y = 64, where no enclosure excludes 0; the int64 stage
+        # decides it exactly, so no point takes the exact route.
+        assert not exact_points
 
 
 @pytest.mark.parametrize("tau", [1e-9, 4e-7, 0.0])

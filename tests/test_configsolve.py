@@ -47,7 +47,7 @@ def _is_root_of_shifted(alg, base, a3) -> bool:
     """
     cur = alg
     while True:
-        enc = cs.eval_on_interval(base, cs.RatInterval(cur.lo, cur.hi))
+        enc = cs.eval_on_interval(base, cs.RatInterval.of(cur.lo, cur.hi))
         if not enc.contains(a3):
             return False
         if not enc.contains(-a3):

@@ -323,7 +323,8 @@ def test_coefficients_stay_exact(a, b, s):
 @given(typed_polys(int_only=True), typed_polys(int_only=True))
 @settings(max_examples=40, deadline=None)
 def test_integer_coefficients_stay_int(a, b):
-    for p in (a + b, a - b, a * b, -a, a * 7):
+    # Integral scalar products are ints too: (12 a) / 4 and (a / 2) * 4.
+    for p in (a + b, a - b, a * b, -a, a * 7, (a * 12) / 4, (a / 2) * 4, (a * 6) * Fraction(1, 3)):
         assert all(type(c) is int for c in p.terms.values())
 
 

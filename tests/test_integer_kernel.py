@@ -1,5 +1,5 @@
-"""The integer kernel of `upoly` and `configsolve.eval_on_interval` against
-the Fraction kernel it replaced (`fraction_reference`).
+"""The integer kernel of `upoly` and `configsolve`'s integer intervals against
+the Fraction kernel they replaced (`fraction_reference`).
 
 Values, signs, interval enclosures, root counts and isolating intervals
 must be the same rationals; Sturm chain members, gcds and squarefree
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import fraction_reference as ref
 from isocert import configsolve as cs
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber
+from isocert.algebraic import AlgebraicNumber, QuadExt
 
 _BIG = 10**30
 
@@ -78,29 +78,98 @@ def test_values_and_signs_match_fraction_horner(p, x):
     assert up.sign_at(P, x) == _sign(expect)
 
 
+_INTERVALS = st.tuples(_RATIONALS, _RATIONALS).map(lambda t: ref.RatInterval(min(t), max(t)))
+# Integer intervals need not be in lowest terms: each is drawn at a scale.
+_SCALES = st.integers(1, 10**6)
+_PRECISIONS = (st.fractions(min_value=F(1, 10**15), max_value=1, max_denominator=10**15)
+               | st.fractions(min_value=1, max_value=10**7, max_denominator=100))
+_QUADS = st.builds(QuadExt.make, _RATIONALS, st.fractions(-5, 5, max_denominator=100),
+                   st.sampled_from([2, 3, F(5, 4)]))
+
+
+def _integer(iv: ref.RatInterval, k: int = 1) -> cs.RatInterval:
+    """The same interval as integers over k times the lcm of its denominators."""
+    (a, b), d = up.over_common_denominator((iv.lo, iv.hi))
+    return cs.RatInterval(a * k, b * k, d * k)
+
+
+def _same(got: cs.RatInterval, expect: ref.RatInterval) -> bool:
+    return (got.lo, got.hi) == (expect.lo, expect.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_INTERVALS, _INTERVALS, _SCALES, _SCALES, _PRECISIONS, _RATIONALS | _QUADS)
+@example(ref.RatInterval(F(-1, 3), F(1, 6)), ref.RatInterval(-2, F(-1, 7)), 6, 1, F(1, 2), F(1, 6))
+@example(ref.RatInterval(0, F(1, 2)), ref.RatInterval(F(1, 7)), 4, 3, F(1, 2), QuadExt.make(0, F(1, 4), 2))
+def test_integer_intervals_match_fraction_intervals(x, y, k, j, eps, point):
+    # Sums, products, width tests and containment (of a rational or a
+    # QuadExt, endpoints included) are those of Fraction intervals.
+    X, Y = _integer(x, k), _integer(y, j)
+    assert _same(X, x) and _same(X + Y, x + y) and _same(X * Y, x * y)
+    assert X.width_at_most(eps) == (x.width() <= eps)
+    assert X.contains(point) == x.contains(point)
+    assert X.contains(x.lo) and X.contains(x.hi)
+
+
 @settings(max_examples=100, deadline=None)
-@given(_POLYS | _FACTORED, _RATIONALS, _RATIONALS)
-@example(ref.upoly([0, 0, 1]), F(-1), F(1))                       # x^2 across 0
-@example(ref.upoly([-1, 0, 0, 1]), F(1), F(1))                    # a point box on a root
-def test_interval_horner_matches_ratinterval_horner(p, a, b):
-    box = cs.RatInterval(min(a, b), max(a, b))
-    got = cs.eval_on_interval(up.upoly(p), box)
+@given(_POLYS | _FACTORED, _INTERVALS, _SCALES)
+@example(ref.upoly([0, 0, 1]), ref.RatInterval(-1, 1), 1)                  # x^2 across 0
+@example(ref.upoly([-1, 0, 0, 1]), ref.RatInterval(1, 1), 3)               # a point box on a root
+def test_interval_horner_matches_ratinterval_horner(p, box, k):
+    got = cs.eval_on_interval(up.upoly(p), _integer(box, k))
+    assert _same(got, ref.eval_on_interval(p, box))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_POLYS, _POLYS, _INTERVALS, _INTERVALS, _SCALES, _SCALES)
+@example(ref.upoly([0, 1]), ref.upoly([]), ref.RatInterval(F(1, 3), F(1, 2)), ref.RatInterval(0), 1, 1)
+def test_member_enclosure_matches_fraction_intervals(p, q, box, root, k, j):
+    got = cs._Member(up.upoly(p), up.upoly(q)).enclosure(_integer(box, k), _integer(root, j))
     expect = ref.eval_on_interval(p, box)
-    assert (got.lo, got.hi) == (expect.lo, expect.hi)
+    if q:
+        expect = expect + ref.eval_on_interval(q, box) * root
+    assert _same(got, expect)
 
 
-_INTERVALS = st.tuples(_RATIONALS, _RATIONALS).map(lambda t: cs.RatInterval(min(t), max(t)))
+@settings(max_examples=60, deadline=None)
+@given(_INTERVALS, _SCALES, _PRECISIONS)
+@example(ref.RatInterval(-3, 0), 5, F(1, 7))                 # clamped to [0, 0]
+@example(ref.RatInterval(F(-1, 2), F(9, 4)), 2, F(1, 10**9))  # lo clamped, hi a square
+def test_sqrt_enclosure_matches_fraction_bounds(box, k, eps):
+    assert _same(cs.sqrt_enclosure(_integer(box, k), eps), ref.sqrt_enclosure(box, eps))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_INTERVALS, min_size=1, max_size=4))
-@example([cs.RatInterval(F(-1, 3), F(1, 2)), cs.RatInterval(F(-2), F(-1, 7)),
-          cs.RatInterval(0, F(5, 3)), cs.RatInterval(F(-5, 4), F(1, 10**20))])
+@given(st.lists(st.tuples(_INTERVALS, _SCALES), min_size=1, max_size=4))
+@example([(ref.RatInterval(F(-1, 3), F(1, 2)), 1), (ref.RatInterval(-2, F(-1, 7)), 9),
+          (ref.RatInterval(0, F(5, 3)), 2), (ref.RatInterval(F(-5, 4), F(1, 10**20)), 1)])
 def test_power_sums_match_ratinterval_powers(lams):
     # Intervals below 0, above 0 and across it, for odd and even powers.
-    got = cs._power_sums(lams)
-    expect = ref.power_sums(lams)
-    assert {k: (v.lo, v.hi) for k, v in got.items()} == {k: (v.lo, v.hi) for k, v in expect.items()}
+    got = cs._power_sums([_integer(lam, k) for lam, k in lams])
+    expect = ref.power_sums([lam for lam, _ in lams])
+    assert all(_same(got[key], v) for key, v in expect.items()) and got.keys() == expect.keys()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FACTORED | _POLYS, st.sampled_from([F(1, 2), F(1, 64), F(1, 3**9)]),
+       st.sampled_from([F(1, 2**30), F(1, 10**12)]))
+@example(ref.upoly([0, 1]), F(1, 64), F(1, 2**30))                # the root is the first midpoint
+@example(_product([ref.upoly([-F(1, 2), 1]), ref.upoly([-F(3, 8), 1])], F(-1)), F(1, 3**9), F(1, 10**12))
+def test_isolation_and_refinement_endpoints_match(p, eps, fine):
+    sf = ref.squarefree_part(p)
+    if ref.degree(sf) < 1:
+        return
+    P = up.upoly(sf)
+    got = up.isolate_squarefree(P, eps)
+    assert got == ref.isolate_squarefree(sf, eps)
+    assert [up.refine(P, iv, fine) for iv in got] == [ref.refine(sf, iv, fine) for iv in got]
+
+
+def test_refinement_nudges_off_a_root_midpoint_like_fraction_bisection():
+    # 1/2 is the first midpoint of [0, 1]; 3/8 is the second one of [0, 1/2].
+    for root, iv in ((F(1, 2), (F(0), F(1))), (F(3, 8), (F(0), F(1, 2)))):
+        p = _product([ref.upoly([-root, 1]), ref.upoly([-2, 0, 1])], F(-3))
+        assert up.refine(up.upoly(p), iv, F(1, 10**9)) == ref.refine(p, iv, F(1, 10**9))
 
 
 @settings(max_examples=80, deadline=None)

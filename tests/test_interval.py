@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from isocert.certify import _CELL_BLOCK, _SideProgram
+from isocert.certify import _CELL_BLOCK, _SideProgram, _chart_terms, _side_program
 from isocert.exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
 from isocert.identities import gamma_L_polynomials, gap_band_quantities
 from isocert.vinterval import VI, float_down, float_up
@@ -168,6 +168,12 @@ def _program_cases(draw):
 
     polys = [poly(t) for t in draw(st.lists(st.lists(term, min_size=1, max_size=12),
                                             min_size=1, max_size=5))]
+    # Terms l1^a l2^b l3^c l4^d with one (a, b): they share their first two factor rows.
+    head = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    tails = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=6,
+                          unique=True))
+    polys.insert(0, poly([((*head, *tail), c) for tail, c in zip(tails, draw(
+        st.lists(term.map(lambda t: t[1]), min_size=len(tails), max_size=len(tails))))]))
     polys.append(MultiPoly.const(T, draw(st.fractions(-9, 9, max_denominator=7).filter(bool))))
     pairs = [(polys[i], polys[-1 - i]) for i in range(len(polys) // 2 + 1)]
     return box, n, pairs
@@ -192,6 +198,10 @@ def test_side_program_matches_term_walk_bitwise(case):
     # taken in cell blocks, are those of the term walks' sums.
     box, n, pairs = case
     program = _SideProgram(pairs)
+    # Each distinct prefix is multiplied out once: fewer products than the
+    # terms' chains hold, since the first polynomial's terms share one.
+    chained = sum(len(f) - 1 for pair in pairs for p in pair for f, _ in _chart_terms(p) if f)
+    assert sum(len(parent) for parent, _ in program.levels) < chained
     got = program.polys(_chart(box))
     with np.errstate(over="ignore"):     # a denominator near zero may overflow to inf
         val, ok = program(_chart(box))
@@ -204,6 +214,18 @@ def test_side_program_matches_term_walk_bitwise(case):
             want, want_ok = _divide(*walks)
         assert _same_bits(want.lo, val.lo[r]) and _same_bits(want.hi, val.hi[r])
         assert np.array_equal(want_ok, ok[r])
+
+
+def test_g_programs_multiply_each_shared_prefix_once():
+    # The four G quantities of a side: 277 terms whose chains hold 513 factor
+    # products, 130 (g) and 128 (f) of them distinct prefixes.
+    for side, products in (("g", 130), ("f", 128)):
+        program = _side_program(side, ("G1", "G2", "G3", "G4"))
+        exprs = [gap_band_quantities(side)[key] for key in ("G1", "G2", "G3", "G4")]
+        polys = [e.num for e in exprs] + [e.den_poly() for e in exprs]
+        assert sum(len(f) - 1 for p in polys for f, _ in _chart_terms(p) if f) == 513
+        assert sum(len(parent) for parent, _ in program.levels) == products
+        assert sum(len(slots) for final, _, slots in program.groups if final is not None) == 277
 
 
 def test_ratfn_enclosures_do_not_depend_on_cell_blocks():

@@ -124,6 +124,24 @@ def _assert_matches_reference(m, ts):
         assert type(one) is float and _bits(one) == _bits(want[0])
 
 
+@pytest.mark.parametrize("rows", [1, mf._ROW_BLOCK - 1, mf._ROW_BLOCK, 2 * mf._ROW_BLOCK + 3])
+def test_gl_rows_match_a_per_row_dot_loop(rows):
+    # One 1-D dot product per row, scaled by the row's half-width: the bits
+    # of a loop of np.dot calls, across row-block edges and for both orders.
+    m = mf.Mollifier(0.05)
+    rng = np.random.default_rng(rows)
+    a = rng.uniform(-m.width, m.width, rows)
+    b = a + rng.uniform(0.0, m.width, rows)
+    for order in (20, 32):
+        x, wts = mf._gl_nodes(order)
+        want = np.empty((2, rows))
+        for j in range(rows):
+            mid, half = (a[j] + b[j]) / 2, (b[j] - a[j]) / 2
+            s = mid + half * x
+            want[0, j], want[1, j] = half * np.dot(wts, m.density(s)), half * np.dot(wts, s * m.density(s))
+        assert np.array_equal(_bits(mf._gl_rows(m.density, a, b, order)), _bits(want))
+
+
 @pytest.mark.parametrize("delta", [0.5, 0.05, 2.0, 0.013, 1e-3])
 def test_tables_match_the_reference(delta):
     assert mf._bump_mass() == _ref_bump_mass()

@@ -52,12 +52,19 @@ def test_isolating_intervals_disjoint_for_close_roots():
     assert roots[0][1] < roots[1][0]
 
 
+def _nudge(p, x, step):
+    """Move x by step until it is not a root of p."""
+    while up.sign_at(p, x) == 0:
+        x += step
+    return x
+
+
 def _isolate_by_sturm_counts(p, eps):
     """Reference: isolate_squarefree with a Sturm count at every bisection."""
     chain = up.sturm_chain(p)
     bound = up.root_bound(p)
-    lo = up._nonroot_point(p, -bound, F(-1, 7))
-    hi = up._nonroot_point(p, bound, F(1, 7))
+    lo = _nudge(p, -bound, F(-1, 7))
+    hi = _nudge(p, bound, F(1, 7))
     out, stack = [], [(lo, hi, up.sturm_count(chain, lo, hi))]
     while stack:
         a, b, n = stack.pop()
@@ -66,7 +73,7 @@ def _isolate_by_sturm_counts(p, eps):
         if n == 1 and b - a <= eps:
             out.append((a, b))
             continue
-        mid = up._nonroot_point(p, (a + b) / 2, (b - a) / 1024)
+        mid = _nudge(p, (a + b) / 2, (b - a) / 1024)
         n_left = up.sturm_count(chain, a, mid)
         stack += [(a, mid, n_left), (mid, b, n - n_left)]
     out.sort()
@@ -95,15 +102,15 @@ def test_isolation_matches_all_sturm_bisection(roots, with_sqrt2, eps):
     if with_sqrt2:
         p = up.mul(p, up.upoly([-2, 0, 1]))
     expected = _isolate_by_sturm_counts(p, eps)
-    # One midpoint per bisection; a miscounted interval would bisect forever.
+    # A few sign evaluations per bisection; a miscounted interval would bisect forever.
     steps = itertools.count()
-    nudge = up._nonroot_point
+    value = up.homogeneous_value
 
     def bounded(*args):
-        assert next(steps) < 10_000, "bisection does not end"
-        return nudge(*args)
+        assert next(steps) < 200_000, "bisection does not end"
+        return value(*args)
 
-    with mock.patch.object(up, "_nonroot_point", bounded):
+    with mock.patch.object(up, "homogeneous_value", bounded):
         got = up.isolate_squarefree(p, eps)
     assert got == expected
     assert len(got) == len(roots) + 2 * with_sqrt2
