@@ -27,16 +27,17 @@ No cell is decided below the tighten depth min(14, max_depth), so no
 enclosure is computed there.  From that depth on, per side and depth, one
 side program (`_SideProgram`, compiled once per side and quantity set)
 encloses the numerators and denominators of the side's G quantities that
-still have a live cell in one pass, with the float operations of a
-term-by-term walk of each polynomial, so the enclosures are the walk's to
-the bit.
+still have a live cell in one pass, multiplying each prefix the terms
+share once, with the float operations of a term-by-term walk of each
+polynomial, so the enclosures are the walk's to the bit.
 
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
 certifiers expand them over exact polynomials or evaluate them over
 intervals.  The cross-check's chart, collar tests and gaps are written once
-here: a float filter evaluates them over intervals, and where an enclosure
-touches 0, over `QuadExt` at a scale where every value is an integer.
+here: the two polynomial collar tests are decided over int64 arrays, and the
+rest by a float filter over intervals and, where an enclosure touches 0,
+over `QuadExt` at a scale where every value is an integer.
 The tests check the gap form equal to the printed products exactly and
 every band enclosure against exact rational values.
 """
