@@ -335,6 +335,18 @@ def _root_test(chart: tuple, ring: _Ring) -> tuple:
     return (ring.lift(t) - ring.c3 - _root(m, ring),)
 
 
+def _squared_root_test(chart: tuple, ring: _Ring) -> np.ndarray:
+    """g32 >= tau in int64 at integer thresholds c3 (for 2 c1) and r: where
+    u = t - c3 >= 0 and u^2 >= r - m.
+
+    m >= 0 and r <= 2^62, so r - m <= 2^62 = (2^31)^2: clipping u to
+    [0, 2^31] before squaring decides the same, and no product wraps.
+    """
+    _, t, m = chart
+    u = t - ring.c3
+    return (u >= 0) & (np.clip(u, 0, 2**31) ** 2 >= ring.r - m)
+
+
 def _gaps(chart: tuple, ring: _Ring) -> tuple:
     """g21, g31, g32, g41, g42, g43, scaled by 2q/bn in the filter's units."""
     s, t, m = chart
@@ -364,9 +376,13 @@ class _LiChart:
     r and r - c1^2 are each rounded outward once; the exact route over
     `QuadExt` at x bn td, y bn td, where every value is an integer.  The first
     two tests are polynomial in the integers x and y, so `accepted` decides
-    them first, exactly, in int64 (the `integer` ring: x + y >= ceil(c1) and
-    m <= floor(r - c1^2)); only their survivors take the filter, and the
-    exact route where it cannot decide, for the square-root test.
+    them exactly in int64 (x + y >= ceil(c1) and m <= floor(r - c1^2)).  It
+    also bounds the square-root test in int64 at the integer thresholds
+    around 2 c1 and r, with t = x - 3y: it fails where t - floor(2 c1) < 0 or
+    (t - floor(2 c1))^2 < floor(r) - m (the `integer` ring), and holds where
+    t - ceil(2 c1) >= 0 and (t - ceil(2 c1))^2 >= ceil(r) - m (the
+    `integer_strict` ring).  Only the candidates between the two take the
+    filter, and the exact route where it cannot decide.
     """
 
     def __init__(self, S: Fraction, tau: Fraction):
@@ -381,10 +397,14 @@ class _LiChart:
         r = Fraction(2 * self.Sq2, self.bn * self.bn)
         self.filter = _Ring(_exact, VI.sqrt_clamped,
                             *(VI(float_down(v), float_up(v)) for v in (c1, 2 * c1, r, r - c1 * c1)))
-        # In int64, x + y >= ceil(c1) and m <= floor(r - c1^2): |x + y| and m
-        # stay below 2^28, so clamping the thresholds to +-2^62 decides the same.
-        self.integer = _Ring(np.asarray, None, _clamp64(math.ceil(c1)), None, None,
-                             _clamp64(math.floor(r - c1 * c1)))
+        # In int64: x + y >= ceil(c1), m <= floor(r - c1^2), and the root test
+        # at the integers below and above 2 c1 and r.  |x + y| and |x - 3y|
+        # stay below 2^15, 0 <= m < 2^28, c1 > 0 and r <= 2^25 (bound >= sqrt S),
+        # so clamping the thresholds to +-2^62 decides the same.
+        self.integer, self.integer_strict = (
+            _Ring(np.asarray, None, _clamp64(math.ceil(c1)), _clamp64(rounded(2 * c1)),
+                  _clamp64(rounded(r)), _clamp64(math.floor(r - c1 * c1)))
+            for rounded in (math.floor, math.ceil))
         c1, r = self.tn * self.q, 2 * self.Sq2 * self.td * self.td
         self.exact = _Ring(int, lambda v: QuadExt.make(0, 1, max(v, 0)), c1, 2 * c1, r, r - c1 * c1)
 
@@ -401,10 +421,13 @@ class _LiChart:
 
     def accepted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mask of the candidates that pass the three tests: the two polynomial
-        ones decided exactly in int64, then the square-root one on their survivors."""
-        passed = np.logical_and.reduce(
-            [v >= 0 for v in _polynomial_tests(_li_chart(x, y, self.integer), self.integer)])
-        keep = np.flatnonzero(passed)
+        ones decided exactly in int64, and the square-root one in int64 where
+        its integer bounds decide it, else by `_holds`."""
+        chart = _li_chart(x, y, self.integer)
+        maybe = np.logical_and.reduce([v >= 0 for v in _polynomial_tests(chart, self.integer)]
+                                      + [_squared_root_test(chart, self.integer)])
+        passed = maybe & _squared_root_test(chart, self.integer_strict)
+        keep = np.flatnonzero(maybe & ~passed)
         passed[keep] = self._holds(x[keep], y[keep], _root_test)[0]
         return passed
 

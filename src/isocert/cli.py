@@ -72,7 +72,7 @@ def run_verify_identities(args) -> tuple[list[dict], int]:
 
 
 def _config_json(cfg: configsolve.CurvatureConfig, precision: Fraction) -> dict:
-    lams = cfg.lambda_intervals(precision)
+    lams = cfg.lambdas      # the enclosures `solve_system` computed at this precision
     ps = cfg.power_sum_intervals(precision)
     return {
         "system": cfg.tag,

@@ -270,6 +270,7 @@ class CurvatureConfig:
     defining_poly: up.UPoly
     params: ScalarParams
     warnings: list[str] = field(default_factory=list)
+    lambdas: list[RatInterval] = field(default_factory=list)   # at solve_system's precision
 
     def lambda_intervals(self, precision) -> list[RatInterval]:
         """Sorted member enclosures of width <= precision."""
@@ -394,7 +395,8 @@ def solve_system(tag: str, params: ScalarParams, precision=Fraction(1, 10**12)) 
     Duplicate multisets (which arise exactly when the eliminating cubic has
     the paired roots +-x0 and the configuration is negation symmetric) are
     removed; configurations violating the tag pattern in sorted order are
-    flagged, not dropped.
+    flagged, not dropped.  Each configuration keeps its member enclosures at
+    the precision as `lambdas`.
     """
     warnings = params.admissibility_warnings()
     defining, roots = _cubic_roots(tag, params)
@@ -406,7 +408,7 @@ def solve_system(tag: str, params: ScalarParams, precision=Fraction(1, 10**12)) 
                 for prev in configs):
             configs.append(cfg)
     for cfg in configs:
-        cfg.lambda_intervals(Fraction(precision))
+        cfg.lambdas = cfg.lambda_intervals(Fraction(precision))
     return configs
 
 

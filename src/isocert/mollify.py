@@ -59,10 +59,11 @@ def _gl_rows(fn, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Gauss-Legendre (mass, first moment) of fn over each row [a_j, b_j].
 
     Returns a (2, rows) array.  fn is evaluated once per node block and
-    feeds both integrals.  Each row takes the nodes of a one-interval rule
-    and its own 1-D dot product (`wts.dot`), so every integral has the bits
-    of integrating that interval alone: a 2-D product may add the terms in
-    another order.  The scaling by the half-widths is elementwise.
+    feeds both integrals.  Each row takes the nodes of a one-interval rule,
+    and `np.vecdot` takes the 1-D dot product of each row with the weights,
+    the one `wts.dot(row)` takes, so every integral has the bits of
+    integrating that interval alone: a matrix product (`rows @ wts`) may add
+    the terms in another order.  The scaling by the half-widths is elementwise.
     """
     x, wts = _gl_nodes(order)
     out = np.empty((2, len(a)))
@@ -72,7 +73,7 @@ def _gl_rows(fn, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
         s = mid[:, None] + half[:, None] * x
         rho = fn(s)
         for k, rows in enumerate((rho, s * rho)):
-            out[k, blk] = half * np.fromiter(map(wts.dot, rows), float, len(half))
+            out[k, blk] = half * np.vecdot(rows, wts)
     return out
 
 
@@ -85,6 +86,18 @@ def _points(t) -> tuple[np.ndarray, tuple]:
 def _shaped(vals: np.ndarray, shape: tuple):
     """A float for a scalar argument, else an array of the argument's shape."""
     return float(vals[0]) if shape == () else vals.reshape(shape)
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums down the columns of a (rows, points) array, each in row order.
+
+    Over the rows of a C-ordered array of two or more columns, `np.add.reduce`
+    adds one row after another, as a running sum does; over a single column
+    it may add pairwise, so a one-column array is padded to two.
+    """
+    if terms.shape[1] == 1:
+        return np.add.reduce(np.concatenate([terms, terms], axis=1), axis=0)[:1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _worst_above(values) -> float:
@@ -147,42 +160,42 @@ class Mollifier:
                 return (edges, m0, m1), err
             panels *= 2
 
-    def _partials(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mass, first moment) of rho from each point's panel start up to the point.
-
-        Both are 0 for a point that no panel straddles (edges[k] < t < edges[k+1]).
-        """
+    def _partials(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's panel k (edges[k] < t <= edges[k + 1]), where a panel
+        straddles the point (edges[k] < t < edges[k + 1]), and the (mass, first
+        moment) of rho from that panel's start up to the point (0 elsewhere)."""
         edges = self.panels[0]
-        k = np.searchsorted(edges, t) - 1      # edges[k] < t <= edges[k + 1]
+        k = np.searchsorted(edges, t) - 1
         cut = (k >= 0) & (t < edges[np.minimum(k + 1, len(edges) - 1)])
         lm = np.zeros((2, len(t)))
         lm[:, cut] = _gl_rows(self.density, edges[k[cut]], t[cut], 32)
-        return lm[0], lm[1]
+        return k, cut, lm
 
     def _convolve(self, t: np.ndarray) -> np.ndarray:
         """Integral of rho(s) |t - s| ds by panels, in the panel order of one point.
 
         Per block of _ROW_BLOCK points, the terms are one (2 panels + 1,
-        points) array: a row of +0.0, then per panel its left or right part,
-        or the straddling panel's left part, and then its right part (0.0 for
-        the others), each a term of its own.  `np.add.accumulate` adds them
-        down each column one after the other, as a running sum does;
-        `np.add.reduce` may not, for a one-column block.  Starting at +0.0
-        keeps the bits: a sum started there is never -0.0.
+        points) array: a row of +0.0, then per panel its left or right part
+        (one `where` on left), with 0.0 after it, and for a straddling panel
+        its left part and then its right part, scattered into the point's
+        column.  `_column_sums` adds them down each column one after the
+        other, as a running sum does.  Starting at +0.0 keeps the bits: a sum
+        started there is never -0.0, so adding a row of 0.0 leaves it as it is.
         """
         edges, m0, m1 = self.panels
-        lm0, lm1 = self._partials(t)
-        m0, m1 = m0[:, None], m1[:, None]
+        k, cut, (lm0, lm1) = self._partials(t)
         total = np.empty_like(t)
         for lo in range(0, len(t), _ROW_BLOCK):
             blk = slice(lo, lo + _ROW_BLOCK)
-            tb, a0, a1 = t[blk], lm0[blk], lm1[blk]
-            left, right = edges[1:, None] <= tb, edges[:-1, None] >= tb
-            tm = tb * m0
+            tb = t[blk]
+            tm = tb * m0[:, None]
             terms = np.zeros((2 * len(m0) + 1, len(tb)))
-            terms[1::2] = np.where(left, tm - m1, np.where(right, m1 - tm, tb * a0 - a1))
-            terms[2::2] = np.where(left | right, 0.0, (m1 - a1) - tb * (m0 - a0))
-            total[blk] = np.add.accumulate(terms, axis=0)[-1]
+            terms[1::2] = np.where(edges[1:, None] <= tb, tm - m1[:, None], m1[:, None] - tm)
+            j = np.flatnonzero(cut[blk])
+            p, tj, a0, a1 = k[blk][j], tb[j], lm0[blk][j], lm1[blk][j]
+            terms[2 * p + 1, j] = tj * a0 - a1
+            terms[2 * p + 2, j] = (m1[p] - a1) - tj * (m0[p] - a0)
+            total[blk] = _column_sums(terms)
         return total
 
     def value(self, t, via_quadrature: bool = False):
@@ -196,13 +209,23 @@ class Mollifier:
         return _shaped(h, shape)
 
     def derivative(self, t):
-        """h'(t) = 2 P(t) - 1 with P the distribution function of rho."""
+        """h'(t) = 2 P(t) - 1 with P the distribution function of rho.
+
+        P(t) sums, from +0.0 and in panel order, the mass of each panel left
+        of t and the part of the straddling panel up to t.
+        """
         t, shape = _points(t)
         edges, m0, _ = self.panels
-        lm0, _ = self._partials(t)
-        mass = np.zeros_like(t)
-        for i in range(len(m0)):
-            mass += np.where(edges[i + 1] <= t, m0[i], np.where(edges[i] >= t, 0.0, lm0))
+        k, cut, (lm0, _) = self._partials(t)
+        mass = np.empty_like(t)
+        for lo in range(0, len(t), _ROW_BLOCK):
+            blk = slice(lo, lo + _ROW_BLOCK)
+            tb = t[blk]
+            terms = np.zeros((len(m0) + 1, len(tb)))
+            terms[1:] = np.where(edges[1:, None] <= tb, m0[:, None], 0.0)
+            j = np.flatnonzero(cut[blk])
+            terms[k[blk][j] + 1, j] = lm0[blk][j]
+            mass[blk] = _column_sums(terms)
         w = self.width
         return _shaped(np.where(t <= -w, -1.0, np.where(t >= w, 1.0, 2.0 * mass - 1.0)), shape)
 
@@ -243,36 +266,52 @@ def build_K(pair: GapPair, moll: Mollifier):
     return (pair.f + pair.g) / 2 - moll.value(pair.f - pair.g) / 2
 
 
-def _step_raw(x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    bx = math.exp(-1.0 / x)
-    b1 = math.exp(-1.0 / (1.0 - x))
-    return bx / (bx + b1)
+def _exp(v: np.ndarray) -> np.ndarray:
+    """math.exp of each element; np.exp rounds some arguments differently."""
+    return np.fromiter(map(math.exp, v.tolist()), float, len(v))
 
 
-def _step_slope(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    bx = math.exp(-1.0 / x)
-    b1 = math.exp(-1.0 / (1.0 - x))
-    dbx = bx / (x * x)
-    db1 = b1 / ((1.0 - x) * (1.0 - x))
+def _ramp_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where x is in the open ramp (neither x <= 0 nor x >= 1), x there, and
+    B(x) = exp(-1/x) and B(1 - x) there."""
+    inside = ~((x <= 0.0) | (x >= 1.0))
+    xi = x[inside]
+    return inside, xi, _exp(-1.0 / xi), _exp(-1.0 / (1.0 - xi))
+
+
+def _step_raw(x: np.ndarray) -> np.ndarray:
+    """The raw step B(x) / (B(x) + B(1 - x)): 0 for x <= 0, 1 for x >= 1."""
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    inside, _, bx, b1 = _ramp_parts(x)
+    out[inside] = bx / (bx + b1)
+    return out
+
+
+def _step_slope(x: np.ndarray) -> np.ndarray:
+    """The raw step's slope: 0 for x <= 0 and for x >= 1."""
+    out = np.zeros_like(x)
+    inside, xi, bx, b1 = _ramp_parts(x)
+    dbx = bx / (xi * xi)
+    db1 = b1 / ((1.0 - xi) * (1.0 - xi))
     s = bx + b1
-    return (dbx * b1 + bx * db1) / (s * s)
+    out[inside] = (dbx * b1 + bx * db1) / (s * s)
+    return out
 
 
 @cache
 def _step_slope_peak() -> float:
     """The largest slope of the raw step on a fixed 4096-point grid of [0, 1];
     it does not depend on eps, so it is measured once, on first use."""
-    return max(_step_slope(float(x)) for x in np.linspace(0.0, 1.0, 4096))
+    return _worst_above(_step_slope(np.linspace(0.0, 1.0, 4096)))
 
 
 class Cutoff:
-    """Smooth ramp: 0 below eps/3, 1 above eps, monotone in between."""
+    """Smooth ramp: 0 below eps/3, 1 above eps, monotone in between.
+
+    `value` and `derivative` take a float, giving a float, or an array of
+    points, giving an array; each element has the bits that evaluating its
+    point alone gives.
+    """
 
     def __init__(self, eps: float):
         if eps <= 0:
@@ -283,19 +322,21 @@ class Cutoff:
         # eta'(t) = psi'(x)/span with span = 2 eps/3, so c = peak * 3/2.
         self.slope_constant = _step_slope_peak() * self.eps / self.span
 
-    def value(self, t: float) -> float:
-        return _step_raw((float(t) - self.lo) / self.span)
+    def value(self, t):
+        t, shape = _points(t)
+        return _shaped(_step_raw((t - self.lo) / self.span), shape)
 
-    def derivative(self, t: float) -> float:
-        return _step_slope((float(t) - self.lo) / self.span) / self.span
+    def derivative(self, t):
+        t, shape = _points(t)
+        return _shaped(_step_slope((t - self.lo) / self.span) / self.span, shape)
 
 
 # -- property sweeps -------------------------------------------------------------
 
-def _golden_points(n: int, lo: float, hi: float) -> list[float]:
+def _golden_points(n: int, lo: float, hi: float) -> np.ndarray:
     """Deterministic low-discrepancy points in [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    return [lo + (hi - lo) * ((0.5 + i * phi) % 1.0) for i in range(n)]
+    return lo + (hi - lo) * ((0.5 + np.arange(n) * phi) % 1.0)
 
 
 def mollifier_property_report(delta: float, samples: int = 10_000) -> dict:
@@ -308,8 +349,8 @@ def mollifier_property_report(delta: float, samples: int = 10_000) -> dict:
     """
     m = Mollifier(delta)
     n_in = samples // 2
-    inner = np.array(_golden_points(n_in, -delta, delta))
-    outer = np.array(_golden_points(samples - n_in, delta, 4 * delta))
+    inner = _golden_points(n_in, -delta, delta)
+    outer = _golden_points(samples - n_in, delta, 4 * delta)
     t = np.concatenate([inner, outer, -outer])
     h = m.value(t)
     h1 = m.derivative(t)
@@ -408,32 +449,19 @@ def gap_value_property_report(delta: float, eps0: float, samples: int = 100_000)
 def cutoff_property_report(eps: float, samples: int = 10_000) -> dict:
     """Sampled verification of the ramp contract, including the slope constant."""
     c = Cutoff(eps)
-    pts = _golden_points(samples, -eps, 2 * eps)
-    worst_range = 0.0
-    worst_low = 0.0     # eta above 0 left of eps/3
-    worst_high = 0.0    # eta below 1 right of eps
-    worst_mono = 0.0
-    max_slope = 0.0
-    prev_t, prev_v = None, None
-    for t in sorted(pts):
-        v = c.value(t)
-        worst_range = max(worst_range, -v, v - 1.0)
-        if t <= eps / 3:
-            worst_low = max(worst_low, v)
-        if t >= eps:
-            worst_high = max(worst_high, 1.0 - v)
-        d = c.derivative(t)
-        max_slope = max(max_slope, d)
-        if d < 0:
-            worst_mono = max(worst_mono, -d)
-        if prev_v is not None and t > prev_t:
-            worst_mono = max(worst_mono, (prev_v - v))
-        prev_t, prev_v = t, v
+    # sorted, not np.sort: a process's first np.sort call maps about 0.2 MB of sort code
+    t = np.array(sorted(_golden_points(samples, -eps, 2 * eps).tolist()))
+    v, d = c.value(t), c.derivative(t)
+    worst_range = _worst_above(np.concatenate([-v, v - 1.0]))
+    worst_low = _worst_above(v[t <= eps / 3])         # eta above 0 left of eps/3
+    worst_high = _worst_above(1.0 - v[t >= eps])      # eta below 1 right of eps
+    max_slope = _worst_above(d)
+    # a negative slope, and a drop from one sample to the next larger one
+    worst_mono = _worst_above(np.concatenate([-d, (v[:-1] - v[1:])[t[:-1] < t[1:]]]))
     # Finite-difference slope maximum over the ramp interior.
-    fd_max = 0.0
     step = eps / samples
-    for t in _golden_points(samples, eps / 3, eps):
-        fd_max = max(fd_max, (c.value(t + step / 2) - c.value(t - step / 2)) / step)
+    fd = _golden_points(samples, eps / 3, eps)
+    fd_max = _worst_above((c.value(fd + step / 2) - c.value(fd - step / 2)) / step)
     ok = (
         worst_range <= 0.0
         and worst_low == 0.0

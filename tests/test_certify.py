@@ -260,38 +260,76 @@ def test_li_chart_constants_are_rounded_outward():
     k = chart.bn * chart.td
     assert (exact_ring.c1, exact_ring.c3) == (c1 * k, 2 * c1 * k)
     assert (exact_ring.r, exact_ring.r_tau) == (r * k * k, (r - c1 * c1) * k * k)
-    # The int64 stage's thresholds are the integers that decide the polynomial tests.
-    assert (chart.integer.c1, chart.integer.r_tau) == (math.ceil(c1), math.floor(r - c1 * c1))
+    # The int64 stage's thresholds are the integers that decide the polynomial
+    # tests, and the integers below and above 2 c1 and r for the root test.
+    for ring in (chart.integer, chart.integer_strict):
+        assert (ring.c1, ring.r_tau) == (math.ceil(c1), math.floor(r - c1 * c1))
+    assert (chart.integer.c3, chart.integer.r) == (math.floor(2 * c1), math.floor(r))
+    assert (chart.integer_strict.c3, chart.integer_strict.r) == (math.ceil(2 * c1), math.ceil(r))
 
 
-def _on_the_thresholds(chart) -> tuple[list, list]:
-    """Candidates (x, y) with x + y = ceil(c1), and with m = 3x^2 + 3y^2 - 2xy = floor(r - c1^2)."""
+def _on_conic(w: int, shift: int, R: int) -> list:
+    """Candidates (x, y) with w (x - 3y - shift)^2 + m = R, m = 3x^2 + 3y^2 - 2xy:
+    for each x, a quadratic in y."""
+    out = []
+    for x in range(4097):
+        a = x - shift
+        b, c = 6 * w * a + 2 * x, 9 * w + 3
+        d = b * b - 4 * c * (w * a * a + 3 * x * x - R)
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            out += [(x, (b + e) // (2 * c)) for e in {math.isqrt(d), -math.isqrt(d)}
+                    if (b + e) % (2 * c) == 0 and abs(b + e) <= 2 * c * 4096]
+    return out
+
+
+def _on_the_thresholds(chart) -> tuple[list, list, list, list]:
+    """Candidates (x, y) on the integer thresholds of the three tests, t = x - 3y:
+    x + y = ceil(c1); m = floor(r - c1^2); t = floor(2 c1); and
+    (t - floor(2 c1))^2 = floor(r) - m or (t - ceil(2 c1))^2 = ceil(r) - m."""
     c1 = F(chart.tn * chart.q, chart.bn * chart.td)
     s, m = math.ceil(c1), math.floor(F(2 * chart.Sq2, chart.bn**2) - c1 * c1)
     line = [(x, s - x) for x in range(0, 4097, 7) if abs(s - x) <= 4096]
-    circle = []
-    for x in range(4097):       # 3y = x -+ sqrt(3m - 8x^2)
-        d = 3 * m - 8 * x * x
-        if d >= 0 and math.isqrt(d) ** 2 == d:
-            circle += [(x, (x + e) // 3) for e in (math.isqrt(d), -math.isqrt(d))
-                       if (x + e) % 3 == 0 and abs(x + e) <= 3 * 4096]
-    return line, circle
+    lo, hi = chart.integer, chart.integer_strict
+    root_line = [(lo.c3 + 3 * y, y) for y in range(-4096, 4097, 5) if 0 <= lo.c3 + 3 * y <= 4096]
+    root_circle = _on_conic(1, lo.c3, lo.r) + _on_conic(1, hi.c3, hi.r)
+    return line, _on_conic(0, 0, m), root_line, root_circle
 
 
 @pytest.mark.parametrize("S, tau", [(8, 0.05), (1, F(1, 64)), (8, 1.0), (6, 0.2), (_S_WIDE, 0.05),
-                                    (8, 5.0)])
+                                    (8, 5.0), (8, F(7, 20)), (8, F(16, 25))])
 def test_staged_collar_tests_match_the_unstaged_ones(S, tau):
     # The int64 stage and the square-root test on its survivors accept the
     # candidates all three tests of the filter and exact route accept,
-    # including those exactly on either integer threshold.
+    # including those exactly on each integer threshold.  The int64 bounds of
+    # the root test alone are sound on every candidate: it holds where the
+    # strict one holds, and fails where the loose one fails.
     chart = ct._LiChart(F(S), ct.sampler_tau(tau))
-    line, circle = _on_the_thresholds(chart)
+    line, circle, root_line, root_circle = on = _on_the_thresholds(chart)
     assert circle or (S, tau) not in ((8, 1.0), (6, 0.2))
+    assert root_circle or (S, tau) not in ((8, F(7, 20)), (8, F(16, 25)))
     x, y = next(ct._pair_draws(random.Random(9)))
-    x = np.concatenate([x, np.array([p[0] for p in line + circle], np.int64)])
-    y = np.concatenate([y, np.array([p[1] for p in line + circle], np.int64)])
+    x = np.concatenate([x, np.array([p[0] for ps in on for p in ps], np.int64)])
+    y = np.concatenate([y, np.array([p[1] for ps in on for p in ps], np.int64)])
     unstaged = chart._holds(x, y, lambda c, ring: ct._polynomial_tests(c, ring) + ct._root_test(c, ring))
     assert np.array_equal(chart.accepted(x, y), unstaged.all(axis=0))
+    ints = ct._li_chart(x, y, chart.integer)
+    loose, strict = (ct._squared_root_test(ints, ring) for ring in (chart.integer, chart.integer_strict))
+    holds = chart._holds(x, y, ct._root_test)[0]
+    assert np.array_equal(strict | (loose & holds), holds)
+
+
+@pytest.mark.parametrize("c3", [-2**62, -2**62 + 1, 0, 2**62 - 1, 2**62])
+@pytest.mark.parametrize("r", [-2**62, 0, 2**62 - 1, 2**62])
+def test_int64_root_test_at_clamped_thresholds(c3, r):
+    # The root test in int64 is the same comparison in Python integers, with
+    # thresholds at the ends of the clamp: no int64 product wraps.
+    x, y = next(ct._pair_draws(random.Random(3)))
+    x = np.concatenate([x[:200], [0, 4096, 4096, 0, 0]])
+    y = np.concatenate([y[:200], [-4096, 4096, -4096, 4096, 0]])
+    ring = ct._Ring(np.asarray, None, None, c3, r, None)
+    _, t, m = chart = ct._li_chart(x, y, ring)
+    want = [u >= 0 and u * u >= r - mm for u, mm in zip((t - c3).tolist(), m.tolist())]
+    assert ct._squared_root_test(chart, ring).tolist() == want
 
 
 @pytest.mark.parametrize("S, tau, count, seed", [

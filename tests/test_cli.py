@@ -334,6 +334,28 @@ def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     assert not differ
 
 
+@pytest.mark.parametrize("argv", [["--S", "12", "--A3", "0"], ["--S", "8", "--A3", "1"],
+                                  ["--S", "8", "--A3", "sqrt(3)", "--precision", "1e-9"]])
+def test_solve_encloses_each_configuration_once_at_its_precision(monkeypatch, capsys, argv):
+    # The report renders the member enclosures solve_system computed; the
+    # finer ones power_sum_intervals asks for are not counted.
+    calls = []
+    enclose = configsolve.CurvatureConfig.lambda_intervals
+
+    def spy(cfg, precision):
+        calls.append((id(cfg), precision))
+        return enclose(cfg, precision)
+
+    monkeypatch.setattr(configsolve.CurvatureConfig, "lambda_intervals", spy)
+    for system in ("I", "II", "III"):
+        calls.clear()
+        assert cli.main(["solve", "--system", system, *argv, "--quiet"]) == 0
+        [rec] = json.loads(capsys.readouterr().out)
+        precision = cli._PRECISION(argv[argv.index("--precision") + 1] if "--precision" in argv else "1e-12")
+        at_precision = [cfg for cfg, eps in calls if eps == precision]
+        assert len(at_precision) == len(set(at_precision)) == rec["count"]
+
+
 def test_a_square_radicand_solves_like_its_rational_root(capsys):
     # sqrt(4) is the rational 2: one report and the cubic, not the sextic.
     for radical, rational in (("sqrt(4)", "2"), ("3*sqrt(9/4)/2", "9/4")):

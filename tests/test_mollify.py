@@ -1,5 +1,6 @@
 """Smoothing kernel, gap test value, and ramp: contracts at sample points."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ def moll():
     return mf.Mollifier(0.5)
 
 
-# -- the scalar reference: the point-by-point loops the array kernel replaced ----
+# -- the scalar reference: the point-by-point loops the array code replaced ------
 
 def _ref_gl(fn, a, b, order):
     x, wts = mf._gl_nodes(order)
@@ -107,6 +108,73 @@ def _ref_second_derivative(m, t):
     return 2.0 * float(m.density(float(t)))
 
 
+def _ref_golden_points(n, lo, hi):
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    return [lo + (hi - lo) * ((0.5 + i * phi) % 1.0) for i in range(n)]
+
+
+def _ref_step_raw(x):
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    bx = math.exp(-1.0 / x)
+    b1 = math.exp(-1.0 / (1.0 - x))
+    return bx / (bx + b1)
+
+
+def _ref_step_slope(x):
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    bx = math.exp(-1.0 / x)
+    b1 = math.exp(-1.0 / (1.0 - x))
+    dbx = bx / (x * x)
+    db1 = b1 / ((1.0 - x) * (1.0 - x))
+    s = bx + b1
+    return (dbx * b1 + bx * db1) / (s * s)
+
+
+def _ref_cutoff_report(eps, samples):
+    c = mf.Cutoff(eps)
+    peak = max(_ref_step_slope(float(x)) for x in np.linspace(0.0, 1.0, 4096))
+    value = lambda t: _ref_step_raw((float(t) - c.lo) / c.span)      # noqa: E731
+    derivative = lambda t: _ref_step_slope((float(t) - c.lo) / c.span) / c.span  # noqa: E731
+    worst_range = worst_low = worst_high = worst_mono = max_slope = 0.0
+    prev_t, prev_v = None, None
+    for t in sorted(_ref_golden_points(samples, -eps, 2 * eps)):
+        v = value(t)
+        worst_range = max(worst_range, -v, v - 1.0)
+        if t <= eps / 3:
+            worst_low = max(worst_low, v)
+        if t >= eps:
+            worst_high = max(worst_high, 1.0 - v)
+        d = derivative(t)
+        max_slope = max(max_slope, d)
+        if d < 0:
+            worst_mono = max(worst_mono, -d)
+        if prev_v is not None and t > prev_t:
+            worst_mono = max(worst_mono, (prev_v - v))
+        prev_t, prev_v = t, v
+    fd_max = 0.0
+    step = eps / samples
+    for t in _ref_golden_points(samples, eps / 3, eps):
+        fd_max = max(fd_max, (value(t + step / 2) - value(t - step / 2)) / step)
+    ok = (worst_range <= 0.0 and worst_low == 0.0 and worst_high <= 1e-15 and worst_mono <= 0.0
+          and max_slope * eps <= 4.0 and fd_max * eps <= 4.0)
+    return {
+        "status": "pass" if ok else "fail",
+        "eps": eps,
+        "samples": samples,
+        "slope_constant": peak * c.eps / c.span,
+        "max_sampled_slope_times_eps": max_slope * eps,
+        "max_fd_slope_times_eps": fd_max * eps,
+        "worst_range_violation": worst_range,
+        "worst_below_start": worst_low,
+        "worst_above_end": worst_high,
+        "worst_monotonicity_violation": worst_mono,
+    }
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -140,6 +208,29 @@ def test_gl_rows_match_a_per_row_dot_loop(rows):
             s = mid + half * x
             want[0, j], want[1, j] = half * np.dot(wts, m.density(s)), half * np.dot(wts, s * m.density(s))
         assert np.array_equal(_bits(mf._gl_rows(m.density, a, b, order)), _bits(want))
+
+
+def _fine_table(m, panels):
+    """m with its tables replaced by `panels` panels of the 32-node rule."""
+    edges = np.linspace(-m.width, m.width, panels + 1)
+    m.panels = (edges, *mf._gl_rows(m.density, edges[:-1], edges[1:], 32))
+    return m
+
+
+def test_convolve_adds_in_panel_order_on_a_fine_table():
+    # 2 x 1024 + 1 terms per point: a sum over them that is not one running
+    # sum (a pairwise one, as np.add.reduce takes down a single column)
+    # loses the bits, in blocks of one point too.
+    m = _fine_table(mf.Mollifier(0.5), 1024)
+    edges = m.panels[0]
+    rng = np.random.default_rng(7)
+    on_edges = np.concatenate([edges[1:-1:37], np.nextafter(edges[1:-1:101], 1)])
+    for n in (1, 2, 3, mf._ROW_BLOCK + 1):
+        for ts in (rng.uniform(-m.width, m.width, n), rng.permutation(on_edges)[:n]):
+            want = [_ref_value(m, t, True) for t in ts]
+            assert np.array_equal(_bits(m._convolve(ts)), _bits(want))
+            want = [_ref_derivative(m, t) for t in ts]
+            assert np.array_equal(_bits(m.derivative(ts)), _bits(want))
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.05, 2.0, 0.013, 1e-3])
@@ -323,6 +414,46 @@ def test_cutoff_properties():
     assert rep["max_fd_slope_times_eps"] <= 4.0
     assert rep["slope_constant"] <= 4.0
     assert abs(rep["slope_constant"] - 3.0) < 0.01
+
+
+@given(eps=st.floats(1e-6, 1e3), samples=st.integers(2, 1500))
+@settings(max_examples=25, deadline=None)
+@example(eps=0.3, samples=2)
+@example(eps=0.3, samples=3)
+@example(eps=1 / 80, samples=1000)
+def test_cutoff_report_matches_the_point_loop(eps, samples):
+    want = json.dumps(_ref_cutoff_report(eps, samples))
+    assert json.dumps(mf.cutoff_property_report(eps, samples)) == want
+
+
+def test_step_slope_peak_matches_the_point_loop():
+    # The grid's slopes and steps point by point too: np.exp in place of
+    # math.exp changes some of them.
+    grid = np.linspace(0.0, 1.0, 4096)
+    slopes = [_ref_step_slope(float(x)) for x in grid]
+    assert np.array_equal(_bits(mf._step_slope(grid)), _bits(slopes))
+    assert np.array_equal(_bits(mf._step_raw(grid)), _bits([_ref_step_raw(float(x)) for x in grid]))
+    assert _bits(mf._step_slope_peak()) == _bits(max(slopes))
+
+
+@given(eps=st.floats(1e-6, 1e3), xs=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=60))
+@settings(max_examples=40, deadline=None)
+@example(eps=0.3, xs=[0.0, -0.0, 1.0, 1e-300, 1.0 - 2**-53, 0.5, 1 / 3])
+def test_cutoff_matches_the_point_loop(eps, xs):
+    # math.exp on each element: np.exp rounds some arguments differently.
+    c = mf.Cutoff(eps)
+    ts = c.lo + np.array(xs) * c.span
+    want_v = [_ref_step_raw((float(t) - c.lo) / c.span) for t in ts]
+    want_d = [_ref_step_slope((float(t) - c.lo) / c.span) / c.span for t in ts]
+    assert np.array_equal(_bits(c.value(ts)), _bits(want_v))
+    assert np.array_equal(_bits(c.derivative(ts)), _bits(want_d))
+    assert type(c.value(float(ts[0]))) is float
+    assert _bits(c.derivative(float(ts[0]))) == _bits(want_d[0])
+
+
+def test_golden_points_match_the_point_loop():
+    for n, lo, hi in ((1000, -0.3, 0.6), (7, 1.0, 2.0), (0, 0.0, 1.0), (20000, -1e-3, 4e-3)):
+        assert np.array_equal(_bits(mf._golden_points(n, lo, hi)), _bits(_ref_golden_points(n, lo, hi)))
 
 
 def test_cutoff_monotone():
