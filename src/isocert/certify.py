@@ -422,13 +422,15 @@ class _LiChart:
     def accepted(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mask of the candidates that pass the three tests: the two polynomial
         ones decided exactly in int64, and the square-root one in int64 where
-        its integer bounds decide it, else by `_holds`."""
+        its integer bounds decide it, else by `_holds` (not called when the
+        bounds decide every candidate)."""
         chart = _li_chart(x, y, self.integer)
         maybe = np.logical_and.reduce([v >= 0 for v in _polynomial_tests(chart, self.integer)]
                                       + [_squared_root_test(chart, self.integer)])
         passed = maybe & _squared_root_test(chart, self.integer_strict)
         keep = np.flatnonzero(maybe & ~passed)
-        passed[keep] = self._holds(x[keep], y[keep], _root_test)[0]
+        if keep.size:
+            passed[keep] = self._holds(x[keep], y[keep], _root_test)[0]
         return passed
 
     def violations(self, x: np.ndarray, y: np.ndarray) -> list[dict]:

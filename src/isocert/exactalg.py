@@ -160,6 +160,11 @@ def _integral(x: Scalar) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
+def _is_int_one(terms: dict[int, Scalar]) -> bool:
+    """Whether a term dict is the int constant polynomial 1, {0: 1}."""
+    return len(terms) == 1 and type(terms.get(0)) is int and terms[0] == 1
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -264,9 +269,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
+        # A factor that is exactly the int constant 1 gives the other operand's
+        # terms, in order and with the same coefficients, as the loop would.
+        # A Fraction(1) takes the loop: its products turn int coefficients
+        # into Fractions.
+        a_terms, b_terms = self.terms, other.terms
+        if _is_int_one(b_terms):
+            return MultiPoly._own(self.table, dict(a_terms))
+        if _is_int_one(a_terms):
+            return MultiPoly._own(self.table, dict(b_terms))
         # Iterate the smaller operand outside.  A monomial product is one int
         # add; zero sums are dropped and guard bits checked once per output.
-        a_terms, b_terms = self.terms, other.terms
         if len(a_terms) > len(b_terms):
             a_terms, b_terms = b_terms, a_terms
         b_items = list(b_terms.items())

@@ -16,6 +16,11 @@ after which connection generators are expanded through
 
     w_ij = sum_k h_ijk w_k / (l_i - l_j).
 
+One substitution expands each distinct generator once and wedges the same
+expansion into every term that carries it; nothing is kept between
+substitutions, so each check pays for its own expansions, as a one-check
+command-line run does.
+
 The diagonal derivative family h_jji (j in 1..3) is eliminated in favor of
 h_44i using the three linear constraints that come from differentiating the
 constant power sums.  The elimination is applied where an h symbol is
@@ -296,14 +301,18 @@ def substitute_connections(form: Form) -> Form:
     """Expand every connection generator on the coframe via h_ijk/(l_i - l_j).
 
     Generators sort with coframe legs first, so the split below preserves
-    the stored sign.
+    the stored sign.  Each distinct generator is expanded once per call.
     """
+    expansions: dict[int, Form] = {}
     out = Form.zero()
     for m, coeff in form.terms.items():
         ws = tuple(g for g in m if g < 10)
         piece = Form({ws: coeff})
         for g in m[len(ws):]:
-            piece = piece.wedge(connection_form(g // 10, g % 10))
+            c = expansions.get(g)
+            if c is None:
+                c = expansions[g] = connection_form(g // 10, g % 10)
+            piece = piece.wedge(c)
         out = out + piece
     return out
 

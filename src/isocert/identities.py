@@ -33,6 +33,10 @@ _D6 = ((1, 2), (1, 2), (1, 3), (1, 3), (2, 3), (2, 3))
 DTHETA_NAMES = tuple(f"dtheta_{i}{j}" for i, j in _PAIRS)
 CONTRACTION_NAMES = tuple(f"w{i}_phi" for i in range(1, 5))
 IDENTITY_NAMES = DTHETA_NAMES + ("dphi",) + CONTRACTION_NAMES + ("dg_phi", "df_phi")
+# The checks that take no exterior derivative of a connection form, so no
+# sectional curvature: their report is the same in every mode but for its
+# mode field.
+MODE_FREE_NAMES = CONTRACTION_NAMES + ("dg_phi", "df_phi")
 
 
 def gamma_polynomial() -> MultiPoly:

@@ -313,14 +313,15 @@ def _call_report(func: str, args: list) -> tuple[str, int]:
 
 
 @pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json",
-                                      "sweep_digests.json"])
+                                      "sweep_digests.json", "identity_digests.json"])
 def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     # Report sha256 and exit code of every distinct solve argv of the
     # benchmark's sweep seeds 1-10 (solve_digests), of its certify li
     # --cross-check and certify okumura argvs plus the north-star pipeline
-    # (report_digests), and of its certify band, mollifier and cutoff argvs
+    # (report_digests), of its certify band, mollifier and cutoff argvs
     # and its two function-call items, given by name and arguments
-    # (sweep_digests).
+    # (sweep_digests), and of verify-identities for every --which group
+    # and "all" in each --mode (identity_digests).
     differ = []
     for entry in json.loads((GOLDEN / manifest).read_text()):
         if "call" in entry:
@@ -514,3 +515,30 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
         fresh = run_cli(*argv)
         assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
     assert code == 0 and json.loads(out)[0]["region"]["S"] == "8"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--mode", "both"],
+    ["pipeline", "--S", "8", "--A3", "1", "--eps0", "1/10", "--delta1", "1/20", "--samples", "200"],
+])
+def test_mode_free_identities_are_computed_once(monkeypatch, capsys, argv):
+    # The contraction and gap-derivative checks ignore the mode: each is
+    # verified once and reported under both modes; the others once per mode.
+    calls = []
+    verify = identities.verify_identity
+
+    def spy(name, mode="symbolic"):
+        calls.append(name)
+        return verify(name, mode)
+
+    monkeypatch.setattr(identities, "verify_identity", spy)
+    assert cli.main(argv + ["--quiet"]) == reports.EXIT_PASS
+    checks = {}
+    for rec in json.loads(capsys.readouterr().out):
+        checks.update(rec.get("checks", {}) if rec["name"] in cli.IDENTITY_GROUPS else {})
+    assert sorted(checks) == sorted(f"{n}.{m}" for n in identities.IDENTITY_NAMES
+                                    for m in ("symbolic", "expanded"))
+    for name in identities.IDENTITY_NAMES:
+        assert calls.count(name) == (1 if name in identities.MODE_FREE_NAMES else 2)
+    assert all(checks[f"{name}.expanded"] == dict(checks[f"{name}.symbolic"], mode="expanded")
+               for name in identities.MODE_FREE_NAMES)

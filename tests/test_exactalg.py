@@ -377,3 +377,46 @@ def test_exponent_overflow_raises():
     assert x.exponents(m)[0] == MAX_EXPONENT
     # The overflowing partial product x^127 * x^2 proves non-divisibility.
     assert divexact(x ** 126 * y ** 3, y ** 3 + x ** 2) is None
+
+
+def _loop_mul(a, b):
+    """The general product loop of MultiPoly.__mul__, smaller operand outside."""
+    a_terms, b_terms = a.terms, b.terms
+    if len(a_terms) > len(b_terms):
+        a_terms, b_terms = b_terms, a_terms
+    out = {}
+    for m1, c1 in a_terms.items():
+        for m2, c2 in b_terms.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return [(m, c) for m, c in out.items() if c]
+
+
+def _typed_items(p):
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+@given(typed_polys())
+@settings(max_examples=80, deadline=None)
+def test_product_by_int_one_matches_the_loop(p):
+    # The int constant 1 returns the other operand's terms: the loop's order,
+    # values and coefficient types, in a dict of its own.
+    one = MultiPoly.const(_small_table, 1)
+    before = dict(p.terms)
+    for prod in (p * one, one * p):
+        expected = _loop_mul(p, one)
+        assert _typed_items(prod) == [(m, c, type(c)) for m, c in expected]
+        assert all(prod.terms[m] is c for m, c in p.terms.items())   # no product taken
+        assert prod.terms is not p.terms and prod.terms is not one.terms
+        prod.terms[0] = 99
+    assert p.terms == before and one.terms == {0: 1}
+
+
+@given(typed_polys())
+@settings(max_examples=60, deadline=None)
+def test_product_by_fraction_one_takes_the_loop(p):
+    # Fraction(1) * c is a Fraction for an int c, so this constant must not
+    # take the int-one shortcut.
+    one = MultiPoly.const(_small_table, Fraction(1))
+    assert type(one.terms[0]) is Fraction
+    for prod in (p * one, one * p):
+        assert _typed_items(prod) == [(m, c, type(c)) for m, c in _loop_mul(p, one)]

@@ -327,3 +327,20 @@ def test_unknown_identity_name_rejected():
         idn.verify_identity("dtheta_99")
     with pytest.raises(ValueError):
         idn.verify_identity("dphi", mode="numeric")
+
+
+@pytest.mark.parametrize("name", idn.DTHETA_NAMES + ("dphi",))
+@pytest.mark.parametrize("mode", ff.MODES)
+def test_substitution_expands_each_connection_form_once(monkeypatch, name, mode):
+    # One check substitutes once, and that substitution builds each
+    # generator's expansion at most once.
+    built = []
+    expand = ff.connection_form
+
+    def spy(i, j):
+        built.append((i, j))
+        return expand(i, j)
+
+    monkeypatch.setattr(ff, "connection_form", spy)
+    assert idn.verify_identity(name, mode).residual_is_zero
+    assert built and len(built) == len(set(built))
