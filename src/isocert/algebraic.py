@@ -1,7 +1,9 @@
 """Exact real algebraic numbers in the two flavors this package needs.
 
 QuadExt is a value a + b*sqrt(d) in a fixed real quadratic extension; all
-ring operations and sign tests are exact rational arithmetic.  As in
+ring operations and sign tests are exact rational arithmetic; the sign
+rule, root_sum_sign, also decides `configsolve`'s members at a cubic root,
+where each sign it asks for costs a refinement.  As in
 exactalg, integral parts stay Python ints, so integer values (the Li
 cross-check's exact route) never pay for Fractions; a rational square
 radicand is folded into a, so sqrt(4) is the rational 2.  The model spectra
@@ -130,15 +132,36 @@ class QuadExt:
 
 def quad_sign(a, b, d) -> int:
     """Exact sign of a + b*sqrt(d) for rational a, b (int or Fraction), d >= 0."""
-    sa = (a > 0) - (a < 0)
-    if not b or not d:
+    return root_sum_sign(_sign(a), _sign(b), lambda: _sign(d), lambda: _sign(a * a - b * b * d))
+
+
+def root_sum_sign(sa: int, sb: int, sign_d, sign_norm) -> int:
+    """Exact sign of a + b*sqrt(d), d >= 0, from the signs sa of a and sb of b;
+    sign_d() and sign_norm() give the signs of d and of a^2 - b^2 d, and each
+    is called only when the result depends on it."""
+    if sb == 0 or sign_d() == 0:
         return sa
-    sb = 1 if b > 0 else -1
     if sa != -sb:  # a is zero or has the sign of b
         return sb
     # Opposite signs: the term of larger square wins.
-    diff = a * a - b * b * d
-    return sa if diff > 0 else sb if diff < 0 else 0
+    sn = sign_norm()
+    return sa if sn > 0 else sb if sn < 0 else 0
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def run_lengths(equal_to_previous) -> list[int]:
+    """Multiplicities of the distinct values of a sorted sequence, from one
+    flag per entry after the first: is it equal to the entry before it."""
+    runs = [1]
+    for equal in equal_to_previous:
+        if equal:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
 
 
 def cubic_bound_sign(S, A3) -> int:

@@ -34,7 +34,8 @@ polynomial, so the enclosures are the walk's to the bit.
 The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
 written once, in `identities`, generic over the ring of gap values: the
 certifiers expand them over exact polynomials or evaluate them over
-intervals.  The cross-check's chart, collar tests and gaps are written once
+intervals; the factor-sign notes of B_i are rendered from the bracket
+term it is built from, `identities.BAND_SINGULAR_TERMS`.  The cross-check's chart, collar tests and gaps are written once
 here: the two polynomial collar tests are decided over int64 arrays, and the
 rest by a float filter over intervals and, where an enclosure touches 0,
 over `QuadExt` at a scale where every value is an integer.
@@ -146,10 +147,10 @@ class Chamber:
     __slots__ = ("n", "l1", "l2", "l3", "l4", "s_half", "disc",
                  "g21", "g32", "g43", "g31", "g42", "g41")
 
-    def __init__(self, cells: CellBatch, S):
+    def __init__(self, cells: CellBatch, s_bounds: tuple[float, float, float, float]):
         n = len(cells)
         self.n = n
-        s_lo, s_hi, h_lo, h_hi = S if isinstance(S, tuple) else _s_bounds(S)
+        s_lo, s_hi, h_lo, h_hi = s_bounds
         l1, l2 = VI(cells.a1, cells.b1), VI(cells.a2, cells.b2)
         self.l1, self.l2 = l1, l2
         s = -(l1 + l2)
@@ -863,11 +864,7 @@ class _SideProgram:
             num, den = VI(sums.lo[:k], sums.hi[:k]), VI(sums.lo[k:], sums.hi[k:])
             nonzero = (den.lo > 0) | (den.hi < 0)
             safe_den = VI(np.where(nonzero, den.lo, 1.0), np.where(nonzero, den.hi, 2.0))
-            pos = safe_den.lo > 0
-            den_pos = VI(np.where(pos, safe_den.lo, -safe_den.hi),
-                         np.where(pos, safe_den.hi, -safe_den.lo))
-            num_adj = VI(np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo))
-            val = num_adj.divide_by_positive(den_pos)
+            val = num / safe_den
             lo[:, cells], hi[:, cells], ok[:, cells] = val.lo, val.hi, nonzero
         return VI(lo, hi), ok
 
@@ -903,7 +900,7 @@ def _slope_value(side, ch: Chamber, floor: float) -> tuple[VI, np.ndarray]:
     # Every slope denominator is at least the band's wide gap, >= sqrt(eps0).
     val = identities.gap_slope_form(
         side, lambda i, j: gap(i, j).floor_at(0.0),
-        lambda x, pair: x.divide_by_positive(gap(*pair).floor_at(floor)))
+        lambda x, pair: x / gap(*pair).floor_at(floor))
     return val, np.isfinite(val.lo) & np.isfinite(val.hi)
 
 

@@ -211,7 +211,7 @@ def run_examples(args) -> tuple[list[dict], int]:
         return recs, reports.EXIT_PASS
     rep = geomex.check_model(geomex.get_model(args.check), args.theorem)
     recs = [check_record(f"model_{args.check}_theorem_{args.theorem}", rep.pop("status"), rep)]
-    if args.format == "text" and not args.quiet:
+    if not args.quiet:
         rec = recs[0]
         lines = [f"{rec['name']}: {rec['status']}"]
         for part, label in (("hypotheses", "hypothesis"), ("conclusions", "conclusion"),
@@ -410,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.add_argument("--check", choices=geomex.catalog_names())
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--format", choices=("json", "text"), default="text")
     _add_common(p)
 
     p = sub.add_parser("pipeline", help="run every ingredient with one verdict")
@@ -483,7 +482,7 @@ def _emit_report(recs: list[dict], args: argparse.Namespace) -> None:
         _write_out(to_file, text)
     else:
         sys.stdout.write(text)
-    if not getattr(args, "quiet", False) and getattr(args, "format", "text") != "json":
+    if not getattr(args, "quiet", False):
         # Keep stdout pure JSON when it carries the report array; with
         # --out the summary can use standard output directly.
         stream = sys.stdout if to_file else sys.stderr

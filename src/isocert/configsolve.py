@@ -42,7 +42,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import upoly as up
-from .algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, _sqrt_grid, cubic_bound_sign
+from .algebraic import (AlgebraicNumber, QuadExt, _sqrt_bounds, _sqrt_grid, cubic_bound_sign,
+                        root_sum_sign, run_lengths)
 
 
 # -- exact rational intervals -------------------------------------------------
@@ -153,11 +154,10 @@ def parse_value(text: str) -> QuadExt:
 
 @dataclass(frozen=True)
 class ScalarParams:
-    """Problem constants: S = sum of squares, A3 = sum of cubes, n = 4."""
+    """Problem constants: S = sum of squares, A3 = sum of cubes (n = 4)."""
 
     S: Fraction
     A3: QuadExt
-    n: int = 4
 
     @classmethod
     def make(cls, S, A3) -> "ScalarParams":
@@ -241,20 +241,8 @@ def _sign_member_diff(m1: _Member, m2: _Member, x0: AlgebraicNumber, D: up.UPoly
     """Exact sign of (m1 - m2) at x0, where both involve the same sqrt(D)."""
     p = up.sub(m1.p, m2.p)
     q = up.sub(m1.q, m2.q)
-    sp = x0.sign_of(p) if not up.is_zero(p) else 0
-    sq = x0.sign_of(q) if not up.is_zero(q) else 0
-    sD = x0.sign_of(D)
-    if sq == 0 or sD == 0:
-        return sp
-    if sp == 0:
-        return sq
-    if sp == sq:
-        return sp
-    t = up.sub(up.mul(p, p), up.mul(up.mul(q, q), D))
-    st = x0.sign_of(t)
-    if st == 0:
-        return 0
-    return sp if st > 0 else -sp
+    return root_sum_sign(x0.sign_of(p), x0.sign_of(q), lambda: x0.sign_of(D),
+                         lambda: x0.sign_of(up.sub(up.mul(p, p), up.mul(up.mul(q, q), D))))
 
 
 @dataclass
@@ -354,12 +342,6 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
     # Exact adjacent equalities, once: they give the multiplicities and the
     # II/III patterns; tag I asks for m2 + m0 - 2 m1 = 0.
     equal = [_sign_member_diff(members[i + 1], members[i], x0, D) == 0 for i in range(3)]
-    mults = [1]
-    for eq in equal:
-        if eq:
-            mults[-1] += 1
-        else:
-            mults.append(1)
     if tag == "I":
         arithmetic = _Member(up.sub(up.add(members[2].p, members[0].p), up.scale(members[1].p, 2)),
                              up.sub(up.add(members[2].q, members[0].q), up.scale(members[1].q, 2)))
@@ -371,7 +353,7 @@ def _build_config(tag: str, x0: AlgebraicNumber, params: ScalarParams,
         x0=x0,
         D=D,
         members=members,
-        multiplicities=mults,
+        multiplicities=run_lengths(equal),
         constraint_satisfied=satisfied,
         defining_poly=defining,
         params=params,

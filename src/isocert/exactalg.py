@@ -134,8 +134,8 @@ class SymbolTable:
         return f"R{a}{b}{a}{b}"
 
     @classmethod
-    def geometry(cls, extra: Sequence[str] = ()) -> "SymbolTable":
-        """Standard table: l1..l4, the 20 h_ijk, the 6 R_ijij, then extras."""
+    def geometry(cls) -> "SymbolTable":
+        """Standard table: l1..l4, the 20 h_ijk, then the 6 R_ijij."""
         names = [f"l{i}" for i in range(1, 5)]
         names += [
             cls.h_name(i, j, k)
@@ -144,7 +144,6 @@ class SymbolTable:
             for k in range(j, 5)
         ]
         names += [cls.r_name(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-        names += list(extra)
         return cls(names)
 
 

@@ -255,8 +255,9 @@ def connection_form(i: int, j: int) -> Form:
     return out
 
 
-def _gauss_factor(i: int, j: int, mode: str) -> MultiPoly:
-    """R_ijij (i < j) as a symbol or expanded through the Gauss equation."""
+def gauss_factor(i: int, j: int, mode: str) -> MultiPoly:
+    """R_ijij (i < j) as a symbol, or expanded through the Gauss equation
+    R_ijij = 1 + l_i l_j; the one copy of that equation in the package."""
     if mode == "symbolic":
         return rsym(i, j)
     if mode == "expanded":
@@ -382,7 +383,7 @@ def _d_generator(g: int, mode: str) -> Form:
         if k in (i, j):
             continue
         out = out + connection_generator(i, k).wedge(connection_generator(k, j))
-    return out + Form.monomial((i, j), -_gauss_factor(i, j, mode))
+    return out + Form.monomial((i, j), -gauss_factor(i, j, mode))
 
 
 def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:

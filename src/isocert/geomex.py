@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import QuadExt, cubic_bound_sign
+from .algebraic import QuadExt, cubic_bound_sign, run_lengths
 
 _TWO_DISTINCT_NOTE = (
     "catalog note: this example has exactly two distinct principal curvatures "
@@ -81,13 +81,7 @@ class ModelHypersurface:
 
 
 def _mults_of(ordered: list[QuadExt]) -> tuple:
-    mults = [1]
-    for a, b in zip(ordered, ordered[1:]):
-        if (a - b).sign() == 0:
-            mults[-1] += 1
-        else:
-            mults.append(1)
-    return tuple(mults)
+    return tuple(run_lengths((a - b).sign() == 0 for a, b in zip(ordered, ordered[1:])))
 
 
 def equatorial_sphere() -> ModelHypersurface:

@@ -12,14 +12,17 @@ function.  Residuals are exact; there are no tolerances in this module.
 
 Checks run in two modes: "symbolic" keeps the sectional curvatures R_ijij
 as opaque symbols, "expanded" replaces them by 1 + l_i l_j through the
-Gauss equation.  Both must pass.
+Gauss equation (`frameforms.gauss_factor`, also called by the structure
+equations).  Both must pass.  The contraction brackets are one table of
+transcribed terms, CONTRACTION_TERMS; the band terms B_i are four of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import frameforms as ff
 from .exactalg import FactoredFn, MultiPoly
@@ -118,12 +121,6 @@ def gamma_L_polynomials() -> dict[int, MultiPoly]:
     return dict(enumerate(gamma_L_printed(*gaps), start=1))
 
 
-def _rsym_or_gauss(i: int, j: int, mode: str) -> FactoredFn:
-    if mode == "symbolic":
-        return ff.GAP_BASE.from_poly(ff.rsym(i, j))
-    return ff.GAP_BASE.from_poly(MultiPoly.const(ff.GEOMETRY, 1) + _L[i] * _L[j])
-
-
 def dtheta_target(i: int, j: int, mode: str) -> FactoredFn:
     """Transcription of the printed volume coefficient of d(theta_ij)."""
     l1, l2, l3, l4 = (_L[k] for k in range(1, 5))
@@ -185,7 +182,7 @@ def dtheta_target(i: int, j: int, mode: str) -> FactoredFn:
         )
     else:
         raise ValueError(f"no target for theta_{i}{j}")
-    return body - _rsym_or_gauss(i, j, mode)
+    return body - ff.GAP_BASE.from_poly(ff.gauss_factor(i, j, mode))
 
 
 def dphi_target(mode: str) -> FactoredFn:
@@ -197,39 +194,38 @@ def dphi_target(mode: str) -> FactoredFn:
     for i in range(1, 5):
         out = out + og(gL[i] * h(4, 4, i) ** 2, _D6)
     for a, b in _PAIRS:
-        out = out - _rsym_or_gauss(a, b, mode)
+        out = out - ff.GAP_BASE.from_poly(ff.gauss_factor(a, b, mode))
     return out
+
+
+# The bracket of w_i ^ Phi = bracket_i * h_44i * vol, term by term, as
+# (sign, numerator gaps, denominator gaps); a gap (i, j) is l_i - l_j with
+# i > j, so nonnegative on the sorted chamber.  `certify` renders a band
+# note's denominator in the order given here.
+CONTRACTION_TERMS: dict[int, tuple[tuple[int, tuple, tuple], ...]] = {
+    1: ((-1, ((4, 3), (4, 1)), ((3, 2), (2, 1), (2, 1))),
+        (1, ((4, 2), (4, 1)), ((3, 2), (3, 1), (3, 1))),
+        (-1, (), ((4, 1),))),
+    2: ((1, ((4, 2), (4, 1)), ((3, 1), (3, 2), (3, 2))),
+        (-1, (), ((4, 2),)),
+        (-1, ((4, 3), (4, 2)), ((3, 1), (2, 1), (2, 1)))),
+    3: ((-1, (), ((4, 3),)),
+        (1, ((4, 3), (4, 1)), ((2, 1), (3, 2), (3, 2))),
+        (-1, ((4, 3), (4, 2)), ((3, 1), (3, 1), (2, 1)))),
+    4: ((-1, ((4, 3), (4, 2)), ((3, 1), (2, 1), (4, 1))),
+        (1, ((4, 3), (4, 1)), ((2, 1), (3, 2), (4, 2))),
+        (-1, ((4, 2), (4, 1)), ((3, 1), (3, 2), (4, 3)))),
+}
+
+
+def _gap_term(sign: int, num: tuple, den: tuple) -> FactoredFn:
+    """sign * (product of the numerator gaps) / (product of the denominator gaps)."""
+    return ff.over_gaps(math.prod((ff.gap(*pair) for pair in num), start=sign), den)
 
 
 def contraction_bracket(i: int) -> FactoredFn:
     """The scalar bracket in  w_i ^ Phi = bracket_i * h_44i * vol."""
-    l1, l2, l3, l4 = (_L[k] for k in range(1, 5))
-    og = ff.over_gaps
-    if i == 1:
-        return (
-            og(-(l4 - l3) * (l4 - l1), [(3, 2), (2, 1), (2, 1)])
-            + og((l4 - l2) * (l4 - l1), [(3, 2), (3, 1), (3, 1)])
-            + og(-1, [(4, 1)])
-        )
-    if i == 2:
-        return (
-            og((l4 - l2) * (l4 - l1), [(3, 1), (3, 2), (3, 2)])
-            + og(-1, [(4, 2)])
-            + og(-(l4 - l3) * (l4 - l2), [(3, 1), (2, 1), (2, 1)])
-        )
-    if i == 3:
-        return (
-            og(-1, [(4, 3)])
-            + og((l4 - l3) * (l4 - l1), [(3, 2), (3, 2), (2, 1)])
-            + og(-(l4 - l3) * (l4 - l2), [(3, 1), (3, 1), (2, 1)])
-        )
-    if i == 4:
-        return (
-            og(-(l4 - l3) * (l4 - l2), [(3, 1), (2, 1), (4, 1)])
-            + og((l4 - l3) * (l4 - l1), [(2, 1), (3, 2), (4, 2)])
-            + og(-(l4 - l2) * (l4 - l1), [(3, 1), (3, 2), (4, 3)])
-        )
-    raise ValueError("index must be 1..4")
+    return functools.reduce(operator.add, (_gap_term(*term) for term in CONTRACTION_TERMS[i]))
 
 
 def gap_slope(which: str) -> FactoredFn:
@@ -239,13 +235,12 @@ def gap_slope(which: str) -> FactoredFn:
 
 
 # The bracket terms that blow up on each side's vanishing-gap band, as
-# (side, i): (sign, numerator gaps, denominator gaps); a gap (i, j) is
-# l_i - l_j with i > j, so nonnegative on the sorted chamber.
+# (side, i): the entry of CONTRACTION_TERMS[i].
 BAND_SINGULAR_TERMS: dict[tuple[str, int], tuple[int, tuple, tuple]] = {
-    ("g", 1): (-1, ((4, 3), (4, 1)), ((3, 2), (2, 1), (2, 1))),
-    ("g", 2): (-1, ((4, 3), (4, 2)), ((3, 1), (2, 1), (2, 1))),
-    ("f", 2): (1, ((4, 2), (4, 1)), ((3, 1), (3, 2), (3, 2))),
-    ("f", 3): (1, ((4, 3), (4, 1)), ((2, 1), (3, 2), (3, 2))),
+    ("g", 1): CONTRACTION_TERMS[1][0],
+    ("g", 2): CONTRACTION_TERMS[2][2],
+    ("f", 2): CONTRACTION_TERMS[2][0],
+    ("f", 3): CONTRACTION_TERMS[3][1],
 }
 
 
@@ -259,15 +254,14 @@ def gap_band_quantities(which: str) -> dict[str, FactoredFn]:
     return dict(_gap_band_quantities_cached(which))
 
 
-@lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2)
 def _gap_band_quantities_cached(which: str) -> tuple[tuple[str, FactoredFn], ...]:
     m = gap_slope(which)
     out: list[tuple[str, FactoredFn]] = [("m", m.normalize())]
     for i in range(1, 5):
         full = m * contraction_bracket(i)
         if (which, i) in BAND_SINGULAR_TERMS:
-            sign, num, den = BAND_SINGULAR_TERMS[which, i]
-            b = m * ff.over_gaps(math.prod((ff.gap(*pair) for pair in num), start=sign), den)
+            b = m * _gap_term(*BAND_SINGULAR_TERMS[which, i])
             out.append((f"B{i}", b.normalize()))
             out.append((f"G{i}", (full - b).normalize()))
         else:

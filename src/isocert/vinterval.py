@@ -4,7 +4,8 @@ This is the package's one floating-point interval type.  Endpoints are
 numpy float64 arrays; every operation widens each computed endpoint one
 representable float outward (np.nextafter), which over-approximates
 directed rounding without touching the FPU mode, so x in X and y in Y
-imply x op y in X op Y.  Whole cell frontiers are processed per call, so
+imply x op y in X op Y; a divisor may have either sign, as long as it
+excludes 0.  Whole cell frontiers are processed per call, so
 the branch-and-bound certifiers pay no per-cell Python overhead.  The
 operations are elementwise and broadcast, so a 2-D batch (one row per
 polynomial term, one column per cell) costs one call where a row at a time
@@ -71,8 +72,9 @@ class VI:
         hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
         return VI(down(lo), up(hi))
 
-    def divide_by_positive(self, o: "VI") -> "VI":
-        """Division when o.lo > 0 elementwise (caller guarantees)."""
+    def __truediv__(self, o: "VI") -> "VI":
+        """Division where o excludes 0 elementwise (o.lo > 0 or o.hi < 0;
+        caller guarantees): the extremes of the four endpoint quotients."""
         c1 = self.lo / o.lo
         c2 = self.lo / o.hi
         c3 = self.hi / o.lo

@@ -864,7 +864,7 @@ def test_chamber_encloses_exact_chart_values(drawn):
     """At every chart point with disc >= 0, l3, l4, the six gaps (exact in
     Q(sqrt(disc))) and p3 (rational) lie inside the Chamber enclosures."""
     S, cells, points = drawn
-    ch = ct.Chamber(cells, S)
+    ch = ct.Chamber(cells, ct._s_bounds(S))
     checked = 0
     for k, (x1, x2) in enumerate(points):
         s = -(x1 + x2)

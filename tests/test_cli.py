@@ -88,6 +88,15 @@ def test_examples_list():
     assert "model_g4" in names and "model_clifford1" in names
 
 
+def test_examples_takes_no_format_flag_and_quiet_leaves_stderr_empty(capsys):
+    argv = ["examples", "--check", "g4", "--theorem", "2"]
+    assert cli.main(argv + ["--format", "json"]) == reports.EXIT_USAGE
+    capsys.readouterr()
+    for args in (argv, ["examples", "--list"]):
+        assert cli.main(args + ["--quiet"]) == reports.EXIT_PASS
+        assert capsys.readouterr().err == ""
+
+
 def test_usage_errors():
     out = run_cli("frobnicate")
     assert out.returncode == 64
@@ -313,7 +322,8 @@ def _call_report(func: str, args: list) -> tuple[str, int]:
 
 
 @pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json",
-                                      "sweep_digests.json", "identity_digests.json"])
+                                      "sweep_digests.json", "identity_digests.json",
+                                      "examples_digests.json"])
 def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     # Report sha256 and exit code of every distinct solve argv of the
     # benchmark's sweep seeds 1-10 (solve_digests), of its certify li
@@ -321,7 +331,9 @@ def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     # (report_digests), of its certify band, mollifier and cutoff argvs
     # and its two function-call items, given by name and arguments
     # (sweep_digests), and of verify-identities for every --which group
-    # and "all" in each --mode (identity_digests).
+    # and "all" in each --mode (identity_digests), and of examples --list and
+    # examples --check M --theorem T for every model and theorem
+    # (examples_digests).
     differ = []
     for entry in json.loads((GOLDEN / manifest).read_text()):
         if "call" in entry:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from isocert import configsolve as cs
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber
+from isocert.algebraic import AlgebraicNumber, quad_sign, root_sum_sign
 
 
 def test_parse_value_forms():
@@ -268,3 +268,42 @@ def test_pattern_cube_identity_values():
     p3 = sum(x**3 for x in lams)
     assert (p2, p3) == (12, 24)
     assert 3 * p3**2 == p2**3
+
+
+_RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@given(_RATIONAL, _RATIONAL, _RATIONAL)
+def test_root_sum_sign_matches_exact_fractions(a, b, r):
+    # With d = r^2, a + b sqrt(d) = a + b |r| exactly; each sign is asked
+    # for only when the rule needs it.
+    d = r * r
+    exact = a + b * abs(r)
+    asked = []
+
+    def sign_of(name, x):
+        def ask():
+            asked.append(name)
+            return (x > 0) - (x < 0)
+        return ask
+
+    sign = root_sum_sign((a > 0) - (a < 0), (b > 0) - (b < 0), sign_of("d", d),
+                         sign_of("norm", a * a - b * b * d))
+    assert sign == quad_sign(a, b, d) == (exact > 0) - (exact < 0)
+    assert ("d" in asked) == (b != 0)
+    assert ("norm" in asked) == (b != 0 and d != 0 and a * b < 0)
+
+
+@pytest.mark.parametrize("tag", ["I", "II"])
+def test_member_sign_asks_no_radicand_sign_when_q_is_zero(monkeypatch, tag):
+    # p(x0) + 0 * sqrt(D(x0)) has the sign of p(x0), whatever D(x0) is.
+    cfg = cs.solve_system(tag, cs.ScalarParams.make(8, 1))[0]
+    asked = []
+    sign_of = AlgebraicNumber.sign_of
+    monkeypatch.setattr(AlgebraicNumber, "sign_of", lambda x0, q: asked.append(q) or sign_of(x0, q))
+    members = cfg.members + [cs._ZERO_MEMBER]
+    for m1 in members:
+        for m2 in members:
+            asked.clear()
+            cs._sign_member_diff(m1, m2, cfg.x0, cfg.D)
+            assert (cfg.D in asked) == (m1.q != m2.q)

@@ -187,7 +187,7 @@ def _divide(num: VI, den: VI) -> tuple[VI, np.ndarray]:
     pos = safe.lo > 0
     den_pos = VI(np.where(pos, safe.lo, -safe.hi), np.where(pos, safe.hi, -safe.lo))
     num_adj = VI(np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo))
-    return num_adj.divide_by_positive(den_pos), ok
+    return num_adj / den_pos, ok
 
 
 @given(_program_cases())
@@ -214,6 +214,39 @@ def test_side_program_matches_term_walk_bitwise(case):
             want, want_ok = _divide(*walks)
         assert _same_bits(want.lo, val.lo[r]) and _same_bits(want.hi, val.hi[r])
         assert np.array_equal(want_ok, ok[r])
+
+
+_NUM_END = st.sampled_from([0.0, -0.0, np.inf, -np.inf]) | st.floats(allow_nan=False)
+_DEN_END = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@st.composite
+def _quotient_cases(draw):
+    """num and den batches; each cell's den excludes zero, with either sign."""
+    n = draw(st.integers(1, 8))
+    num = [sorted(draw(st.tuples(_NUM_END, _NUM_END))) for _ in range(n)]
+    den = []
+    for _ in range(n):
+        a, b = sorted(draw(st.tuples(_DEN_END, _DEN_END)))
+        den.append((a, b) if draw(st.booleans()) else (-b, -a))
+    return VI(*zip(*num)), VI(*zip(*den))
+
+
+@given(_quotient_cases())
+def test_quotient_matches_the_flipped_positive_quotient_bitwise(case):
+    # Reference: flip num and den where den < 0, then take the extremes of
+    # the four endpoint quotients by a positive divisor, widened outward.
+    # IEEE division is symmetric in sign, so only the sign of a zero
+    # quotient can differ, and nextafter maps -0.0 and 0.0 alike.
+    num, den = case
+    pos = den.lo > 0
+    n_lo, n_hi = np.where(pos, num.lo, -num.hi), np.where(pos, num.hi, -num.lo)
+    d_lo, d_hi = np.where(pos, den.lo, -den.hi), np.where(pos, den.hi, -den.lo)
+    with np.errstate(over="ignore"):
+        quotients = np.stack([n / d for n in (n_lo, n_hi) for d in (d_lo, d_hi)])
+        got = num / den
+    assert _same_bits(np.nextafter(quotients.min(axis=0), -np.inf), got.lo)
+    assert _same_bits(np.nextafter(quotients.max(axis=0), np.inf), got.hi)
 
 
 def test_g_programs_multiply_each_shared_prefix_once():
