@@ -321,10 +321,20 @@ def _call_report(func: str, args: list) -> tuple[str, int]:
     return reports.render(recs), reports.exit_code(recs)
 
 
+def _cli_streams(argv: list, capsys) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of `main(argv)`, as the command line sees them."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:            # --help exits from inside argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
 @pytest.mark.parametrize("manifest", ["solve_digests.json", "report_digests.json",
                                       "sweep_digests.json", "identity_digests.json",
-                                      "examples_digests.json"])
-def test_solve_reports_match_the_digest_manifest(manifest, capsys):
+                                      "examples_digests.json", "help_digests.json"])
+def test_solve_reports_match_the_digest_manifest(manifest, capsys, monkeypatch):
     # Report sha256 and exit code of every distinct solve argv of the
     # benchmark's sweep seeds 1-10 (solve_digests), of its certify li
     # --cross-check and certify okumura argvs plus the north-star pipeline
@@ -333,9 +343,18 @@ def test_solve_reports_match_the_digest_manifest(manifest, capsys):
     # (sweep_digests), and of verify-identities for every --which group
     # and "all" in each --mode (identity_digests), and of examples --list and
     # examples --check M --theorem T for every model and theorem
-    # (examples_digests).
+    # (examples_digests); and both streams of --help for the program and
+    # each subcommand and of three usage errors (help_digests), at the
+    # 80-column width argparse falls back to without a terminal.
+    monkeypatch.setenv("COLUMNS", "80")
     differ = []
     for entry in json.loads((GOLDEN / manifest).read_text()):
+        if "stderr_sha256" in entry:
+            out, err, code = _cli_streams(entry["argv"], capsys)
+            got = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest(), code)
+            if got != (entry["stdout_sha256"], entry["stderr_sha256"], entry["exit"]):
+                differ.append(" ".join(entry["argv"]))
+            continue
         if "call" in entry:
             text, code = _call_report(entry["call"], entry["args"])
             label = f"{entry['call']}{tuple(entry['args'])}"
