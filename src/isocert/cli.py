@@ -22,7 +22,7 @@ raised once the run has started (a library's ValueError included) is a
 fault of the program: it exits 70 with the traceback on stderr, so a crash
 never reads as a failed check.  A flat key=value config file can preset
 any flag of the chosen subcommand; explicit flags win, unknown keys are
-rejected.  --threads (default 1) is checked like any other input but
+rejected.  The parser adds a subcommand's flags only when it is chosen.  --threads (default 1) is checked like any other input but
 changes neither results nor speed: every run is serial.
 """
 
@@ -303,11 +303,31 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are usage errors, so `main` has one exit for bad input."""
+    """An argument parser whose errors are usage errors, so `main` has one exit for bad input.
+    A subcommand's parser adds its `flags` on first use (`with_flags`), so a run builds only its own."""
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending_flags = flags
+
+    def with_flags(self) -> "_Parser":
+        add, self._pending_flags = self._pending_flags, None
+        if add is not None:
+            add(self)
+            _add_common(self)
+        return self
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(f"{self.prog}: {message}")
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Adds the chosen subcommand's flags before its parser reads the rest of argv."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.choices[values[0]].with_flags()
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _checked(name: str, convert, accept=lambda value: True):
@@ -349,31 +369,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing writes only
-    to the fresh Namespace of each run."""
-    ap = _Parser(
-        prog="isocert",
-        description="Exact and interval certification toolkit for constrained "
-                    "principal-curvature computations",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-identities", help="exact residual checks")
+def _verify_identities_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", choices=("all", *IDENTITY_GROUPS), default="all")
     p.add_argument("--mode", choices=("symbolic", "expanded", "both"), default="both")
-    _add_common(p)
 
-    p = sub.add_parser("solve", help="enumerate constrained configurations")
+
+def _solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", required=True, choices=("I", "II", "III"))
     p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, required=True)
     p.add_argument("--A3", type=_EXACT_VALUE, required=True)
     p.add_argument("--precision", type=_PRECISION, default="1e-12",
                    help="root enclosure width; must stay > 0 at a denominator of at most 10^18")
-    _add_common(p)
 
-    p = sub.add_parser("certify", help="sign and interval certificates")
+
+def _certify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=("li", "okumura", "band"))
     p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, default="8", help="li: must be > 0")
     p.add_argument("--A3", type=_EXACT_VALUE, default="0")
@@ -392,27 +401,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "li: recorded only (default 20); okumura: refused")
     p.add_argument("--cross-check", type=_int_at_least(0), default=0,
                    help="also run this many exact random spot checks (li)")
-    _add_common(p)
 
-    p = sub.add_parser("mollifier", help="smoothing kernel dump / properties")
+
+def _mollifier_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=_POSITIVE_FLOAT, required=True)
     p.add_argument("--samples", type=_int_at_least(2), default=1000)  # the CSV grid needs two
     p.add_argument("--emit", choices=("csv", "report"), default="report")
-    _add_common(p)
 
-    p = sub.add_parser("cutoff", help="ramp dump / properties")
+
+def _cutoff_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=_POSITIVE_FLOAT, required=True)
     p.add_argument("--samples", type=_int_at_least(2), default=1000)
     p.add_argument("--emit", choices=("csv", "report"), default="report")
-    _add_common(p)
 
-    p = sub.add_parser("examples", help="model catalog")
+
+def _examples_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--list", action="store_true")
     p.add_argument("--check", choices=geomex.catalog_names())
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), default=1)
-    _add_common(p)
 
-    p = sub.add_parser("pipeline", help="run every ingredient with one verdict")
+
+def _pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--S", type=_NONNEGATIVE_RATIONAL, required=True, help="must be > 0")
     p.add_argument("--A3", type=_EXACT_VALUE, required=True)
     p.add_argument("--eps0", type=_POSITIVE_RATIONAL, required=True)
@@ -422,7 +431,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_int_at_least(0), default=30,
                    help="band depth limit; recorded in the li record")
     p.add_argument("--samples", type=_int_at_least(1), default=2000)
-    _add_common(p)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing writes only
+    to the fresh Namespace of each run.  Each subcommand's flags are added
+    the first time it is chosen (`_Parser.with_flags`)."""
+    ap = _Parser(
+        prog="isocert",
+        description="Exact and interval certification toolkit for constrained "
+                    "principal-curvature computations",
+    )
+    sub = ap.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub.add_parser("verify-identities", help="exact residual checks", flags=_verify_identities_flags)
+    sub.add_parser("solve", help="enumerate constrained configurations", flags=_solve_flags)
+    sub.add_parser("certify", help="sign and interval certificates", flags=_certify_flags)
+    sub.add_parser("mollifier", help="smoothing kernel dump / properties", flags=_mollifier_flags)
+    sub.add_parser("cutoff", help="ramp dump / properties", flags=_cutoff_flags)
+    sub.add_parser("examples", help="model catalog", flags=_examples_flags)
+    sub.add_parser("pipeline", help="run every ingredient with one verdict", flags=_pipeline_flags)
     return ap
 
 
@@ -440,6 +468,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     subparser = subparsers.choices.get(argv[0]) if argv else None
     if subparser is None:
         return argv
+    subparser.with_flags()
     finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     finder.add_argument("--config")
     try:

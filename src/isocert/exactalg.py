@@ -281,14 +281,18 @@ class MultiPoly:
         # add; zero sums are dropped and guard bits checked once per output.
         if len(a_terms) > len(b_terms):
             a_terms, b_terms = b_terms, a_terms
-        b_items = list(b_terms.items())
-        out = {}
-        get = out.get
-        for m1, c1 in a_terms.items():
-            for m2, c2 in b_items:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        out = {m: c for m, c in out.items() if c}
+        if len(a_terms) == 1:     # adding one monomial is injective: nothing to add up or drop
+            [(m1, c1)] = a_terms.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in b_terms.items()}
+        else:
+            b_items = list(b_terms.items())
+            out = {}
+            get = out.get
+            for m1, c1 in a_terms.items():
+                for m2, c2 in b_items:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+            out = {m: c for m, c in out.items() if c}
         guard = self.table.guard
         for m in out:
             if m & guard:
@@ -482,8 +486,10 @@ class FactoredFn:
 
     def __add__(self, other: "FactoredFn") -> "FactoredFn":
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        n1 = self.num * self.base.factor_power(tuple(c - a for a, c in zip(self.den, den)))
-        n2 = other.num * self.base.factor_power(tuple(c - b for b, c in zip(other.den, den)))
+        # A side already over the common denominator is not multiplied by 1.
+        n1, n2 = (f.num if f.den == den else
+                  f.num * self.base.factor_power(tuple(c - a for a, c in zip(f.den, den)))
+                  for f in (self, other))
         return FactoredFn(self.base, n1 + n2, den)
 
     def __neg__(self) -> "FactoredFn":
@@ -494,9 +500,10 @@ class FactoredFn:
 
     def __mul__(self, other):
         if isinstance(other, FactoredFn):
-            return FactoredFn(
-                self.base, self.num * other.num, tuple(a + b for a, b in zip(self.den, other.den))
-            )
+            # A numerator that is the int constant 1 leaves the other one as it is.
+            p, q = self.num, other.num
+            num = q if _is_int_one(p.terms) else p if _is_int_one(q.terms) else p * q
+            return FactoredFn(self.base, num, tuple(a + b for a, b in zip(self.den, other.den)))
         return FactoredFn(self.base, self.num * other, self.den)
 
     __rmul__ = __mul__

@@ -99,7 +99,7 @@ def over_gaps(num: MultiPoly | int, pairs: Iterable[tuple[int, int]] = ()) -> Fa
         else:
             den[_GAP_INDEX[(b, a)]] += 1
             sign = -sign
-    return FactoredFn(GAP_BASE, num * sign, tuple(den))
+    return FactoredFn(GAP_BASE, num if sign > 0 else -num, tuple(den))
 
 
 def _coerce_coeff(c) -> FactoredFn:
@@ -115,6 +115,8 @@ def _coerce_coeff(c) -> FactoredFn:
 def _sort_gens(gens: Iterable[int]) -> tuple[tuple[int, ...], int]:
     """Insertion sort with parity; returns (sorted tuple, sign), sign 0 if repeated."""
     lst = list(gens)
+    if len(lst) < 2:
+        return tuple(lst), 1
     sign = 1
     for i in range(1, len(lst)):
         j = i
@@ -155,7 +157,7 @@ class Form:
         key, sign = _sort_gens(gens)
         if sign == 0:
             return cls()
-        return cls({key: coeff * sign})
+        return cls({key: coeff if sign > 0 else -coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -190,7 +192,7 @@ class Form:
                 key, sign = _sort_gens(m1 + m2)
                 if sign == 0:
                     continue
-                c = c1 * c2 * sign
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
                 s = out.get(key)
                 if s is None:
                     out[key] = c
@@ -208,7 +210,7 @@ class Form:
         if sign == 0:
             return _ZERO
         c = self.terms.get(key)
-        return _ZERO if c is None else c * sign
+        return _ZERO if c is None else c if sign > 0 else -c
 
     def vol_coefficient_raw(self) -> FactoredFn:
         """Coefficient of w1^w2^w3^w4 (requires a pure coframe form)."""
@@ -399,9 +401,8 @@ def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
         out = out + dc.wedge(Form({m: _ONE}))
         for pos, g in enumerate(m):
             rest = m[:pos] + m[pos + 1 :]
-            sign = -1 if pos % 2 else 1
             piece = _d_generator(g, mode).wedge(Form({rest: _ONE}))
-            out = out + piece.scale(coeff * sign)
+            out = out + piece.scale(-coeff if pos % 2 else coeff)
     return out
 
 

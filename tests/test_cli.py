@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, reports, determinism."""
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -546,6 +547,53 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path, capsys):
         fresh = run_cli(*argv)
         assert (out, err, code) == (fresh.stdout, fresh.stderr, fresh.returncode)
     assert code == 0 and json.loads(out)[0]["region"]["S"] == "8"
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _subcommand_flags(parser, command: str) -> list[str]:
+    return [a.dest for a in _subparsers(parser)[command]._actions if a.dest != "help"]
+
+
+def test_config_presets_a_flag_of_a_subcommand_not_yet_run(tmp_path, capsys):
+    # A new parser holds no subcommand's flags; the config overlay adds the
+    # chosen one's before it reads them, so it can preset a required flag.
+    cli.build_parser.cache_clear()
+    assert _subcommand_flags(cli.build_parser(), "cutoff") == []
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("eps = 0.1\nsamples = 64\n")
+    assert cli.main(["cutoff", "--config", str(cfg), "--quiet"]) == reports.EXIT_PASS
+    from_file = capsys.readouterr().out
+    assert cli.main(["cutoff", "--eps", "0.1", "--samples", "64", "--quiet"]) == reports.EXIT_PASS
+    assert from_file == capsys.readouterr().out
+
+
+def test_each_parser_adds_a_subcommands_flags_once(capsys):
+    # Subcommands run one after another in one process, as the benchmark's
+    # children run them; a cleared cache builds a parser without flags.
+    cli.build_parser.cache_clear()
+    first = cli.build_parser()
+    runs = [["examples", "--list"], ["cutoff", "--eps", "0.1", "--samples", "64"], ["examples", "--list"]]
+    outs = []
+    for argv in runs:
+        assert cli.main(argv + ["--quiet"]) == reports.EXIT_PASS
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2]
+    common = ["out", "config", "threads", "quiet"]
+    assert _subcommand_flags(first, "examples") == ["list", "check", "theorem", *common]
+    assert _subcommand_flags(first, "cutoff") == ["eps", "samples", "emit", *common]
+    assert _subcommand_flags(first, "solve") == []
+    cli.build_parser.cache_clear()
+    second = cli.build_parser()
+    assert second is not first and _subcommand_flags(second, "examples") == []
+    assert cli.main(runs[0] + ["--quiet"]) == reports.EXIT_PASS
+    assert capsys.readouterr().out == outs[0]
+    assert _subcommand_flags(second, "examples") == _subcommand_flags(first, "examples")
+    for command in _subparsers(first):
+        helps = [_subparsers(ap)[command].with_flags().format_help() for ap in (first, second)]
+        assert helps[0] == helps[1] and _subcommand_flags(second, command)
 
 
 @pytest.mark.parametrize("argv", [

@@ -420,3 +420,40 @@ def test_product_by_fraction_one_takes_the_loop(p):
     assert type(one.terms[0]) is Fraction
     for prod in (p * one, one * p):
         assert _typed_items(prod) == [(m, c, type(c)) for m, c in _loop_mul(p, one)]
+
+
+@given(typed_polys(), typed_polys(max_terms=1))
+@settings(max_examples=80, deadline=None)
+def test_product_by_one_term_matches_the_loop(p, t):
+    # A one-term operand takes one dict comprehension in place of the loop.
+    for prod in (p * t, t * p):
+        assert _typed_items(prod) == [(m, c, type(c)) for m, c in _loop_mul(p, t)]
+
+
+_x, _y, _z = _vars
+_SMALL_GAPS = FactorBase([_x - _y, _x - _z, _y - _z])
+_dens = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+def _lifted_sum(a: FactoredFn, b: FactoredFn) -> tuple[list, tuple[int, ...]]:
+    """a + b with both numerators multiplied up to the common denominator."""
+    den = tuple(max(x, y) for x, y in zip(a.den, b.den))
+    lift = [f.num * _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den))) for f in (a, b)]
+    return _typed_items(lift[0] + lift[1]), den
+
+
+@given(typed_polys(), typed_polys(), _dens, _dens)
+@settings(max_examples=100, deadline=None)
+def test_factored_sum_over_equal_or_one_sided_denominators_matches_the_lifted_sum(p, q, d, e):
+    # Equal denominators, and one side's dividing the other's, in both
+    # orders: a side already over the common denominator is not multiplied
+    # by the constant 1, with the same items, order and coefficient types.
+    below = tuple(min(x, y) for x, y in zip(d, e))
+    for da, db in ((d, d), (d, below), (below, d)):
+        a, b = FactoredFn(_SMALL_GAPS, p, da), FactoredFn(_SMALL_GAPS, q, db)
+        total = a + b
+        assert (_typed_items(total.num), total.den) == _lifted_sum(a, b)
+    # A unit numerator leaves the other factor's numerator as it is.
+    unit = FactoredFn(_SMALL_GAPS, MultiPoly.const(_small_table, 1), e)
+    for prod in (unit * a, a * unit):
+        assert _typed_items(prod.num) == [(m, c, type(c)) for m, c in _loop_mul(a.num, unit.num)]

@@ -218,6 +218,35 @@ def test_wedge_anticommutativity():
     assert (ff.omega(3).wedge(two) - two.wedge(ff.omega(3))).is_zero()
 
 
+def _typed(c):
+    return [(m, v, type(v)) for m, v in c.num.terms.items()], c.den
+
+
+def test_reorderings_negate_like_the_product_by_the_sign():
+    # monomial, wedge, coefficient_raw and over_gaps negate a coefficient
+    # for an odd reordering and keep it for an even one, where they once
+    # multiplied it by the scalar sign.  The types agree as well while no
+    # coefficient is an integral Fraction, which the product by the sign
+    # turned into an int; the engine's checks hold no Fraction at all.
+    num = ff.hsym(1, 2, 3) * 3 - ff.lam(1) * ff.lam(2) * F(1, 2) + 5
+    c = ff.over_gaps(num, [(1, 2)])
+    d = ff.over_gaps(ff.lam(4) * F(2, 7) + 1, [(3, 4), (2, 3)])
+    mono = ff.Form.monomial
+    cases = [
+        (mono((2, 1), c).terms[(1, 2)], c * -1),
+        (mono((1, 2), c).terms[(1, 2)], c * 1),
+        (mono((2,), c).wedge(mono((1,), d)).terms[(1, 2)], c * d * -1),
+        (mono((1, 3), c).wedge(mono((2, 4), d)).terms[(1, 2, 3, 4)], c * d * -1),
+        (mono((3,), c).wedge(mono((1, 2), d)).terms[(1, 2, 3)], c * d * 1),
+        (mono((1, 2), c).coefficient_raw((2, 1)), c * -1),
+        (mono((1, 2), c).coefficient_raw((1, 2)), c * 1),
+        (ff.over_gaps(num, [(2, 1)]), ff.over_gaps(num, [(1, 2)]) * -1),
+        (ff.over_gaps(num, [(2, 1), (4, 3)]), ff.over_gaps(num, [(1, 2), (3, 4)]) * 1),
+    ]
+    for got, product in cases:
+        assert _typed(got) == _typed(product)
+
+
 def test_wedge_bilinearity():
     a = ff.omega(1).scale(ff.lam(2)) + ff.omega(2).scale(3)
     b = ff.omega(3)
