@@ -22,8 +22,9 @@ raised once the run has started (a library's ValueError included) is a
 fault of the program: it exits 70 with the traceback on stderr, so a crash
 never reads as a failed check.  A flat key=value config file can preset
 any flag of the chosen subcommand; explicit flags win, unknown keys are
-rejected.  The parser adds a subcommand's flags only when it is chosen.  --threads (default 1) is checked like any other input but
-changes neither results nor speed: every run is serial.
+rejected.  The parser adds a subcommand's flags only when the
+subcommand is chosen.  --threads (default 1) is checked like any other
+input but changes neither results nor speed: every run is serial.
 """
 
 from __future__ import annotations
@@ -304,6 +305,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are usage errors, so `main` has one exit for bad input.
+
     A subcommand's parser adds its `flags` on first use (`with_flags`), so a run builds only its own."""
 
     def __init__(self, *args, flags=None, **kwargs):

@@ -352,8 +352,8 @@ def test_solve_reports_match_the_digest_manifest(manifest, capsys, monkeypatch):
     for entry in json.loads((GOLDEN / manifest).read_text()):
         if "stderr_sha256" in entry:
             out, err, code = _cli_streams(entry["argv"], capsys)
-            got = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest(), code)
-            if got != (entry["stdout_sha256"], entry["stderr_sha256"], entry["exit"]):
+            got = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)] + [code]
+            if got != [entry["stdout_sha256"], entry["stderr_sha256"], entry["exit"]]:
                 differ.append(" ".join(entry["argv"]))
             continue
         if "call" in entry:

@@ -438,8 +438,9 @@ _dens = st.tuples(*[st.integers(0, 2)] * 3)
 def _lifted_sum(a: FactoredFn, b: FactoredFn) -> tuple[list, tuple[int, ...]]:
     """a + b with both numerators multiplied up to the common denominator."""
     den = tuple(max(x, y) for x, y in zip(a.den, b.den))
-    lift = [f.num * _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den))) for f in (a, b)]
-    return _typed_items(lift[0] + lift[1]), den
+    n1, n2 = (f.num * _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den)))
+              for f in (a, b))
+    return _typed_items(n1 + n2), den
 
 
 @given(typed_polys(), typed_polys(), _dens, _dens)
@@ -454,6 +455,6 @@ def test_factored_sum_over_equal_or_one_sided_denominators_matches_the_lifted_su
         total = a + b
         assert (_typed_items(total.num), total.den) == _lifted_sum(a, b)
     # A unit numerator leaves the other factor's numerator as it is.
-    unit = FactoredFn(_SMALL_GAPS, MultiPoly.const(_small_table, 1), e)
-    for prod in (unit * a, a * unit):
-        assert _typed_items(prod.num) == [(m, c, type(c)) for m, c in _loop_mul(a.num, unit.num)]
+    f, unit = FactoredFn(_SMALL_GAPS, p, d), FactoredFn(_SMALL_GAPS, MultiPoly.const(_small_table, 1), e)
+    for prod in (unit * f, f * unit):
+        assert _typed_items(prod.num) == [(m, c, type(c)) for m, c in _loop_mul(p, unit.num)]
