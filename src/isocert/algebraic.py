@@ -17,6 +17,8 @@ intervals separate, falling back to an exact common-root test on equality.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -162,6 +164,22 @@ def run_lengths(equal_to_previous) -> list[int]:
         else:
             runs.append(1)
     return runs
+
+
+def power_sums(values, top: int) -> tuple:
+    """p1..p_top of the values, sum of v^k for k = 1..top.
+
+    Generic over any ring of values: only + and * are used, so the power
+    sums of exact spectra, of gap polynomials and of `QuadExt` tuples are
+    this one rule.
+    """
+    values = list(values)
+    sums, powers = [], values
+    for k in range(top):
+        if k:
+            powers = [p * v for p, v in zip(powers, values)]
+        sums.append(functools.reduce(operator.add, powers))
+    return tuple(sums)
 
 
 def cubic_bound_sign(S, A3) -> int:

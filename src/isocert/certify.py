@@ -31,14 +31,17 @@ still have a live cell in one pass, multiplying each prefix the terms
 share once, with the float operations of a term-by-term walk of each
 polynomial, so the enclosures are the walk's to the bit.
 
-The gamma*L_i products, the gap power sums and the gap slopes m0/m1 are
-written once, in `identities`, generic over the ring of gap values: the
-certifiers expand them over exact polynomials or evaluate them over
-intervals; the factor-sign notes of B_i are rendered from the bracket
-term it is built from, `identities.BAND_SINGULAR_TERMS`.  The cross-check's chart, collar tests and gaps are written once
-here: the two polynomial collar tests are decided over int64 arrays, and the
-rest by a float filter over intervals and, where an enclosure touches 0,
-over `QuadExt` at a scale where every value is an integer.
+The gamma*L_i products, the gap power sums, the gap slopes m0/m1 and the
+six gaps from the three primitive ones (`identities.gaps`, which the
+chamber and the cross-check's chart both call) are written once, in
+`identities`, generic over the ring of gap values: the certifiers expand
+them over exact polynomials or evaluate them over intervals; the
+factor-sign notes of B_i are rendered from the bracket term it is built
+from, `identities.BAND_SINGULAR_TERMS`.  The cross-check's chart and collar
+tests are written once here: the two polynomial collar tests are decided
+over int64 arrays, and the rest by a float filter over intervals and, where
+an enclosure touches 0, over `QuadExt` at a scale where every value is an
+integer.
 The tests check the gap form equal to the printed products exactly and
 every band enclosure against exact rational values.
 """
@@ -56,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import identities
-from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign
+from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign, power_sums
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
 from .vinterval import VI, float_down, float_up
@@ -158,14 +161,10 @@ class Chamber:
         q = VI.scalar(s_lo, s_hi, n) - l1.sq() - l2.sq()
         self.disc = q.scale(2.0) - s.sq()
         r = self.disc.sqrt_clamped()
-        self.g43 = r
         self.l3 = (s - r).scale(0.5)
         self.l4 = (s + r).scale(0.5)
-        self.g21 = l2 - l1
-        self.g32 = self.l3 - l2
-        self.g31 = self.g32 + self.g21
-        self.g42 = self.g43 + self.g32
-        self.g41 = self.g43 + self.g32 + self.g21
+        gaps = identities.gaps(l2 - l1, self.l3 - l2, r)
+        self.g21, self.g31, self.g32, self.g41, self.g42, self.g43 = gaps
 
     def select(self, mask) -> "Chamber":
         """The chamber of the selected cells: every field is elementwise."""
@@ -352,9 +351,7 @@ def _gaps(chart: tuple, ring: _Ring) -> tuple:
     """g21, g31, g32, g41, g42, g43, scaled by 2q/bn in the filter's units."""
     s, t, m = chart
     root = _root(m, ring)
-    g21, g32, g43 = ring.lift(2 * s), ring.lift(t) - root, root + root
-    g31, g42 = g32 + g21, g43 + g32
-    return g21, g31, g32, g42 + g21, g42, g43
+    return identities.gaps(ring.lift(2 * s), ring.lift(t) - root, root + root)
 
 
 class _LiChart:
@@ -535,11 +532,7 @@ def certify_okumura(n=4, tol=1e-6) -> Certificate:
 
 def okumura_equality_case_exact() -> dict:
     """Exact check that the normalized (3,-1,-1,-1) pattern attains the bound."""
-    a = [QuadExt.make(0, Fraction(3, 12), 12), QuadExt.make(0, Fraction(-1, 12), 12),
-         QuadExt.make(0, Fraction(-1, 12), 12), QuadExt.make(0, Fraction(-1, 12), 12)]
-    p1 = sum(a[1:], a[0])
-    p2 = sum((v * v for v in a[1:]), a[0] * a[0])
-    p3 = sum((v * v * v for v in a[1:]), a[0] * a[0] * a[0])
+    p1, p2, p3 = power_sums([QuadExt.make(0, Fraction(c, 12), 12) for c in (3, -1, -1, -1)], 3)
     return {
         "p1_zero": p1.sign() == 0,
         "p2_one": (p2 - QuadExt.rational(1)).sign() == 0,

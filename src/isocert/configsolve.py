@@ -43,7 +43,7 @@ from math import lcm
 
 from . import upoly as up
 from .algebraic import (AlgebraicNumber, QuadExt, _sqrt_bounds, _sqrt_grid, cubic_bound_sign,
-                        root_sum_sign, run_lengths)
+                        power_sums, root_sum_sign, run_lengths)
 
 
 # -- exact rational intervals -------------------------------------------------
@@ -416,7 +416,7 @@ def case_branch_identities(params: ScalarParams) -> dict:
     tab = SymbolTable(["x", "d"])
     x = MultiPoly.var(tab, "x")
     d = MultiPoly.var(tab, "d")
-    p3 = (-x - d) ** 3 + (-x + d) ** 3 + x**3 * 2
+    p3 = power_sums((-x - d, -x + d, x, x), 3)[2]
     sym_ok = (p3 - x * d**2 * (-6)).is_zero()
 
     sign_cert = {
@@ -440,8 +440,7 @@ def case_branch_identities(params: ScalarParams) -> dict:
             spots.append(val < 0)
     tab1 = SymbolTable(["t"])
     t = MultiPoly.var(tab1, "t")
-    p2 = (t * 3) ** 2 + t**2 * 3
-    p3p = (t * 3) ** 3 + (-t) ** 3 * 3
+    _, p2, p3p = power_sums((t * 3, -t, -t, -t), 3)
     cube_ok = (p3p**2 * 3 - p2**3).is_zero()
     return {
         "top_pair_cube_sum_identity": sym_ok,

@@ -4,7 +4,11 @@ Every model's principal curvatures live in a real quadratic field, so all
 power sums, the cubic bound, and every clause comparison are decided by
 exact arithmetic; isolating intervals of any requested width come from the
 same exact values.  The catalog covers the flat sphere, the three product
-tori, and the four-curvature tilted example with spectrum cot(pi/8 + k pi/4).
+tori (from the minimality equation cot^2(theta) = (4-k)/k) and the
+four-curvature example +-1 +- sqrt(2) = cot(pi/8 + k pi/4).  One builder,
+`_model`, sorts a spectrum and counts its multiplicities; each model
+computes its power sums once and derives every fact a check reports from
+them or from its spectrum, never from a hand-set flag or its name.
 
 `check_model` evaluates a rigidity statement clause by clause and never
 averages.  A failed conclusion clause listed in `DOCUMENTED_DISCREPANCIES`
@@ -15,25 +19,30 @@ violation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import QuadExt, cubic_bound_sign, run_lengths
+from .algebraic import QuadExt, cubic_bound_sign, power_sums, run_lengths
 
-_TWO_DISTINCT_NOTE = (
-    "catalog note: this example has exactly two distinct principal curvatures "
-    "everywhere, constant S = 4, and constant A3 = 8*sqrt(3)/3, which attains "
-    "the cubic bound A3 = S^(3/2)/sqrt(3) exactly.  The two-curvature rigidity "
-    "statement concludes A3 = 0, so its conclusion clause fails on this "
-    "catalogued spectrum; the strict-bound hypothesis of the general rigidity "
-    "statement excludes exactly this boundary case.  The discrepancy is "
-    "surfaced here deliberately and left unresolved."
-)
+
+def _two_distinct_note(a3: str, on_bound: str, excluded: str) -> str:
+    return ("catalog note: this example has exactly two distinct principal curvatures "
+            f"everywhere, constant S = 4, and constant A3 = {a3}, {on_bound} exactly.  "
+            "The two-curvature rigidity statement concludes A3 = 0, so its conclusion "
+            f"clause fails on this catalogued spectrum; {excluded}.  The discrepancy is "
+            "surfaced here deliberately and left unresolved.")
+
 
 # (model name, theorem, conclusion clause) -> note explaining why it fails.
 DOCUMENTED_DISCREPANCIES: dict[tuple[str, int, str], str] = {
-    ("clifford_torus_1", 2, "A3 = 0"): _TWO_DISTINCT_NOTE,
-    ("clifford_torus_3", 2, "A3 = 0"): _TWO_DISTINCT_NOTE,
+    ("clifford_torus_1", 2, "A3 = 0"): _two_distinct_note(
+        "8*sqrt(3)/3", "which attains the cubic bound A3 = S^(3/2)/sqrt(3)",
+        "the strict-bound hypothesis of the general rigidity statement excludes "
+        "exactly this boundary case"),
+    ("clifford_torus_3", 2, "A3 = 0"): _two_distinct_note(
+        "-8*sqrt(3)/3", "so -A3 attains the cubic bound -A3 = S^(3/2)/sqrt(3)",
+        "the hypothesis 0 <= A3 of the general rigidity statement excludes it by sign"),
 }
 
 
@@ -44,18 +53,11 @@ class ModelHypersurface:
     name: str
     spectrum: tuple          # 4 QuadExt values, ascending
     multiplicities: tuple    # per distinct value, ascending
-    h_all_zero: bool         # every second-derivative component vanishes
-    notes: tuple = ()
 
-    @property
+    @functools.cached_property
     def power_sums(self) -> dict[str, QuadExt]:
-        out = {}
-        for k in range(1, 5):
-            total = QuadExt.rational(0)
-            for lam in self.spectrum:
-                total = total + lam**k
-            out[f"p{k}"] = total
-        return out
+        """p1..p4 of the spectrum, computed once per model."""
+        return {f"p{k}": v for k, v in enumerate(power_sums(self.spectrum, 4), start=1)}
 
     @property
     def S(self) -> QuadExt:
@@ -80,66 +82,34 @@ class ModelHypersurface:
         return {k: v.interval(Fraction(width)) for k, v in self.power_sums.items()}
 
 
-def _mults_of(ordered: list[QuadExt]) -> tuple:
-    return tuple(run_lengths((a - b).sign() == 0 for a, b in zip(ordered, ordered[1:])))
+def _model(name: str, values) -> ModelHypersurface:
+    """The model of a spectrum: the values sorted, and the multiplicity of
+    each distinct value decided by exact comparison."""
+    ordered = sorted(values)
+    equal = ((a - b).sign() == 0 for a, b in zip(ordered, ordered[1:]))
+    return ModelHypersurface(name, tuple(ordered), tuple(run_lengths(equal)))
 
 
 def equatorial_sphere() -> ModelHypersurface:
-    zero = QuadExt.rational(0)
-    return ModelHypersurface(
-        name="equatorial_sphere",
-        spectrum=(zero, zero, zero, zero),
-        multiplicities=(4,),
-        h_all_zero=True,
-    )
+    return _model("equatorial_sphere", [QuadExt.rational(0)] * 4)
 
 
 def clifford_torus(k: int) -> ModelHypersurface:
-    """Product-sphere model: sqrt((4-k)/k) with multiplicity k, rest mirrored.
-
-    The minimality p1 = 0 and S = 4 are intrinsic to the construction; both
-    are re-verified exactly by the test suite.
+    """Product-sphere model S^k(r1) x S^(4-k)(r2): curvature cot(theta) with
+    multiplicity k and -tan(theta) with multiplicity 4-k, where minimality,
+    k cot(theta) = (4-k) tan(theta), gives cot^2(theta) = (4-k)/k.  So the
+    values are sqrt(k(4-k))/k and -sqrt(k(4-k))/(4-k).
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2, or 3")
-    if k == 2:
-        pos = QuadExt.rational(1)
-        neg = QuadExt.rational(-1)
-    else:
-        # sqrt(3) and -1/sqrt(3) = -sqrt(3)/3 (or mirrored for k = 3).
-        if k == 1:
-            pos = QuadExt.make(0, 1, 3)
-            neg = QuadExt.make(0, Fraction(-1, 3), 3)
-        else:
-            pos = QuadExt.make(0, Fraction(1, 3), 3)
-            neg = QuadExt.make(0, -1, 3)
-    vals = [pos] * k + [neg] * (4 - k)
-    ordered = sorted(vals)
-    return ModelHypersurface(
-        name=f"clifford_torus_{k}",
-        spectrum=tuple(ordered),
-        multiplicities=_mults_of(ordered),
-        h_all_zero=True,
-    )
+    r = k * (4 - k)
+    return _model(f"clifford_torus_{k}", [QuadExt.make(0, Fraction(1, k), r)] * k
+                  + [QuadExt.make(0, Fraction(-1, 4 - k), r)] * (4 - k))
 
 
 def isoparametric_g4() -> ModelHypersurface:
-    """Four distinct curvatures 1+sqrt2, sqrt2-1, 1-sqrt2, -1-sqrt2."""
-    vals = [
-        QuadExt.make(-1, -1, 2),
-        QuadExt.make(1, -1, 2),
-        QuadExt.make(-1, 1, 2),
-        QuadExt.make(1, 1, 2),
-    ]
-    ordered = sorted(vals)
-    return ModelHypersurface(
-        name="isoparametric_g4",
-        spectrum=tuple(ordered),
-        multiplicities=_mults_of(ordered),
-        h_all_zero=False,
-        notes=("off-diagonal second-derivative components are nonzero: "
-               "sum h_ijk^2 = S(S-4) = 96 here",),
-    )
+    """Four distinct curvatures +-1 +- sqrt(2), the roots of x^4 - 6x^2 + 1."""
+    return _model("isoparametric_g4", [QuadExt.make(a, b, 2) for a in (1, -1) for b in (1, -1)])
 
 
 _CATALOG = {
@@ -197,18 +167,18 @@ def check_model(model: ModelHypersurface, theorem: int) -> dict:
             f"S = {S}",
         ))
     elif theorem == 2:
+        two = model.distinct_count() == 2
         hyps.append(_clause(
-            "exactly two distinct principal curvatures at some point",
-            model.distinct_count() == 2,
+            "exactly two distinct principal curvatures at some point", two,
             f"distinct values: {model.distinct_count()}",
         ))
         concl.append(_clause("S = 4", (S - QuadExt.rational(4)).sign() == 0, f"S = {S}"))
         concl.append(_clause("A3 = 0", A3.sign() == 0, f"A3 = {A3}"))
         concl.append(_clause(
             "product-torus spectrum",
-            model.name.startswith("clifford_torus"),
+            two and model.spectrum == clifford_torus(model.multiplicities[-1]).spectrum,
         ))
-        if model.distinct_count() == 2 and model.h_all_zero:
+        if two and model.sum_h_squared().sign() == 0:
             val = S * (QuadExt.rational(4) - S) * 2
             extras.append(_clause(
                 "laplacian bookkeeping: 2(4-S)S + 2*sum h^2 = 0 forces S in {0, 4}",

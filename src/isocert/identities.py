@@ -25,6 +25,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import frameforms as ff
+from .algebraic import power_sums
 from .exactalg import FactoredFn, MultiPoly
 
 _L = {i: ff.lam(i) for i in range(1, 5)}
@@ -96,8 +97,15 @@ def gap_power_sums(a, b, c):
     `certify.certify_okumura` checks.
     """
     l1 = -(3 * a + 2 * b + c) / 4
-    lams = (l1, l1 + a, l1 + a + b, l1 + a + b + c)
-    return sum(x * x for x in lams), sum(x * x * x for x in lams)
+    return power_sums((l1, l1 + a, l1 + a + b, l1 + a + b + c), 3)[1:]
+
+
+def gaps(g21, g32, g43):
+    """The six gaps g_ij = l_i - l_j, i > j, from the three primitive ones:
+    (g21, g31, g32, g41, g42, g43) with g31 = g32 + g21, g42 = g43 + g32 and
+    g41 = g42 + g21.  Generic over any ring of gap values."""
+    g42 = g43 + g32
+    return g21, g32 + g21, g32, g42 + g21, g42, g43
 
 
 def gap_slope_form(which: str, gap, over):
@@ -117,8 +125,8 @@ def gap_slope_form(which: str, gap, over):
 
 def gamma_L_polynomials() -> dict[int, MultiPoly]:
     """The four printed products gamma * L_i, as exact polynomials."""
-    gaps = (ff.gap(i, j) for i, j in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)))
-    return dict(enumerate(gamma_L_printed(*gaps), start=1))
+    six = (ff.gap(i, j) for i, j in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)))
+    return dict(enumerate(gamma_L_printed(*six), start=1))
 
 
 def dtheta_target(i: int, j: int, mode: str) -> FactoredFn:

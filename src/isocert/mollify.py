@@ -37,11 +37,9 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
     """exp(-1/(1-u^2)) on (-1, 1), zero outside (vectorized, no warnings)."""
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) < 1.0
-    out = np.zeros_like(u)
     denom = np.where(inside, 1.0 - u * u, 1.0)
     with np.errstate(over="ignore"):
-        out = np.where(inside, np.exp(-1.0 / denom), 0.0)
-    return out
+        return np.where(inside, np.exp(-1.0 / denom), 0.0)
 
 
 # Rows per block of node evaluations: it bounds the (rows x nodes) arrays a

@@ -99,6 +99,14 @@ def test_gap_power_sums_match_direct_sums(xs):
     assert form.evaluate({"a": a, "b": b, "c": c}) == 4**6 * (p2**3 - 3 * p3**2)
 
 
+@given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_gaps_match_direct_differences(xs):
+    lam = sorted(xs)
+    direct = tuple(lam[i] - lam[j] for i, j in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)))
+    assert idn.gaps(lam[1] - lam[0], lam[2] - lam[1], lam[3] - lam[2]) == direct
+
+
 def test_okumura_form_vanishes_on_the_equality_set():
     form = _okumura_form
     assert form(F(1), F(0), F(0)) == 0 == form(F(0), F(0), F(1))

@@ -621,3 +621,15 @@ def test_mode_free_identities_are_computed_once(monkeypatch, capsys, argv):
         assert calls.count(name) == (1 if name in identities.MODE_FREE_NAMES else 2)
     assert all(checks[f"{name}.expanded"] == dict(checks[f"{name}.symbolic"], mode="expanded")
                for name in identities.MODE_FREE_NAMES)
+
+
+def test_exact_layer_imports_no_numpy():
+    # The exact modules, imported together in a fresh interpreter, load no
+    # float layer: no exact result can depend on numpy or interval floats.
+    exact = ("algebraic", "exactalg", "upoly", "frameforms", "identities", "configsolve",
+             "geomex", "reports")
+    code = (f"import importlib, sys\nfor m in {exact!r}: importlib.import_module('isocert.' + m)\n"
+            "print(sorted(m for m in ('numpy', 'isocert.vinterval') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=600)
+    assert out.stdout == "[]\n"

@@ -1,12 +1,13 @@
 """Model catalog landmarks, all by exact arithmetic."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from isocert import geomex as gx
-from isocert.algebraic import QuadExt
+from isocert.algebraic import QuadExt, power_sums
 
 
 def _rat(x):
@@ -55,7 +56,6 @@ def test_g4_model():
     assert (ps["p4"] - _rat(68)).sign() == 0
     assert m.multiplicities == (1, 1, 1, 1)
     assert (m.sum_h_squared() - _rat(96)).sign() == 0
-    assert not m.h_all_zero
 
 
 def test_power_sum_interval_widths():
@@ -109,15 +109,58 @@ def test_theorem_2_documented_discrepancy():
 
 
 def test_unrelated_note_does_not_excuse_a_failed_conclusion():
-    # g4's catalog note is about off-diagonal h, not about any theorem's
-    # conclusion; a spectrum with S = 10 fails "S in {0, 4, 12}".
+    # Only a documented (model, theorem, clause) excuses a failure: g4 has
+    # no note, and a spectrum with S = 10 fails "S in {0, 4, 12}".
     g4 = gx.isoparametric_g4()
-    assert g4.notes
     spectrum = tuple(_rat(v) for v in (-2, -1, 1, 2))
     model = dataclasses.replace(g4, spectrum=spectrum)
     rep = gx.check_model(model, 1)
     assert rep["status"] == "violated"
     assert "note" not in rep
+
+
+def _product_torus_clause(model) -> bool:
+    conclusions = gx.check_model(model, 2)["conclusions"]
+    return next(c["holds"] for c in conclusions if c["clause"] == "product-torus spectrum")
+
+
+def test_product_torus_clause_reads_the_spectrum_not_the_name():
+    assert all(_product_torus_clause(gx.clifford_torus(k)) for k in (1, 2, 3))
+    # Same name and multiplicities as the k = 1 torus, not its spectrum.
+    torus = gx.clifford_torus(1)
+    model = dataclasses.replace(torus, spectrum=tuple(_rat(v) for v in (-1, -1, -1, 3)))
+    assert model.name == torus.name and model.multiplicities == (3, 1)
+    assert not _product_torus_clause(model)
+
+
+def test_power_sums_are_computed_once_per_model(monkeypatch):
+    calls = []
+
+    def spy(values, top):
+        calls.append(top)
+        return power_sums(values, top)
+
+    monkeypatch.setattr(gx, "power_sums", spy)
+    for name in gx.catalog_names():
+        m = gx.get_model(name)
+        assert m.power_sums["p1"] is m.power_sums["p1"]
+        m.S, m.A3, m.scalar_curvature, m.sum_h_squared(), m.power_sum_intervals()
+        for theorem in (1, 2, 3):
+            gx.check_model(m, theorem)
+        assert len(calls) == 1, name
+        calls.clear()
+
+
+def test_each_documented_note_states_the_sign_of_its_models_A3():
+    models = {m.name: m for m in map(gx.get_model, gx.catalog_names())}
+    for (name, theorem, clause), note in gx.DOCUMENTED_DISCREPANCIES.items():
+        sign, num, radicand, den = re.search(
+            r"constant A3 = (-?)(\d+)\*sqrt\((\d+)\)/(\d+)", note).groups()
+        stated = QuadExt.make(0, F(int(sign + num), int(den)), int(radicand))
+        assert stated == models[name].A3, (name, note)
+        rep = gx.check_model(models[name], theorem)
+        assert rep["status"] == "documented_discrepancy" and rep["note"] == note
+        assert ("-A3 = S^(3/2)/sqrt(3)" in note) == (stated.sign() < 0)
 
 
 def test_theorem_3():

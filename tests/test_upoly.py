@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 import fraction_reference as ref
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign, quad_sign
+from isocert.algebraic import (AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign, power_sums,
+                               quad_sign)
 
 
 def test_isolate_sqrt_two():
@@ -255,6 +256,20 @@ def test_cubic_bound_sign():
     assert cubic_bound_sign(QuadExt.rational(8), QuadExt.rational(14)) == -1
     assert cubic_bound_sign(F(37, 4), QuadExt.make(0, F(5, 2), 3)) == 1
     assert cubic_bound_sign(4, QuadExt.make(0, F(8, 3), 3)) == 0    # 3 (8/sqrt(3))^2 = 64
+
+
+_SMALL = st.fractions(-5, 5, max_denominator=12)
+
+
+@given(st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=5), st.integers(1, 5))
+def test_power_sums_match_sums_of_powers(pairs, top):
+    """p1..p_top by + and * alone, against sum(v**k), over Fractions and
+    over QuadExt in Q(sqrt(3))."""
+    rationals = [a for a, _ in pairs]
+    quads = [QuadExt.make(a, b, 3) for a, b in pairs]
+    ks = range(1, top + 1)
+    assert power_sums(rationals, top) == tuple(sum(v**k for v in rationals) for k in ks)
+    assert power_sums(quads, top) == tuple(sum((v**k for v in quads), QuadExt.rational(0)) for k in ks)
 
 
 def test_quadext_mixed_radicand_rejected():
