@@ -566,6 +566,43 @@ class FactorBase:
         self._power_cache[exps] = out
         return out
 
+    def sum(self, fns: Iterable[FactoredFn]) -> FactoredFn:
+        """The sum of fns over one common denominator, the elementwise maximum of theirs.
+
+        Each numerator is lifted once, by its cached `factor_power` cofactor,
+        straight into one term dict; a chain of `+` would lift every partial
+        sum again.  Over equal denominators the terms, their order and their
+        types are those of the chain of `+`.  Guard bits are checked once per
+        output monomial, as in `MultiPoly.__mul__`.
+        """
+        fns = list(fns)
+        den = self.zero_den
+        for f in fns:
+            if f.den != den:
+                den = tuple(map(max, den, f.den))
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for f in fns:
+            terms = f.num.terms.items()
+            if f.den != den:
+                cofactor = self.factor_power(tuple(c - a for a, c in zip(f.den, den))).terms.items()
+                terms = [(m1 + m2, c1 * c2) for m1, c1 in terms for m2, c2 in cofactor]
+            for m, c in terms:
+                s = get(m)
+                if s is None:
+                    out[m] = c
+                else:
+                    s = s + c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        guard = self.table.guard
+        for m in out:
+            if m & guard:
+                raise MonomialOverflowError()
+        return FactoredFn(self, MultiPoly._own(self.table, out), den)
+
     def one(self) -> FactoredFn:
         return FactoredFn(self, MultiPoly.const(self.table, 1), self.zero_den)
 

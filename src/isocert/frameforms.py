@@ -16,10 +16,12 @@ after which connection generators are expanded through
 
     w_ij = sum_k h_ijk w_k / (l_i - l_j).
 
-One substitution expands each distinct generator once and wedges the same
-expansion into every term that carries it; nothing is kept between
-substitutions, so each check pays for its own expansions, as a one-check
-command-line run does.
+A check needs only the w1^w2^w3^w4 coefficient of the expanded top-degree
+form, and `Form.vol_coefficient` reads it straight off the mixed form from
+the per-leg coefficients h_ijk / (l_i - l_j) (`connection_coefficient`, the
+one copy of the expansion rule); the expanded form is never built.  Nothing
+is kept between calls, so each check pays for its own expansions, as a
+one-check command-line run does.
 
 The diagonal derivative family h_jji (j in 1..3) is eliminated in favor of
 h_44i using the three linear constraints that come from differentiating the
@@ -27,9 +29,8 @@ constant power sums.  The elimination is applied where an h symbol is
 created (h_coeff, called by the d l_j rule and the connection expansion), so
 no form ever carries h_11i, h_22i or h_33i; this is sound because the
 substitution commutes with sums, wedges and scaling and d never
-differentiates an h symbol.  The result is a pure coframe form whose
-top-degree coefficient can be compared, exactly, against an independently
-transcribed target formula.
+differentiates an h symbol.  The volume coefficient is then compared,
+exactly, against an independently transcribed target formula.
 
 Every denominator that can occur on this pipeline is a product of the six
 curvature gaps l_i - l_j, so coefficients are carried as FactoredFn over
@@ -44,6 +45,7 @@ the volume form is w1^w2^w3^w4.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Mapping
 
 from .exactalg import FactorBase, FactoredFn, MultiPoly, SymbolTable
@@ -74,7 +76,6 @@ GAP_BASE = FactorBase([lam(i) - lam(j) for i, j in _C_PAIRS])
 _GAP_INDEX = {pair: k for k, pair in enumerate(_C_PAIRS)}
 
 _ONE = GAP_BASE.one()
-_ZERO = GAP_BASE.zero()
 _POLY_ONE = MultiPoly.const(GEOMETRY, 1)
 
 
@@ -204,20 +205,34 @@ class Form:
                         out[key] = s
         return Form(out)
 
-    def coefficient_raw(self, gens: Iterable[int]) -> FactoredFn:
-        """Coefficient of the given wedge monomial, as stored (not normalized)."""
-        key, sign = _sort_gens(gens)
-        if sign == 0:
-            return _ZERO
-        c = self.terms.get(key)
-        return _ZERO if c is None else c if sign > 0 else -c
+    def vol_coefficient(self) -> FactoredFn:
+        """Coefficient of w1^w2^w3^w4 once every connection generator is expanded.
 
-    def vol_coefficient_raw(self) -> FactoredFn:
-        """Coefficient of w1^w2^w3^w4 (requires a pure coframe form)."""
-        for m in self.terms:
-            if any(g >= 10 for g in m):
-                raise ValueError("form still contains connection generators")
-        return self.coefficient_raw((1, 2, 3, 4))
+        Needs a form of top degree 4.  A term c w_ws ^ w_g1 ^ ... ^ w_gr
+        (legs sort first) gives, for each ordering k1..kr of the legs
+        missing from ws, c times the connection coefficients of (g1, k1),
+        ..., (gr, kr), with the sign of sorting ws + (k1, ..., kr).  The
+        connection coefficients, the smaller factors, are multiplied first;
+        each is built at most once per call, and all products are added over
+        one common denominator.
+        """
+        conn: dict[tuple[int, int], FactoredFn] = {}
+        pieces = []
+        for m, coeff in self.terms.items():
+            if len(m) != len(_W):
+                raise ValueError(f"not a top-degree form: a term of degree {len(m)}")
+            ws = tuple(g for g in m if g < 10)
+            gens = m[len(ws):]
+            for legs in permutations([k for k in _W if k not in ws]):
+                c = None
+                for g, k in zip(gens, legs):
+                    a = conn.get((g, k))
+                    if a is None:
+                        a = conn[g, k] = connection_coefficient(g // 10, g % 10, k)
+                    c = a if c is None else c * a
+                c = coeff if c is None else coeff * c
+                pieces.append(c if _sort_gens(ws + legs)[1] > 0 else -c)
+        return GAP_BASE.sum(pieces)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -242,19 +257,15 @@ def connection_generator(i: int, j: int) -> Form:
     return Form.monomial((g,), s)
 
 
-def connection_form(i: int, j: int) -> Form:
-    """w_ij expanded on the coframe: sum_k h_ijk w_k / (l_i - l_j).
+def connection_coefficient(i: int, j: int, k: int) -> FactoredFn:
+    """The w_k coefficient of w_ij = sum_k h_ijk w_k / (l_i - l_j).
 
     The k = i and k = j terms are diagonal derivatives; those with index
     below 4 enter already rewritten as multiples of h_44i (see h_coeff).
     """
     if i == j:
         raise ValueError("w_ii is undefined: the expansion requires i != j")
-    out = Form.zero()
-    inv_gap = over_gaps(1, [(i, j)])
-    for k in _W:
-        out = out + Form.monomial((k,), h_coeff(i, j, k) * inv_gap)
-    return out
+    return h_coeff(i, j, k) * over_gaps(1, [(i, j)])
 
 
 def gauss_factor(i: int, j: int, mode: str) -> MultiPoly:
@@ -296,28 +307,9 @@ def h_coeff(i: int, j: int, k: int) -> FactoredFn:
     Every h symbol the engine creates comes from here, so no form ever
     carries the eliminated diagonal family.
     """
-    sub = _DIAGONAL_MAP.get(SymbolTable.h_name(i, j, k))
-    return sub if sub is not None else GAP_BASE.from_poly(hsym(i, j, k))
-
-
-def substitute_connections(form: Form) -> Form:
-    """Expand every connection generator on the coframe via h_ijk/(l_i - l_j).
-
-    Generators sort with coframe legs first, so the split below preserves
-    the stored sign.  Each distinct generator is expanded once per call.
-    """
-    expansions: dict[int, Form] = {}
-    out = Form.zero()
-    for m, coeff in form.terms.items():
-        ws = tuple(g for g in m if g < 10)
-        piece = Form({ws: coeff})
-        for g in m[len(ws):]:
-            c = expansions.get(g)
-            if c is None:
-                c = expansions[g] = connection_form(g // 10, g % 10)
-            piece = piece.wedge(c)
-        out = out + piece
-    return out
+    name = SymbolTable.h_name(i, j, k)
+    sub = _DIAGONAL_MAP.get(name)
+    return sub if sub is not None else GAP_BASE.from_poly(MultiPoly.var(GEOMETRY, name))
 
 
 _LAMBDA_NAMES = frozenset(f"l{i}" for i in _W)
@@ -392,8 +384,9 @@ def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
     """d on the closure of {w_i, w_ij, curvature scalars} under wedge and sum.
 
     The result is in the mixed generators, before connection substitution
-    (`substitute_connections`); its coefficients already carry h_44i in
-    place of h_11i, h_22i, h_33i.
+    (`Form.vol_coefficient` reads a top-degree result with the connection
+    generators expanded); its coefficients already carry h_44i in place of
+    h_11i, h_22i, h_33i.
     """
     out = Form.zero()
     for m, coeff in form.terms.items():

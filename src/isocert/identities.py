@@ -315,38 +315,44 @@ def _report(name: str, mode: str, engine: FactoredFn, target: FactoredFn, extrac
     )
 
 
+def engine_form(name: str, mode: str = "symbolic") -> ff.Form:
+    """The top-degree coframe form whose volume coefficient the named check reads."""
+    if name.startswith("dtheta_"):
+        return ff.exterior_derivative(ff.theta(int(name[-2]), int(name[-1])), mode=mode)
+    if name == "dphi":
+        return ff.exterior_derivative(ff.phi(), mode=mode)
+    if name in ("dg_phi", "df_phi"):
+        sq = (_L[2] - _L[1]) ** 2 if name == "dg_phi" else (_L[3] - _L[2]) ** 2
+        return ff.scalar_differential(sq).wedge(ff.phi())
+    if name in CONTRACTION_NAMES:
+        return ff.omega(int(name[1])).wedge(ff.phi())
+    raise ValueError(f"unknown identity {name!r}")
+
+
 def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
     """Run one named identity check; residual must be exactly zero to pass."""
     if mode not in ff.MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
+    engine = engine_form(name, mode).vol_coefficient()
     if name.startswith("dtheta_"):
-        i, j = int(name[-2]), int(name[-1])
-        d = ff.substitute_connections(ff.exterior_derivative(ff.theta(i, j), mode=mode))
-        return _report(name, mode, d.vol_coefficient_raw(), dtheta_target(i, j, mode))
+        return _report(name, mode, engine, dtheta_target(int(name[-2]), int(name[-1]), mode))
     if name == "dphi":
-        engine = ff.substitute_connections(ff.exterior_derivative(ff.phi(), mode=mode)).vol_coefficient_raw()
         gL = gamma_L_polynomials()
         extracted = {f"gamma_L{i}": str(gL[i]) for i in gL}
         extracted["gamma"] = str(gamma_polynomial())
         return _report(name, mode, engine, dphi_target(mode), extracted)
-    if name.startswith("w") and name.endswith("_phi"):
-        i = int(name[1])
-        engine = ff.substitute_connections(ff.omega(i).wedge(ff.phi())).vol_coefficient_raw()
-        target = contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i))
-        return _report(name, mode, engine, target)
     if name in ("dg_phi", "df_phi"):
         which = "g" if name == "dg_phi" else "f"
-        sq = (_L[2] - _L[1]) ** 2 if which == "g" else (_L[3] - _L[2]) ** 2
-        engine = ff.substitute_connections(ff.scalar_differential(sq).wedge(ff.phi())).vol_coefficient_raw()
         m = gap_slope(which)
         target = ff.GAP_BASE.zero()
         for i in range(1, 5):
             target = target + m * contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i) ** 2)
         extracted = {k: str(v) for k, v in gap_band_quantities(which).items()}
         return _report(name, mode, engine, target, extracted)
-    raise ValueError(f"unknown identity {name!r}")
+    i = int(name[1])
+    return _report(name, mode, engine, contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i)))
 
 
 def run_identity_suite(modes=("symbolic", "expanded")) -> list[IdentityReport]:

@@ -1,5 +1,7 @@
 """Exact algebra substrate: ring axioms, canonical forms, frozen values."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -458,3 +460,48 @@ def test_factored_sum_over_equal_or_one_sided_denominators_matches_the_lifted_su
     f, unit = FactoredFn(_SMALL_GAPS, p, d), FactoredFn(_SMALL_GAPS, MultiPoly.const(_small_table, 1), e)
     for prod in (unit * f, f * unit):
         assert _typed_items(prod.num) == [(m, c, type(c)) for m, c in _loop_mul(p, unit.num)]
+
+
+@st.composite
+def _factored_pieces(draw):
+    """Up to five pieces, some of them zero, and the negations of some of them."""
+    pieces = [FactoredFn(_SMALL_GAPS, p, d) for p, d in draw(st.lists(st.tuples(typed_polys(), _dens), max_size=5))]
+    return pieces + [-f for f in pieces if draw(st.booleans())]
+
+
+def _chained_sum(fns):
+    return functools.reduce(operator.add, fns, _SMALL_GAPS.zero())
+
+
+@given(_factored_pieces())
+@settings(max_examples=100, deadline=None)
+def test_sum_over_one_denominator_matches_chained_addition(fns):
+    got, want = _SMALL_GAPS.sum(fns).normalize(), _chained_sum(fns).normalize()
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(st.lists(typed_polys(), max_size=5), _dens)
+@settings(max_examples=80, deadline=None)
+def test_sum_over_equal_denominators_adds_the_numerators_as_chained_addition_does(nums, d):
+    # Nothing is lifted: the terms, their order and their types are those
+    # of the chain of +, zero numerators included.
+    fns = [FactoredFn(_SMALL_GAPS, p, d) for p in nums]
+    got, want = _SMALL_GAPS.sum(fns), _chained_sum(fns)
+    assert (_typed_items(got.num), got.den) == (_typed_items(want.num), want.den)
+
+
+def test_sum_of_nothing_and_of_cancelling_pieces_is_zero():
+    assert _SMALL_GAPS.sum([]).is_zero()
+    f = FactoredFn(_SMALL_GAPS, _x * _y + 3, (1, 0, 2))
+    g = FactoredFn(_SMALL_GAPS, _z, (0, 2, 0))
+    total = _SMALL_GAPS.sum([f, g, -f, _SMALL_GAPS.zero(), -g])
+    assert total.is_zero() and total.den == _SMALL_GAPS.zero_den
+
+
+def test_sum_raises_where_a_lift_overflows_an_exponent():
+    # x^127 lifted by (x - y) needs x^128, as in the chain of + it replaces.
+    fns = [FactoredFn(_SMALL_GAPS, _x ** MAX_EXPONENT, (0, 0, 0)),
+           FactoredFn(_SMALL_GAPS, _z, (1, 0, 0))]
+    for add in (_SMALL_GAPS.sum, _chained_sum):
+        with pytest.raises(MonomialOverflowError):
+            add(fns)

@@ -12,33 +12,34 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isocert import frameforms as ff
 from isocert import identities as idn
 from isocert.exactalg import MultiPoly, SymbolTable, divexact
 from normal_form import value
+from substitution_reference import coefficient, connection_form, substitute_connections
+from substitution_reference import vol_coefficient as reference_vol_coefficient
 
 L = {i: ff.lam(i) for i in range(1, 5)}
 PROBE = {"l1": -3, "l2": -1, "l3": 1, "l4": 3}
 
 
 def test_connection_antisymmetry():
-    total = ff.connection_form(1, 2) + ff.connection_form(2, 1)
-    assert total.is_zero()
+    for k in range(1, 5):
+        assert (ff.connection_coefficient(1, 2, k) + ff.connection_coefficient(2, 1, k)).is_zero()
     with pytest.raises(ValueError):
-        ff.connection_form(2, 2)
+        ff.connection_coefficient(2, 2, 1)
 
 
 def test_connection_coefficients():
-    w12 = ff.connection_form(1, 2)
-    c = w12.coefficient_raw((3,)).normalize()
+    c = ff.connection_coefficient(1, 2, 3).normalize()
     # c == h123 / (l1 - l2), decided by cross-multiplication.
     assert c.num * (L[1] - L[2]) == ff.hsym(1, 2, 3) * c.den_poly()
 
 
 def test_connection_value_at_probe():
-    w34 = ff.connection_form(3, 4)
-    coeff = w34.coefficient_raw((4,)).normalize()
+    coeff = ff.connection_coefficient(3, 4, 4).normalize()
     val = value(coeff, {**PROBE, SymbolTable.h_name(3, 4, 4): 1})
     assert val == F(-1, 2)
 
@@ -49,11 +50,11 @@ def test_gauss_components():
     one = MultiPoly.const(ff.GEOMETRY, 1)
     for mode, r12 in (("symbolic", ff.rsym(1, 2)), ("expanded", one + L[1] * L[2])):
         d = ff.exterior_derivative(ff.connection_generator(1, 2), mode=mode)
-        c12 = d.coefficient_raw((1, 2)).normalize()
-        c21 = d.coefficient_raw((2, 1)).normalize()
+        c12 = coefficient(d, (1, 2)).normalize()
+        c21 = coefficient(d, (2, 1)).normalize()
         assert (c12.num, c12.den) == (-r12, ff.GAP_BASE.zero_den)
         assert (c21.num, c21.den) == (r12, ff.GAP_BASE.zero_den)
-        assert d.coefficient_raw((3, 4)).normalize().is_zero()
+        assert coefficient(d, (3, 4)).normalize().is_zero()
 
 
 def diagonal_derivative_relations(i: int) -> dict:
@@ -151,14 +152,19 @@ def test_no_form_carries_eliminated_diagonal_symbols():
     # h_11i, h_22i, h_33i are replaced where they are created, so no engine
     # output mentions them, with or without connection substitution.
     assert len(_ELIMINATED) == 12
-    forms = [ff.connection_form(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
+    forms = [connection_form(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]
     forms += [ff.scalar_differential((L[2] - L[1]) ** 2), ff.scalar_differential((L[3] - L[2]) ** 2)]
     for source in [ff.theta(i, j) for i, j in combinations(range(1, 5), 2)] + [ff.phi()]:
-        forms += [ff.exterior_derivative(source), ff.substitute_connections(ff.exterior_derivative(source))]
+        forms += [ff.exterior_derivative(source), substitute_connections(ff.exterior_derivative(source))]
     assert len(forms) == 12 + 2 + 14
     for form in forms:
         assert not form.is_zero()
         assert not _eliminated_symbols(form), form
+    for k in range(1, 5):
+        for i, j in combinations(range(1, 5), 2):
+            assert not ff.connection_coefficient(i, j, k).num.symbols_used() & _ELIMINATED
+    for name in idn.IDENTITY_NAMES:
+        assert not idn.engine_form(name).vol_coefficient().num.symbols_used() & _ELIMINATED
 
 
 def test_scalar_differential_of_constant_power_sums():
@@ -174,7 +180,7 @@ def test_scalar_differential_slopes():
         d = ff.scalar_differential(sq)
         m = idn.gap_slope(which)
         for i in range(1, 5):
-            coeff = d.coefficient_raw((i,))
+            coeff = coefficient(d, (i,))
             target = m * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i))
             assert (coeff - target).is_zero()
 
@@ -200,12 +206,12 @@ def test_b1g_value_at_probe():
 
 def test_coefficient_access_respects_orientation():
     form = ff.omega(1).wedge(ff.omega(2))
-    c12 = form.coefficient_raw((1, 2)).normalize()
-    c21 = form.coefficient_raw((2, 1)).normalize()
+    c12 = coefficient(form, (1, 2)).normalize()
+    c21 = coefficient(form, (2, 1)).normalize()
     one = MultiPoly.const(ff.GEOMETRY, 1)
     assert (c12.num, c12.den) == (one, ff.GAP_BASE.zero_den)
     assert (c21.num, c21.den) == (-one, ff.GAP_BASE.zero_den)
-    assert form.coefficient_raw((1, 1)).normalize().is_zero()
+    assert coefficient(form, (1, 1)).normalize().is_zero()
 
 
 def test_wedge_anticommutativity():
@@ -223,7 +229,7 @@ def _typed(c):
 
 
 def test_reorderings_negate_like_the_product_by_the_sign():
-    # monomial, wedge, coefficient_raw and over_gaps negate a coefficient
+    # monomial, wedge, coefficient lookup and over_gaps negate a coefficient
     # for an odd reordering and keep it for an even one, where they once
     # multiplied it by the scalar sign.  The types agree as well while no
     # coefficient is an integral Fraction, which the product by the sign
@@ -238,8 +244,8 @@ def test_reorderings_negate_like_the_product_by_the_sign():
         (mono((2,), c).wedge(mono((1,), d)).terms[(1, 2)], c * d * -1),
         (mono((1, 3), c).wedge(mono((2, 4), d)).terms[(1, 2, 3, 4)], c * d * -1),
         (mono((3,), c).wedge(mono((1, 2), d)).terms[(1, 2, 3)], c * d * 1),
-        (mono((1, 2), c).coefficient_raw((2, 1)), c * -1),
-        (mono((1, 2), c).coefficient_raw((1, 2)), c * 1),
+        (coefficient(mono((1, 2), c), (2, 1)), c * -1),
+        (coefficient(mono((1, 2), c), (1, 2)), c * 1),
         (ff.over_gaps(num, [(2, 1)]), ff.over_gaps(num, [(1, 2)]) * -1),
         (ff.over_gaps(num, [(2, 1), (4, 3)]), ff.over_gaps(num, [(1, 2), (3, 4)]) * 1),
     ]
@@ -274,7 +280,7 @@ def test_anti_derivation_law():
 
 def test_derivative_of_top_degree_form():
     vol = ff.omega(1).wedge(ff.omega(2)).wedge(ff.omega(3)).wedge(ff.omega(4))
-    assert ff.substitute_connections(ff.exterior_derivative(vol)).is_zero()
+    assert substitute_connections(ff.exterior_derivative(vol)).is_zero()
 
 
 def test_dtheta_12_exact():
@@ -287,8 +293,7 @@ def test_dtheta_12_exact():
 def test_dphi_isoparametric_specialization():
     # With every second-derivative symbol sent to zero the volume
     # coefficient of d(Phi) is minus the sum of the six curvature symbols.
-    dphi = ff.substitute_connections(ff.exterior_derivative(ff.phi(), mode="symbolic"))
-    engine = dphi.vol_coefficient_raw().normalize()
+    engine = ff.exterior_derivative(ff.phi(), mode="symbolic").vol_coefficient().normalize()
     num = engine.num
     h_fields = [i for i, name in enumerate(ff.GEOMETRY.names) if name.startswith("h")]
     specialized = MultiPoly(ff.GEOMETRY, {
@@ -361,15 +366,81 @@ def test_unknown_identity_name_rejected():
 @pytest.mark.parametrize("name", idn.DTHETA_NAMES + ("dphi",))
 @pytest.mark.parametrize("mode", ff.MODES)
 def test_substitution_expands_each_connection_form_once(monkeypatch, name, mode):
-    # One check substitutes once, and that substitution builds each
-    # generator's expansion at most once.
+    # One check builds each (generator, leg) connection coefficient it needs
+    # exactly once: every leg missing from a term, for each of the term's
+    # generators, and nothing else.
+    needed = set()
+    for m in idn.engine_form(name, mode).terms:
+        free = [k for k in range(1, 5) if k not in m]
+        needed |= {(g // 10, g % 10, k) for g in m if g >= 10 for k in free}
     built = []
-    expand = ff.connection_form
+    expand = ff.connection_coefficient
 
-    def spy(i, j):
-        built.append((i, j))
-        return expand(i, j)
+    def spy(i, j, k):
+        built.append((i, j, k))
+        return expand(i, j, k)
 
-    monkeypatch.setattr(ff, "connection_form", spy)
+    monkeypatch.setattr(ff, "connection_coefficient", spy)
     assert idn.verify_identity(name, mode).residual_is_zero
-    assert built and len(built) == len(set(built))
+    assert len(built) == len(set(built))
+    assert set(built) == needed
+
+
+def _same_function(a, b):
+    a, b = a.normalize(), b.normalize()
+    return a.num == b.num and a.den == b.den
+
+
+@pytest.mark.parametrize("name", idn.IDENTITY_NAMES)
+@pytest.mark.parametrize("mode", ff.MODES)
+def test_vol_coefficient_matches_the_generic_substitution(name, mode):
+    form = idn.engine_form(name, mode)
+    assert _same_function(form.vol_coefficient(), reference_vol_coefficient(form))
+
+
+_GEN_ORDER = (1, 2, 3, 4, 12, 13, 14, 23, 24, 34)
+_COEFF_SYMBOLS = [n for n in ff.GEOMETRY.names if not n.startswith("R")]
+
+
+@st.composite
+def _gap_coefficients(draw):
+    """A small polynomial in l and h symbols over a product of gaps in any orientation."""
+    num = MultiPoly.zero(ff.GEOMETRY)
+    for _ in range(draw(st.integers(1, 3))):
+        mono = MultiPoly.const(ff.GEOMETRY, draw(st.integers(-3, 3)))
+        for name in draw(st.lists(st.sampled_from(_COEFF_SYMBOLS), max_size=2)):
+            mono = mono * MultiPoly.var(ff.GEOMETRY, name)
+        num = num + mono
+    pairs = draw(st.lists(st.sampled_from([(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]),
+                          max_size=3))
+    return ff.over_gaps(num, pairs)
+
+
+@st.composite
+def _top_degree_forms(draw):
+    """Sums of monomials w_ws ^ w_g1 ^ ... ^ w_gr of degree 4, in any generator order."""
+    form = ff.Form.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(0, 4))
+        legs = draw(st.lists(st.sampled_from(_GEN_ORDER[:4]), min_size=4 - r, max_size=4 - r, unique=True))
+        gens = draw(st.lists(st.sampled_from(_GEN_ORDER[4:]), min_size=r, max_size=r, unique=True))
+        order = draw(st.permutations(legs + gens))
+        form = form + ff.Form.monomial(order, draw(_gap_coefficients()))
+    return form
+
+
+@given(_top_degree_forms())
+@settings(max_examples=60, deadline=None)
+def test_vol_coefficient_of_random_top_degree_forms(form):
+    assert _same_function(form.vol_coefficient(), reference_vol_coefficient(form))
+
+
+def test_vol_coefficient_needs_a_top_degree_form():
+    with pytest.raises(ValueError):
+        ff.theta(1, 2).vol_coefficient()
+    vol = ff.omega(1).wedge(ff.omega(2)).wedge(ff.omega(3)).wedge(ff.omega(4))
+    with pytest.raises(ValueError):
+        vol.wedge(ff.connection_generator(1, 2)).vol_coefficient()
+    with pytest.raises(ValueError):
+        (vol + ff.theta(3, 4)).vol_coefficient()
+    assert ff.Form.zero().vol_coefficient().is_zero()
