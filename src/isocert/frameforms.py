@@ -383,10 +383,10 @@ def _d_generator(g: int, mode: str) -> Form:
 def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
     """d on the closure of {w_i, w_ij, curvature scalars} under wedge and sum.
 
-    The result is in the mixed generators, before connection substitution
-    (`Form.vol_coefficient` reads a top-degree result with the connection
-    generators expanded); its coefficients already carry h_44i in place of
-    h_11i, h_22i, h_33i.
+    The result is in the mixed generators, its connection generators not
+    expanded (`Form.vol_coefficient` expands them as it reads a top-degree
+    result); its coefficients already carry h_44i in place of h_11i,
+    h_22i, h_33i.
     """
     out = Form.zero()
     for m, coeff in form.terms.items():
