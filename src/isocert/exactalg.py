@@ -38,6 +38,14 @@ Representation:
                             irreducible, so num and the expanded denominator
                             `den_poly` are coprime, and two equal rational
                             functions over one base have equal num and den.
+  Sums                    = one rule adds like terms: `_add_into` adds
+                            (monomial, coefficient) pairs into a term dict
+                            and deletes the sums that vanish.
+                            `MultiPoly.__add__` adds one operand's terms into
+                            a copy of the other's; `FactorBase.sum` lifts
+                            each numerator to the common denominator and adds
+                            them all into one dict; `FactoredFn.__add__` is
+                            that sum of two.
 
 Index conventions for the curvature problem are handled at symbol-interning
 time: second-derivative symbols h_ijk are fully symmetric, so `SymbolTable.h`
@@ -164,6 +172,21 @@ def _is_int_one(terms: dict[int, Scalar]) -> bool:
     return len(terms) == 1 and type(terms.get(0)) is int and terms[0] == 1
 
 
+def _add_into(out: dict[int, Scalar], terms: Iterable[tuple[int, Scalar]]) -> None:
+    """Add (monomial, coefficient) pairs into a term dict, deleting the sums that vanish."""
+    get = out.get
+    for m, c in terms:
+        s = get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -226,16 +249,7 @@ class MultiPoly:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _add_into(out, other.terms.items())
         return MultiPoly._own(self.table, out)
 
     __radd__ = __add__
@@ -485,12 +499,7 @@ class FactoredFn:
         return self.num.is_zero()
 
     def __add__(self, other: "FactoredFn") -> "FactoredFn":
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        # A side already over the common denominator is not multiplied by 1.
-        n1, n2 = (f.num if f.den == den else
-                  f.num * self.base.factor_power(tuple(c - a for a, c in zip(f.den, den)))
-                  for f in (self, other))
-        return FactoredFn(self.base, n1 + n2, den)
+        return self.base.sum((self, other))
 
     def __neg__(self) -> "FactoredFn":
         return FactoredFn(self.base, -self.num, self.den)
@@ -570,10 +579,9 @@ class FactorBase:
         """The sum of fns over one common denominator, the elementwise maximum of theirs.
 
         Each numerator is lifted once, by its cached `factor_power` cofactor,
-        straight into one term dict; a chain of `+` would lift every partial
-        sum again.  Over equal denominators the terms, their order and their
-        types are those of the chain of `+`.  Guard bits are checked once per
-        output monomial, as in `MultiPoly.__mul__`.
+        straight into one term dict by `_add_into`; a numerator already over
+        the common denominator is added as it is.  Guard bits are checked
+        once per output monomial, as in `MultiPoly.__mul__`.
         """
         fns = list(fns)
         den = self.zero_den
@@ -581,22 +589,12 @@ class FactorBase:
             if f.den != den:
                 den = tuple(map(max, den, f.den))
         out: dict[int, Scalar] = {}
-        get = out.get
         for f in fns:
             terms = f.num.terms.items()
             if f.den != den:
                 cofactor = self.factor_power(tuple(c - a for a, c in zip(f.den, den))).terms.items()
                 terms = [(m1 + m2, c1 * c2) for m1, c1 in terms for m2, c2 in cofactor]
-            for m, c in terms:
-                s = get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+            _add_into(out, terms)
         guard = self.table.guard
         for m in out:
             if m & guard:

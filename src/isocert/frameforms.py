@@ -37,6 +37,12 @@ curvature gaps l_i - l_j, so coefficients are carried as FactoredFn over
 that base: no polynomial gcd is ever needed mid-computation, and the final
 normalization (trial division by the base factors) is exact.
 
+Like terms of a form are added by one rule: `_collect` groups the
+(monomial, coefficient) pieces of a result by monomial and adds each group
+once with `GAP_BASE.sum`, over one common denominator.  Sums, wedges, d and
+phi all build their results through it, so no result is copied once per
+piece added.
+
 Sign conventions: wedge monomials are kept with strictly increasing
 generator order and the reordering parity absorbed into the coefficient;
 the volume form is w1^w2^w3^w4.
@@ -140,6 +146,18 @@ def _gen_c(i: int, j: int) -> tuple[int, int]:
     return 10 * j + i, -1
 
 
+def _collect(pieces: Iterable[tuple[tuple[int, ...], FactoredFn]]) -> "Form":
+    """The form summing (monomial, coefficient) pieces.
+
+    The pieces of each monomial are added once, by `GAP_BASE.sum`; a lone
+    piece is kept as it is.  Zero coefficients are dropped by `Form`.
+    """
+    groups: dict[tuple[int, ...], list[FactoredFn]] = {}
+    for m, c in pieces:
+        groups.setdefault(m, []).append(c)
+    return Form({m: cs[0] if len(cs) == 1 else GAP_BASE.sum(cs) for m, cs in groups.items()})
+
+
 class Form:
     """Graded exterior form with FactoredFn coefficients over the mixed generators."""
 
@@ -164,18 +182,7 @@ class Form:
         return not self.terms
 
     def __add__(self, other: "Form") -> "Form":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s.is_zero():
-                    del out[m]
-                else:
-                    out[m] = s
-        return Form(out)
+        return _collect([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "Form") -> "Form":
         return self + other.scale(-1)
@@ -187,23 +194,13 @@ class Form:
         return Form({m: coeff * c for m, coeff in self.terms.items()})
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[tuple[int, ...], FactoredFn] = {}
+        pieces = []
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key, sign = _sort_gens(m1 + m2)
-                if sign == 0:
-                    continue
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-        return Form(out)
+                if sign:
+                    pieces.append((key, c1 * c2 if sign > 0 else -(c1 * c2)))
+        return _collect(pieces)
 
     def vol_coefficient(self) -> FactoredFn:
         """Coefficient of w1^w2^w3^w4 once every connection generator is expanded.
@@ -332,7 +329,7 @@ def _d_coeff(coeff: FactoredFn) -> Form:
     extra = coeff.num.symbols_used() - _LAMBDA_NAMES
     if extra:
         raise ValueError(f"cannot differentiate symbols {sorted(extra)}")
-    out = Form.zero()
+    terms = []
     for j in _W:
         name = f"l{j}"
         # d(num / prod g_k^e_k) with d/dl_j applied: quotient rule over the
@@ -351,33 +348,21 @@ def _d_coeff(coeff: FactoredFn) -> Form:
             den = list(coeff.den)
             den[k] += 1
             pieces.append(FactoredFn(GAP_BASE, coeff.num * (-e * dg), tuple(den)))
-        if not pieces:
-            continue
-        dj = pieces[0]
-        for p in pieces[1:]:
-            dj = dj + p
-        for i in _W:
-            out = out + Form.monomial((i,), dj * h_coeff(j, j, i))
-    return out
+        if pieces:
+            dj = GAP_BASE.sum(pieces)
+            terms += [((i,), dj * h_coeff(j, j, i)) for i in _W]
+    return _collect(terms)
 
 
 def _d_generator(g: int, mode: str) -> Form:
     """Structure equation for one generator."""
     if g < 10:
-        i = g
-        out = Form.zero()
-        for j in _W:
-            if j == i:
-                continue
-            out = out + connection_generator(i, j).wedge(omega(j))
-        return out
-    i, j = g // 10, g % 10
-    out = Form.zero()
-    for k in _W:
-        if k in (i, j):
-            continue
-        out = out + connection_generator(i, k).wedge(connection_generator(k, j))
-    return out + Form.monomial((i, j), -gauss_factor(i, j, mode))
+        forms = [connection_generator(g, j).wedge(omega(j)) for j in _W if j != g]
+    else:
+        i, j = g // 10, g % 10
+        forms = [connection_generator(i, k).wedge(connection_generator(k, j)) for k in _W if k not in (i, j)]
+        forms.append(Form.monomial((i, j), -gauss_factor(i, j, mode)))
+    return _collect(p for f in forms for p in f.terms.items())
 
 
 def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
@@ -388,15 +373,14 @@ def exterior_derivative(form: Form, mode: str = "symbolic") -> Form:
     result); its coefficients already carry h_44i in place of h_11i,
     h_22i, h_33i.
     """
-    out = Form.zero()
+    pieces = []
     for m, coeff in form.terms.items():
-        dc = _d_coeff(coeff)
-        out = out + dc.wedge(Form({m: _ONE}))
+        pieces += _d_coeff(coeff).wedge(Form({m: _ONE})).terms.items()
         for pos, g in enumerate(m):
             rest = m[:pos] + m[pos + 1 :]
             piece = _d_generator(g, mode).wedge(Form({rest: _ONE}))
-            out = out + piece.scale(-coeff if pos % 2 else coeff)
-    return out
+            pieces += piece.scale(-coeff if pos % 2 else coeff).terms.items()
+    return _collect(pieces)
 
 
 # -- the 3-form built from the six theta blocks ------------------------------
@@ -420,7 +404,4 @@ def theta(i: int, j: int) -> Form:
 
 def phi() -> Form:
     """The 3-form summing all six theta blocks."""
-    out = Form.zero()
-    for pair in _THETA_LEGS:
-        out = out + theta(*pair)
-    return out
+    return _collect(p for pair in _THETA_LEGS for p in theta(*pair).terms.items())

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import frameforms as ff
@@ -198,12 +197,8 @@ def dphi_target(mode: str) -> FactoredFn:
     h = ff.hsym
     og = ff.over_gaps
     gL = gamma_L_polynomials()
-    out = ff.GAP_BASE.zero()
-    for i in range(1, 5):
-        out = out + og(gL[i] * h(4, 4, i) ** 2, _D6)
-    for a, b in _PAIRS:
-        out = out - ff.GAP_BASE.from_poly(ff.gauss_factor(a, b, mode))
-    return out
+    return ff.GAP_BASE.sum([og(gL[i] * h(4, 4, i) ** 2, _D6) for i in range(1, 5)]
+                           + [ff.GAP_BASE.from_poly(-ff.gauss_factor(a, b, mode)) for a, b in _PAIRS])
 
 
 # The bracket of w_i ^ Phi = bracket_i * h_44i * vol, term by term, as
@@ -233,7 +228,7 @@ def _gap_term(sign: int, num: tuple, den: tuple) -> FactoredFn:
 
 def contraction_bracket(i: int) -> FactoredFn:
     """The scalar bracket in  w_i ^ Phi = bracket_i * h_44i * vol."""
-    return functools.reduce(operator.add, (_gap_term(*term) for term in CONTRACTION_TERMS[i]))
+    return ff.GAP_BASE.sum(_gap_term(*term) for term in CONTRACTION_TERMS[i])
 
 
 def gap_slope(which: str) -> FactoredFn:
@@ -346,9 +341,8 @@ def verify_identity(name: str, mode: str = "symbolic") -> IdentityReport:
     if name in ("dg_phi", "df_phi"):
         which = "g" if name == "dg_phi" else "f"
         m = gap_slope(which)
-        target = ff.GAP_BASE.zero()
-        for i in range(1, 5):
-            target = target + m * contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i) ** 2)
+        target = ff.GAP_BASE.sum(m * contraction_bracket(i) * ff.GAP_BASE.from_poly(ff.hsym(4, 4, i) ** 2)
+                                 for i in range(1, 5))
         extracted = {k: str(v) for k, v in gap_band_quantities(which).items()}
         return _report(name, mode, engine, target, extracted)
     i = int(name[1])

@@ -437,25 +437,40 @@ _SMALL_GAPS = FactorBase([_x - _y, _x - _z, _y - _z])
 _dens = st.tuples(*[st.integers(0, 2)] * 3)
 
 
-def _lifted_sum(a: FactoredFn, b: FactoredFn) -> tuple[list, tuple[int, ...]]:
-    """a + b with both numerators multiplied up to the common denominator."""
-    den = tuple(max(x, y) for x, y in zip(a.den, b.den))
-    n1, n2 = (f.num * _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den)))
-              for f in (a, b))
-    return _typed_items(n1 + n2), den
+def _lifted_sum(fns) -> FactoredFn:
+    """The sum of fns at the MultiPoly level: every numerator term lifted to the
+    common denominator by its `factor_power` cofactor and added, in order,
+    with `MultiPoly.__add__`.
+
+    Lifting term by term adds the products in the order the sum does, so
+    the coefficient types agree too: where a running sum vanishes part way,
+    an integral coefficient is an int or a Fraction by the terms added
+    after that.
+    """
+    fns = list(fns)
+    den = functools.reduce(lambda x, y: tuple(map(max, x, y)), (f.den for f in fns), _SMALL_GAPS.zero_den)
+    total = MultiPoly.zero(_small_table)
+    for f in fns:
+        cofactor = _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den)))
+        for m, c in f.num.terms.items():
+            total = total + MultiPoly(_small_table, {m: c}) * cofactor
+    return FactoredFn(_SMALL_GAPS, total, den)
+
+
+def _sorted_typed(f: FactoredFn) -> tuple[list, tuple[int, ...]]:
+    return sorted(_typed_items(f.num)), f.den
 
 
 @given(typed_polys(), typed_polys(), _dens, _dens)
 @settings(max_examples=100, deadline=None)
 def test_factored_sum_over_equal_or_one_sided_denominators_matches_the_lifted_sum(p, q, d, e):
     # Equal denominators, and one side's dividing the other's, in both
-    # orders: a side already over the common denominator is not multiplied
-    # by the constant 1, with the same items, order and coefficient types.
+    # orders: the same monomials, values and coefficient types as the
+    # MultiPoly-level sum, over the same denominator.
     below = tuple(min(x, y) for x, y in zip(d, e))
     for da, db in ((d, d), (d, below), (below, d)):
         a, b = FactoredFn(_SMALL_GAPS, p, da), FactoredFn(_SMALL_GAPS, q, db)
-        total = a + b
-        assert (_typed_items(total.num), total.den) == _lifted_sum(a, b)
+        assert _sorted_typed(a + b) == _sorted_typed(_lifted_sum([a, b]))
     # A unit numerator leaves the other factor's numerator as it is.
     f, unit = FactoredFn(_SMALL_GAPS, p, d), FactoredFn(_SMALL_GAPS, MultiPoly.const(_small_table, 1), e)
     for prod in (unit * f, f * unit):
@@ -469,14 +484,10 @@ def _factored_pieces(draw):
     return pieces + [-f for f in pieces if draw(st.booleans())]
 
 
-def _chained_sum(fns):
-    return functools.reduce(operator.add, fns, _SMALL_GAPS.zero())
-
-
 @given(_factored_pieces())
 @settings(max_examples=100, deadline=None)
 def test_sum_over_one_denominator_matches_chained_addition(fns):
-    got, want = _SMALL_GAPS.sum(fns).normalize(), _chained_sum(fns).normalize()
+    got, want = _SMALL_GAPS.sum(fns).normalize(), _lifted_sum(fns).normalize()
     assert (got.num, got.den) == (want.num, want.den)
 
 
@@ -484,9 +495,10 @@ def test_sum_over_one_denominator_matches_chained_addition(fns):
 @settings(max_examples=80, deadline=None)
 def test_sum_over_equal_denominators_adds_the_numerators_as_chained_addition_does(nums, d):
     # Nothing is lifted: the terms, their order and their types are those
-    # of the chain of +, zero numerators included.
+    # of the chain of MultiPoly.__add__, zero numerators included.
     fns = [FactoredFn(_SMALL_GAPS, p, d) for p in nums]
-    got, want = _SMALL_GAPS.sum(fns), _chained_sum(fns)
+    got = _SMALL_GAPS.sum(fns)
+    want = FactoredFn(_SMALL_GAPS, functools.reduce(operator.add, nums, MultiPoly.zero(_small_table)), d)
     assert (_typed_items(got.num), got.den) == (_typed_items(want.num), want.den)
 
 
@@ -499,9 +511,10 @@ def test_sum_of_nothing_and_of_cancelling_pieces_is_zero():
 
 
 def test_sum_raises_where_a_lift_overflows_an_exponent():
-    # x^127 lifted by (x - y) needs x^128, as in the chain of + it replaces.
+    # x^127 lifted by (x - y) needs x^128, in the sum, in its MultiPoly-level
+    # reference and in a + b.
     fns = [FactoredFn(_SMALL_GAPS, _x ** MAX_EXPONENT, (0, 0, 0)),
            FactoredFn(_SMALL_GAPS, _z, (1, 0, 0))]
-    for add in (_SMALL_GAPS.sum, _chained_sum):
+    for add in (_SMALL_GAPS.sum, _lifted_sum, lambda fns: fns[0] + fns[1]):
         with pytest.raises(MonomialOverflowError):
             add(fns)

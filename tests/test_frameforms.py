@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isocert import frameforms as ff
 from isocert import identities as idn
 from isocert.exactalg import MultiPoly, SymbolTable, divexact
+import form_reference
 from normal_form import value
 from substitution_reference import coefficient, connection_form, substitute_connections
 from substitution_reference import vol_coefficient as reference_vol_coefficient
@@ -402,13 +403,17 @@ _GEN_ORDER = (1, 2, 3, 4, 12, 13, 14, 23, 24, 34)
 _COEFF_SYMBOLS = [n for n in ff.GEOMETRY.names if not n.startswith("R")]
 
 
+_LAMBDA_SYMBOLS = [f"l{i}" for i in range(1, 5)]
+
+
 @st.composite
-def _gap_coefficients(draw):
-    """A small polynomial in l and h symbols over a product of gaps in any orientation."""
+def _gap_coefficients(draw, symbols=_COEFF_SYMBOLS):
+    """A small polynomial in the given symbols (l and h by default) over a
+    product of gaps in any orientation."""
     num = MultiPoly.zero(ff.GEOMETRY)
     for _ in range(draw(st.integers(1, 3))):
         mono = MultiPoly.const(ff.GEOMETRY, draw(st.integers(-3, 3)))
-        for name in draw(st.lists(st.sampled_from(_COEFF_SYMBOLS), max_size=2)):
+        for name in draw(st.lists(st.sampled_from(symbols), max_size=2)):
             mono = mono * MultiPoly.var(ff.GEOMETRY, name)
         num = num + mono
     pairs = draw(st.lists(st.sampled_from([(i, j) for i in range(1, 5) for j in range(1, 5) if i != j]),
@@ -433,6 +438,34 @@ def _top_degree_forms(draw):
 @settings(max_examples=60, deadline=None)
 def test_vol_coefficient_of_random_top_degree_forms(form):
     assert _same_function(form.vol_coefficient(), reference_vol_coefficient(form))
+
+
+@st.composite
+def _forms(draw, symbols=_COEFF_SYMBOLS):
+    """Sums of up to five monomials of legs and connection generators, of any
+    degree and in any order, so that like terms meet and cancel."""
+    form = ff.Form.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        gens = draw(st.lists(st.sampled_from(_GEN_ORDER), max_size=3, unique=True))
+        form = form_reference.add(form, ff.Form.monomial(gens, draw(_gap_coefficients(symbols))))
+    return form
+
+
+def _same_form(a, b):
+    return a.terms.keys() == b.terms.keys() and all(_same_function(a.terms[m], b.terms[m]) for m in a.terms)
+
+
+@given(_forms(), _forms(), _forms(_LAMBDA_SYMBOLS))
+@settings(max_examples=60, deadline=None)
+def test_sums_wedges_and_derivatives_match_the_term_by_term_reference(a, b, c):
+    # The engine adds the like terms of a result once per monomial; the
+    # reference merges every piece as it is made.  c has coefficients in
+    # l1..l4 only, which d can differentiate.
+    assert _same_form(a + b, form_reference.add(a, b))
+    assert _same_form(a.wedge(b), form_reference.wedge(a, b))
+    for mode in ff.MODES:
+        assert _same_form(ff.exterior_derivative(c, mode), form_reference.exterior_derivative(c, mode))
+    assert (a - a).terms == ff.Form.zero().terms
 
 
 def test_vol_coefficient_needs_a_top_degree_form():
