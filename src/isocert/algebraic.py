@@ -10,9 +10,16 @@ radicand is folded into a, so sqrt(4) is the rational 2.  The model spectra
 and the chamber sampling cross-checks live entirely in such fields.
 
 AlgebraicNumber pairs an exact defining polynomial with an isolating
-interval that can be refined on demand; it covers roots of the elimination
-cubics, where no quadratic shortcut exists.  Comparisons refine until the
-intervals separate, falling back to an exact common-root test on equality.
+`upoly.RatInterval`, its box, that can be refined on demand; it covers
+roots of the elimination cubics, where no quadratic shortcut exists.  Its
+sign tests read the integer endpoints of the box through
+`upoly.homogeneous_value`.  Comparisons refine until the boxes separate,
+falling back to an exact common-root test on equality.
+
+Every rational enclosure here is a `upoly.RatInterval`, and one rule
+encloses square roots: `sqrt_enclosure(box, eps)` joins the bisection grid
+cells of its endpoints (`_sqrt_grid`).  `QuadExt.interval` is a + b times
+that enclosure of the point box [d, d], in interval arithmetic.
 """
 
 from __future__ import annotations
@@ -113,14 +120,12 @@ class QuadExt:
     def __ge__(self, other):
         return (self - _coerce(other)).sign() >= 0
 
-    def interval(self, eps: Fraction) -> tuple[Fraction, Fraction]:
+    def interval(self, eps: Fraction) -> up.RatInterval:
         """Rational enclosure of width <= eps."""
         if self.b == 0:
-            return self.a, self.a
-        lo, hi = _sqrt_bounds(self.d, Fraction(eps) / (2 * abs(self.b)))
-        if self.b > 0:
-            return self.a + self.b * lo, self.a + self.b * hi
-        return self.a + self.b * hi, self.a + self.b * lo
+            return up.RatInterval.of(self.a)
+        root = sqrt_enclosure(up.RatInterval.of(self.d), Fraction(eps) / (2 * abs(self.b)))
+        return up.RatInterval.of(self.a) + up.RatInterval.of(self.b) * root
 
     def __float__(self) -> float:
         lo, hi = self.interval(Fraction(1, 10**17))
@@ -206,29 +211,30 @@ def _coerce(x) -> QuadExt:
     return QuadExt.rational(x)
 
 
-def _sqrt_bounds(d: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(d) <= hi with hi - lo <= eps, for eps > 0.
+def sqrt_enclosure(box: up.RatInterval, eps: Fraction) -> up.RatInterval:
+    """Rational enclosure of sqrt over box, its lower end clamped at 0, for eps > 0.
 
-    Returns the same pair as bisecting [0, H], H = max(1, d), until the
-    width is at most eps, in closed form: the grid cell [j, j+1] * H/2^k
-    of the fewest halvings k with H/2^k <= eps, and the largest j < 2^k
-    with (j H/2^k)^2 <= d, by one integer square root.  (For d = 1
-    bisection never moves hi, hence the cap; for d < 0 it never moves lo,
-    so j = 0.)
+    Its ends are the lower end of the `_sqrt_grid` cell of max(lo, 0) and the
+    upper end of the cell of hi, each cell at most eps wide.  So a point box
+    [d, d] gives the cell of d itself: the pair that bisecting [0, max(1, d)]
+    down to width eps returns, also for d <= 0.
     """
-    d = Fraction(d)
-    lo, hi, den = _sqrt_grid(d.numerator, d.denominator, Fraction(eps))
-    return Fraction(lo, den), Fraction(hi, den)
+    lo, hi = _sqrt_grid(max(box.a, 0), box.d, eps), _sqrt_grid(box.b, box.d, eps)
+    return up.RatInterval(lo.a * hi.d, hi.b * lo.d, lo.d * hi.d)
 
 
-def _sqrt_grid(dn: int, dd: int, eps: Fraction) -> tuple[int, int, int]:
-    """`_sqrt_bounds` of d = dn / dd, dd > 0, as integers lo, hi over one den > 0.
+def _sqrt_grid(dn: int, dd: int, eps: Fraction) -> up.RatInterval:
+    """The grid cell bisection leaves around sqrt(d), d = dn / dd, dd > 0.
 
-    Every step reads d only through ratios and signs, so dn / dd need not
-    be in lowest terms.
+    Bisecting [0, H], H = max(1, d), until the width is at most eps ends in
+    the grid cell [j, j+1] * H/2^k of the fewest halvings k with
+    H/2^k <= eps and the largest j < 2^k with (j H/2^k)^2 <= d; this finds
+    it by one integer square root.  (For d = 1 bisection never moves hi,
+    hence the cap; for d < 0 it never moves lo, so j = 0.)  Every step reads
+    d only through ratios and signs, so dn / dd need not be in lowest terms.
     """
     if dn == 0:
-        return 0, 0, 1
+        return up.RatInterval(0, 0)
     if eps <= 0:
         raise ValueError("precision must be positive")
     hn, hd = (dn, dd) if dn > dd else (1, 1)      # H = max(1, d) = hn / hd
@@ -236,13 +242,13 @@ def _sqrt_grid(dn: int, dd: int, eps: Fraction) -> tuple[int, int, int]:
     j = 0
     if dn > 0:   # j^2 <= d / step^2 = d 4^k / H^2, floored in integers
         j = min(isqrt((dn * hd * hd << 2 * k) // (dd * hn * hn)), (1 << k) - 1)
-    return j * hn, (j + 1) * hn, hd << k          # step = H / 2^k = hn / (hd 2^k)
+    return up.RatInterval(j * hn, (j + 1) * hn, hd << k)   # step = H / 2^k = hn / (hd 2^k)
 
 
 class AlgebraicNumber:
-    """Root of an exact polynomial, pinned down by an isolating interval.
+    """Root of an exact polynomial, pinned down by an isolating box.
 
-    The defining polynomial need not be irreducible; the interval must hold
+    The defining polynomial need not be irreducible; the box must hold
     exactly one of its distinct real roots (a sign change at the endpoints
     and a Sturm count of 1, checked at every construction).  Refinement is
     plain bisection with exact sign evaluation; the refined copies share
@@ -250,15 +256,11 @@ class AlgebraicNumber:
     (or passed in, by a caller that isolated the root with it).
     """
 
-    __slots__ = ("poly", "lo", "hi", "chain")
+    __slots__ = ("poly", "box", "chain")
 
-    def __init__(self, poly: up.UPoly, lo: Fraction, hi: Fraction,
-                 chain: list[up.UPoly] | None = None):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("empty interval")
-        fa, fb = up.sign_at(poly, lo), up.sign_at(poly, hi)
-        if lo == hi:
+    def __init__(self, poly: up.UPoly, box: up.RatInterval, chain: list[up.UPoly] | None = None):
+        fa, fb = up.end_signs(poly, box)
+        if box.a == box.b:
             if fa != 0:
                 raise ValueError("point interval is not a root")
         elif fa == 0 or fb == 0 or fa == fb:
@@ -266,78 +268,76 @@ class AlgebraicNumber:
         else:
             if chain is None:
                 chain = up.sturm_chain(up.squarefree_part(poly))
-            if up.sturm_count(chain, lo, hi) != 1:
+            if up.sturm_count(chain, box) != 1:
                 raise ValueError("interval holds more than one root")
         self.poly = poly
-        self.lo = lo
-        self.hi = hi
+        self.box = box
         self.chain = chain
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.box.a == self.box.b
 
     def refine(self, eps: Fraction) -> "AlgebraicNumber":
-        """Return a copy whose interval width is at most eps."""
-        if self.is_point() or self.hi - self.lo <= eps:
+        """Return a copy whose box is at most eps wide."""
+        eps = Fraction(eps)
+        if self.is_point() or self.box.width_at_most(eps):
             return self
-        lo, hi = up.refine(self.poly, (self.lo, self.hi), Fraction(eps))
-        return AlgebraicNumber(self.poly, lo, hi, self.chain)
+        return AlgebraicNumber(self.poly, up.refine(self.poly, self.box, eps), self.chain)
 
     def sign_of(self, q: up.UPoly) -> int:
         """Exact sign of q evaluated at this number.
 
         Zero is decided through the gcd with the defining polynomial: the
         number is the unique root of its polynomial inside the isolating
-        interval, so a shared root there is the number itself.
+        box, so a shared root there is the number itself.
         """
         if self.is_point():
-            return up.sign_at(q, self.lo)
+            return up.end_signs(q, self.box)[0]
         if up.is_zero(q):
             return 0
         g = up.gcd(self.poly, q)
-        if up.degree(g) > 0 and _root_in_closed(g, self.lo, self.hi):
+        if up.degree(g) > 0 and _root_in_closed(g, self.box):
             return 0
         cur = self
         while True:
-            va = up.sign_at(q, cur.lo)
-            if va and va == up.sign_at(q, cur.hi):
+            va, vb = up.end_signs(q, cur.box)
+            if va and va == vb:
                 return va
-            cur = cur.refine((cur.hi - cur.lo) / 16)
+            cur = cur.refine(cur.box.width / 16)
 
     def compare(self, other: "AlgebraicNumber") -> int:
         """-1, 0, +1; equality decided exactly via common roots."""
         a, b = self, other
         g = up.gcd(a.poly, b.poly)
         while True:
-            if a.hi < b.lo:
+            x, y = a.box, b.box
+            if x.hi < y.lo:
                 return -1
-            if b.hi < a.lo:
+            if y.hi < x.lo:
                 return 1
             if a.is_point() and b.is_point():
                 return 0  # overlapping points coincide
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-            if up.degree(g) > 0 and _root_in_closed(g, lo, hi):
+            overlap = up.RatInterval.of(max(x.lo, y.lo), min(x.hi, y.hi))
+            if up.degree(g) > 0 and _root_in_closed(g, overlap):
                 return 0
-            # Not equal: keep shrinking; the intervals must separate.
-            if not a.is_point():
-                a = a.refine((a.hi - a.lo) / 16)
-            if not b.is_point():
-                b = b.refine((b.hi - b.lo) / 16)
+            # Not equal: keep shrinking; the boxes must separate.
+            a = a.refine(x.width / 16)
+            b = b.refine(y.width / 16)
 
     def __float__(self) -> float:
-        r = self.refine(Fraction(1, 10**17))
-        return float((r.lo + r.hi) / 2)
+        box = self.refine(Fraction(1, 10**17)).box
+        return float(Fraction(box.a + box.b, 2 * box.d))
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({float(self):.12g})"
 
 
-def _root_in_closed(g: up.UPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Exact: does g have a root in [lo, hi]?"""
-    if up.sign_at(g, lo) == 0 or up.sign_at(g, hi) == 0:
+def _root_in_closed(g: up.UPoly, box: up.RatInterval) -> bool:
+    """Exact: does g have a root in box?"""
+    if 0 in up.end_signs(g, box):
         return True
-    if lo >= hi:
+    if box.a == box.b:
         return False
     sf = up.squarefree_part(g)
     chain = up.sturm_chain(sf)
-    return up.sturm_count(chain, lo, hi) > 0
+    return up.sturm_count(chain, box) > 0

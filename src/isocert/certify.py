@@ -18,9 +18,10 @@ two-parameter chart of the constraint surface
 
 so every point of a cell with real branch satisfies both constraints
 exactly and the interval enclosures are containment-correct.  The frontier
-of cells is processed as numpy batches (see vinterval); cells split on
-their widest coordinate, and a claim is proved when every feasible leaf
-clears its margin.  Certified suprema are reported as explicit constants.
+is two `VI` batches (see vinterval), l1 and l2, one cell per entry;
+`_split` bisects every cell on its widest coordinate, and a claim is
+proved when every feasible leaf clears its margin.  Certified suprema are
+reported as explicit constants.
 Both sides of the band share one frontier for all their quantities, with
 a mask per quantity, so every quantity walks the cells it would walk alone.
 No cell is decided below the tighten depth min(14, max_depth), so no
@@ -59,13 +60,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import identities
-from .algebraic import QuadExt, _sqrt_bounds, cubic_bound_sign, power_sums
+from .algebraic import QuadExt, cubic_bound_sign, power_sums, sqrt_enclosure
 from .configsolve import ScalarParams
 from .exactalg import MultiPoly, Scalar, SymbolTable
+from .upoly import RatInterval
 from .vinterval import VI, float_down, float_up
 
 __all__ = [
-    "Certificate", "Chamber", "CellBatch", "certify_Li_negative", "certify_okumura",
+    "Certificate", "Chamber", "certify_Li_negative", "certify_okumura",
     "BAND_QUANTITIES", "certify_band",
     "sample_Li_cross_check", "okumura_equality_case_exact", "collar_sign", "sampler_tau",
 ]
@@ -103,36 +105,16 @@ class Certificate:
         return out
 
 
-class CellBatch:
-    """One frontier generation: rectangles [a1,b1] x [a2,b2]."""
-
-    __slots__ = ("a1", "b1", "a2", "b2")
-
-    def __init__(self, a1, b1, a2, b2):
-        self.a1, self.b1 = np.asarray(a1, float), np.asarray(b1, float)
-        self.a2, self.b2 = np.asarray(a2, float), np.asarray(b2, float)
-
-    def __len__(self) -> int:
-        return len(self.a1)
-
-    def select(self, mask) -> "CellBatch":
-        return CellBatch(self.a1[mask], self.b1[mask], self.a2[mask], self.b2[mask])
-
-    def split(self) -> "CellBatch":
-        """Bisect every cell on its widest coordinate; result is 2x the size."""
-        w1 = self.b1 - self.a1
-        w2 = self.b2 - self.a2
-        first = w1 >= w2
-        m1 = (self.a1 + self.b1) / 2
-        m2 = (self.a2 + self.b2) / 2
-        a1 = np.concatenate([self.a1, np.where(first, m1, self.a1)])
-        b1 = np.concatenate([np.where(first, m1, self.b1), self.b1])
-        a2 = np.concatenate([self.a2, np.where(first, self.a2, m2)])
-        b2 = np.concatenate([np.where(first, self.b2, m2), self.b2])
-        return CellBatch(a1, b1, a2, b2)
-
-    def rows(self) -> list[list[float]]:
-        return np.stack([self.a1, self.b1, self.a2, self.b2], axis=1).tolist()
+def _split(l1: VI, l2: VI) -> tuple[VI, VI]:
+    """Bisect every cell l1 x l2 of a frontier on its widest coordinate: the
+    first halves, then the second ones, so the result is twice the size."""
+    first = l1.hi - l1.lo >= l2.hi - l2.lo
+    m1 = (l1.lo + l1.hi) / 2
+    m2 = (l2.lo + l2.hi) / 2
+    return (VI(np.concatenate([l1.lo, np.where(first, m1, l1.lo)]),
+               np.concatenate([np.where(first, m1, l1.hi), l1.hi])),
+            VI(np.concatenate([l2.lo, np.where(first, l2.lo, m2)]),
+               np.concatenate([np.where(first, l2.hi, m2), l2.hi])))
 
 
 def _s_bounds(S) -> tuple[float, float, float, float]:
@@ -145,16 +127,15 @@ def _s_bounds(S) -> tuple[float, float, float, float]:
 
 
 class Chamber:
-    """Derived interval quantities of a cell batch on the constraint chart."""
+    """Derived interval quantities of the cells l1 x l2 on the constraint chart."""
 
     __slots__ = ("n", "l1", "l2", "l3", "l4", "s_half", "disc",
                  "g21", "g32", "g43", "g31", "g42", "g41")
 
-    def __init__(self, cells: CellBatch, s_bounds: tuple[float, float, float, float]):
-        n = len(cells)
+    def __init__(self, l1: VI, l2: VI, s_bounds: tuple[float, float, float, float]):
+        n = len(l1.lo)
         self.n = n
         s_lo, s_hi, h_lo, h_hi = s_bounds
-        l1, l2 = VI(cells.a1, cells.b1), VI(cells.a2, cells.b2)
         self.l1, self.l2 = l1, l2
         s = -(l1 + l2)
         self.s_half = VI.scalar(h_lo, h_hi, n)
@@ -172,8 +153,7 @@ class Chamber:
         out.n = int(np.count_nonzero(mask))
         for name in Chamber.__slots__:
             if name != "n":
-                v = getattr(self, name)
-                setattr(out, name, VI(v.lo[mask], v.hi[mask]))
+                setattr(out, name, getattr(self, name)[mask])
         return out
 
     def p3(self) -> VI:
@@ -384,7 +364,7 @@ class _LiChart:
     """
 
     def __init__(self, S: Fraction, tau: Fraction):
-        bound = _sqrt_bounds(S, Fraction(1, 1000))[1]
+        bound = sqrt_enclosure(RatInterval.of(S), Fraction(1, 1000)).hi
         den = 2**12
         # Common scale q: lam = integer / q with S q^2 an integer.
         self.q = den * bound.denominator * S.denominator
@@ -590,11 +570,11 @@ def certify_band(S, A3, eps0, delta1, quantities=tuple(BAND_QUANTITIES),
                 for q in quantities]
     certs = {q: _b_sign_certificate(q, side, key, regions[side])
              for q in quantities for side, key in [BAND_QUANTITIES[q]] if key.startswith("B")}
-    a3_lo, a3_hi = (float(x) for x in A3.interval(Fraction(1, 10**15)))
-    limits = (float_down(_sqrt_bounds(eps0, Fraction(1, 10**12))[0]),
-              float(_sqrt_bounds(delta1, Fraction(1, 10**12))[1]) * (1 + 1e-12),
-              np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf))
-    bound = float(_sqrt_bounds(S, Fraction(1, 10**9))[1]) * (1 + 1e-12)
+    a3 = A3.interval(Fraction(1, 10**15))
+    limits = (float_down(sqrt_enclosure(RatInterval.of(eps0), Fraction(1, 10**12)).lo),
+              float(sqrt_enclosure(RatInterval.of(delta1), Fraction(1, 10**12)).hi) * (1 + 1e-12),
+              np.nextafter(float(a3.lo), -np.inf), np.nextafter(float(a3.hi), np.inf))
+    bound = float(sqrt_enclosure(RatInterval.of(S), Fraction(1, 10**9)).hi) * (1 + 1e-12)
     walked = [q for q in dict.fromkeys(quantities) if q not in certs]
     if walked:
         certs.update(_band_walk(walked, regions, _s_bounds(S), bound, limits, max_depth))
@@ -624,13 +604,13 @@ def _band_walk(quantities, regions, sb, bound, limits, max_depth) -> dict[str, C
     sup = [0.0] * n
     open_cells: list[list[list[float]]] = [[] for _ in range(n)]
     tighten_depth = min(14, max_depth)
-    cells = CellBatch([-bound], [0.0], [-bound], [bound])
+    l1, l2 = VI([-bound], [0.0]), VI([-bound], [bound])
     live = np.ones((n, 1), dtype=bool)
     depth = 0
     while live.any():
         processed += live.sum(axis=1)
         reached[live.any(axis=1)] = depth
-        ch = Chamber(cells, sb)
+        ch = Chamber(l1, l2, sb)
         p3 = ch.p3()
         on_band = (ch.disc.hi >= 0) & (p3.hi >= a3_lo) & (p3.lo <= a3_hi)
         for side, rows in sides.items():
@@ -644,10 +624,11 @@ def _band_walk(quantities, regions, sb, bound, limits, max_depth) -> dict[str, C
             for side, rows in sides.items():
                 _decide_side(side, rows, keys, live, ch, sup, sqrt_eps0_lo)
         if depth >= max_depth:
-            open_cells = [cells.select(row).rows() for row in live]
+            cells = np.stack([l1.lo, l1.hi, l2.lo, l2.hi], axis=1)
+            open_cells = [cells[row].tolist() for row in live]
             break
         keep = live.any(axis=0)
-        cells, live = cells.select(keep).split(), np.tile(live[:, keep], 2)
+        (l1, l2), live = _split(l1[keep], l2[keep]), np.tile(live[:, keep], 2)
         depth += 1
     out = {}
     for i, q in enumerate(quantities):
@@ -687,7 +668,7 @@ def _decide_side(side, rows, keys, live, ch: Chamber, sup, floor) -> None:
             val, ok = _slope_value(side, sub, floor)
         else:
             r = walked.index(i)
-            val, ok = VI(vals.lo[r], vals.hi[r]), oks[r]
+            val, ok = vals[r], oks[r]
         mine = live[i, on]
         done = mine & ok
         if done.any():
@@ -819,18 +800,18 @@ class _SideProgram:
         """
         powers = _power_table(chart, self.degree)
         n = powers.lo.shape[1]
-        lo = np.empty((self.base + sum(len(parent) for parent, _ in self.levels), n))
-        hi = np.empty_like(lo)
-        lo[:self.base], hi[:self.base] = powers.lo, powers.hi
+        rows = self.base + sum(len(parent) for parent, _ in self.levels)
+        table = VI(np.empty((rows, n)), np.empty((rows, n)))
+        table.lo[:self.base], table.hi[:self.base] = powers.lo, powers.hi
         start = self.base
         for parent, row in self.levels:
-            prod = VI(lo[parent], hi[parent]) * VI(lo[row], hi[row])
-            lo[start:start + len(parent)], hi[start:start + len(parent)] = prod.lo, prod.hi
-            start += len(parent)
+            prod, end = table[parent] * table[row], start + len(parent)
+            table.lo[start:end], table.hi[start:end] = prod.lo, prod.hi
+            start = end
         # Slot- and polynomial-major, lo then hi: every step is contiguous.
         terms = np.empty((self.size, 2, n))
         for final, coeffs, slots in self.groups:
-            term = coeffs if final is None else VI(lo[final], hi[final]) * coeffs
+            term = coeffs if final is None else table[final] * coeffs
             terms[slots, 0], terms[slots, 1] = term.lo, term.hi
         sums = np.zeros((len(self.unsort), 2, n))
         for offset, width in self.steps:
@@ -853,8 +834,8 @@ class _SideProgram:
         lo, hi, ok = np.empty((k, n)), np.empty((k, n)), np.empty((k, n), dtype=bool)
         for start in range(0, n, _CELL_BLOCK):
             cells = slice(start, start + _CELL_BLOCK)
-            sums = self.polys([VI(v.lo[cells], v.hi[cells]) for v in chart])
-            num, den = VI(sums.lo[:k], sums.hi[:k]), VI(sums.lo[k:], sums.hi[k:])
+            sums = self.polys([v[cells] for v in chart])
+            num, den = sums[:k], sums[k:]
             nonzero = (den.lo > 0) | (den.hi < 0)
             safe_den = VI(np.where(nonzero, den.lo, 1.0), np.where(nonzero, den.hi, 2.0))
             val = num / safe_den

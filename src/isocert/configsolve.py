@@ -22,15 +22,10 @@ of base there is the sign of A3.  Everything downstream is exact: root
 intervals refine on demand, member coincidences and the sorted order are
 decided by exact sign tests in the field of the cubic root, and the
 power-sum enclosures a report prints are containment-correct rational
-intervals, checked against the inputs.
-The arithmetic runs on integers end to end.  Polynomials are `upoly.UPoly`
-integer forms, and root isolation and refinement bisect integer numerators
-over one denominator.  A `RatInterval` is an integer pair over a positive
-denominator, so interval Horner, the square-root enclosure, the member
-enclosures, the power sums and every width and containment test stay in
-integers.  Fractions are built only for the isolating endpoints an
-`AlgebraicNumber` holds and for the endpoints a report renders; they are
-the rationals Fraction arithmetic would give, refined in the same order.
+intervals, checked against the inputs.  Every enclosure is a
+`upoly.RatInterval`, in integers end to end (see `upoly`): the member
+enclosures read the box of the cubic root directly, and sqrt(D) is
+enclosed by `algebraic.sqrt_enclosure`.
 """
 
 from __future__ import annotations
@@ -42,60 +37,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import upoly as up
-from .algebraic import (AlgebraicNumber, QuadExt, _sqrt_bounds, _sqrt_grid, cubic_bound_sign,
-                        power_sums, root_sum_sign, run_lengths)
+from .algebraic import (AlgebraicNumber, QuadExt, cubic_bound_sign, power_sums, root_sum_sign,
+                        run_lengths, sqrt_enclosure)
+from .upoly import RatInterval
 
 
-# -- exact rational intervals -------------------------------------------------
-
-class RatInterval:
-    """Closed interval [a/d, b/d] with integers a <= b and d > 0; exact containment
-    arithmetic in integers.  a/d and b/d need not be in lowest terms: every test
-    reads them by value, and `lo` and `hi` give them as Fractions."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int = 1):
-        if a > b:
-            raise ValueError("inverted interval")
-        self.a, self.b, self.d = a, b, d
-
-    @classmethod
-    def of(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
-        """The interval [lo, hi] of two Fractions, over the lcm of their denominators."""
-        (a, b), d = up.over_common_denominator((lo, hi))
-        return cls(a, b, d)
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
-    def __add__(self, o: "RatInterval") -> "RatInterval":
-        return RatInterval(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
-
-    def __mul__(self, o: "RatInterval") -> "RatInterval":
-        c = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
-        return RatInterval(min(c), max(c), self.d * o.d)
-
-    def width_at_most(self, eps: Fraction) -> bool:
-        """Is hi - lo <= eps?"""
-        return (self.b - self.a) * eps.denominator <= eps.numerator * self.d
-
-    def contains(self, x) -> bool:
-        """Does the interval hold the rational or `QuadExt` x?"""
-        if isinstance(x, QuadExt):
-            xd = x * self.d
-            return (xd - self.a).sign() >= 0 and (xd - self.b).sign() <= 0
-        x = Fraction(x)
-        return self.a * x.denominator <= x.numerator * self.d <= self.b * x.denominator
-
-    def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
-
+# -- interval evaluation -------------------------------------------------------
 
 def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
     """Exact interval Horner evaluation, in integers over one positive denominator.
@@ -116,15 +63,6 @@ def eval_on_interval(poly: up.UPoly, box: RatInterval) -> RatInterval:
         ends = (lo * L, lo * H, hi * L, hi * H)
         lo, hi = min(ends) + c * w, max(ends) + c * w
     return RatInterval(lo, hi, poly.den * w)
-
-
-def sqrt_enclosure(box: RatInterval, eps: Fraction) -> RatInterval:
-    """Rational enclosure of sqrt over a nonnegative-leaning interval: the
-    `_sqrt_bounds` grid cells of its endpoints clamped at 0, in integers."""
-    lo, hi = max(box.a, 0), max(box.b, 0)
-    lo_n, _, lo_d = _sqrt_grid(lo, box.d, eps) if lo else (0, 0, 1)
-    _, hi_n, hi_d = _sqrt_grid(hi, box.d, eps)
-    return RatInterval(lo_n * hi_d, hi_n * lo_d, lo_d * hi_d)
 
 
 # -- parameters ----------------------------------------------------------------
@@ -208,8 +146,8 @@ def _cubic_roots(tag: str, params: ScalarParams) -> tuple[up.UPoly, list[Algebra
     else:
         defining = up.sub(up.mul(base, base), up.upoly([(a3 * a3).rational_value()]))
     roots = [
-        AlgebraicNumber(chain[0], lo, hi, chain)
-        for lo, hi, _m, chain in up.isolate_with_multiplicity(defining, Fraction(1, 2**20))
+        AlgebraicNumber(chain[0], box, chain)
+        for box, _m, chain in up.isolate_with_multiplicity(defining, Fraction(1, 2**20))
     ]
     if not a3.is_rational():
         # base = +-A3 != 0 at a root of the sextic; keep the roots of base - A3.
@@ -265,13 +203,12 @@ class CurvatureConfig:
         eps = Fraction(precision)
         x0 = self.x0
         while True:
-            box = RatInterval.of(x0.lo, x0.hi)
-            root = sqrt_enclosure(eval_on_interval(self.D, box), eps / 8)
-            out = [m.enclosure(box, root) for m in self.members]
+            root = sqrt_enclosure(eval_on_interval(self.D, x0.box), eps / 8)
+            out = [m.enclosure(x0.box, root) for m in self.members]
             if all(o.width_at_most(eps) for o in out):
                 self.x0 = x0
                 return out
-            x0 = x0.refine((x0.hi - x0.lo) / 16)
+            x0 = x0.refine(x0.box.width / 16)
 
     def power_sum_intervals(self, precision) -> dict[str, RatInterval]:
         """Containment enclosures of p1..p4 with width <= precision."""
@@ -396,7 +333,7 @@ def solve_system(tag: str, params: ScalarParams, precision=Fraction(1, 10**12)) 
 
 def _negated(alg: AlgebraicNumber) -> AlgebraicNumber:
     flipped = up.UPoly([c if i % 2 == 0 else -c for i, c in enumerate(alg.poly.num)], alg.poly.den)
-    return AlgebraicNumber(flipped, -alg.hi, -alg.lo)
+    return AlgebraicNumber(flipped, -alg.box)
 
 
 # -- branch identities -----------------------------------------------------------
@@ -431,7 +368,7 @@ def case_branch_identities(params: ScalarParams) -> dict:
     # Numeric spot grid inside the region for the given S.
     spots = []
     if params.S > 0:
-        top = _sqrt_bounds(params.S / 4, Fraction(1, 10**6))[0]
+        top = sqrt_enclosure(RatInterval.of(params.S / 4), Fraction(1, 10**6)).lo
         for k in range(1, 8):
             xv = top * Fraction(k, 8)
             if xv <= 0:

@@ -207,10 +207,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, table: SymbolTable) -> "MultiPoly":
-        return cls(table)
-
-    @classmethod
     def const(cls, table: SymbolTable, value: Scalar) -> "MultiPoly":
         value = _as_fraction(value)
         if value == 0:
@@ -603,9 +599,6 @@ class FactorBase:
 
     def one(self) -> FactoredFn:
         return FactoredFn(self, MultiPoly.const(self.table, 1), self.zero_den)
-
-    def zero(self) -> FactoredFn:
-        return FactoredFn(self, MultiPoly.zero(self.table), self.zero_den)
 
     def from_poly(self, p: MultiPoly) -> FactoredFn:
         return FactoredFn(self, p, self.zero_den)

@@ -167,10 +167,6 @@ class Form:
         self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def zero(cls) -> "Form":
-        return cls()
-
-    @classmethod
     def monomial(cls, gens: Iterable[int], coeff=1) -> "Form":
         coeff = _coerce_coeff(coeff)
         key, sign = _sort_gens(gens)

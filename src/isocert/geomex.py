@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import QuadExt, cubic_bound_sign, power_sums, run_lengths
+from .upoly import RatInterval
 
 
 def _two_distinct_note(a3: str, on_bound: str, excluded: str) -> str:
@@ -78,7 +79,7 @@ class ModelHypersurface:
     def distinct_count(self) -> int:
         return len(self.multiplicities)
 
-    def power_sum_intervals(self, width=Fraction(1, 10**12)) -> dict[str, tuple[Fraction, Fraction]]:
+    def power_sum_intervals(self, width=Fraction(1, 10**12)) -> dict[str, RatInterval]:
         return {k: v.interval(Fraction(width)) for k, v in self.power_sums.items()}
 
 

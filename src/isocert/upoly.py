@@ -2,8 +2,9 @@
 
 A polynomial is a `UPoly`: integer coefficients, lowest degree first, over
 one positive denominator, in lowest terms and with no trailing zero (the
-zero polynomial has no coefficients).  Everything here is exact and runs on
-those integers:
+zero polynomial has no coefficients).  An interval is a `RatInterval`, the
+package's one exact interval type: a pair of integer numerators over one
+positive denominator.  Everything here is exact and runs on those integers:
 
 * the sign of p at a rational u/v (v > 0) is the sign of the homogeneous
   form  den v^n p(u/v) = sum num_i u^i v^(n-i),  so no Fraction is built;
@@ -13,11 +14,20 @@ those integers:
   count is the same;
 * multiplicities come from Yun's squarefree decomposition, with exact
   integer quotients (Gauss's lemma keeps them integral);
-* isolation and refinement bisect a pair of integer numerators over one
-  positive denominator (the midpoint of A, B over D is A + B over 2D), and
-  build Fractions only for the endpoints they return;
+* isolation returns a `RatInterval` per root, and refinement takes and
+  returns one, bisecting its integer numerators (the midpoint of A, B over
+  D is A + B over 2D);
 * isolating intervals have rational endpoints that are never roots
   themselves.
+
+The layers above keep to these integers.  `algebraic.AlgebraicNumber`
+holds its isolating box and reads signs at its endpoints through
+`homogeneous_value`; `configsolve` evaluates polynomials over a box by
+interval Horner, and its square-root enclosures, member enclosures, power
+sums and every width and containment test are `RatInterval`s too.
+Fractions are built only for widths, for comparisons between two boxes
+and for the endpoints a report renders; they are the rationals Fraction
+arithmetic would give, refined in the same order.
 """
 
 from __future__ import annotations
@@ -56,6 +66,62 @@ class UPoly:
 
 
 ZERO = UPoly(())
+
+
+class RatInterval:
+    """Closed interval [a/d, b/d] with integers a <= b and d > 0; exact containment
+    arithmetic in integers.  a/d and b/d need not be in lowest terms: every test
+    reads them by value, and `lo` and `hi` give them as Fractions.  It unpacks as
+    (lo, hi)."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int = 1):
+        if a > b:
+            raise ValueError("inverted interval")
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def of(cls, lo, hi=None) -> "RatInterval":
+        """[lo, hi] for two rationals, or the point lo, over the lcm of their denominators."""
+        (a, b), d = over_common_denominator((lo, lo if hi is None else hi))
+        return cls(a, b, d)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(self.b - self.a, self.d)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter((self.lo, self.hi))
+
+    def __neg__(self) -> "RatInterval":
+        return RatInterval(-self.b, -self.a, self.d)
+
+    def __add__(self, o: "RatInterval") -> "RatInterval":
+        return RatInterval(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
+
+    def __mul__(self, o: "RatInterval") -> "RatInterval":
+        c = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
+        return RatInterval(min(c), max(c), self.d * o.d)
+
+    def width_at_most(self, eps: Fraction) -> bool:
+        """Is hi - lo <= eps?"""
+        return (self.b - self.a) * eps.denominator <= eps.numerator * self.d
+
+    def contains(self, x) -> bool:
+        """Does the interval hold x: an int, a Fraction or an `algebraic.QuadExt`?"""
+        return self.a <= x * self.d <= self.b
+
+    def __repr__(self):
+        return f"[{self.lo}, {self.hi}]"
 
 
 def over_common_denominator(xs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -125,10 +191,10 @@ def homogeneous_value(p: UPoly, u: int, v: int) -> int:
     return acc
 
 
-def sign_at(p: UPoly, x) -> int:
-    """Exact sign (-1, 0, 1) of p at the rational x."""
-    s = homogeneous_value(p, x.numerator, x.denominator)
-    return (s > 0) - (s < 0)
+def end_signs(p: UPoly, box: RatInterval) -> tuple[int, int]:
+    """Exact signs (-1, 0, 1) of p at the endpoints of box."""
+    fa, fb = homogeneous_value(p, box.a, box.d), homogeneous_value(p, box.b, box.d)
+    return (fa > 0) - (fa < 0), (fb > 0) - (fb < 0)
 
 
 # -- gcds and Sturm chains by primitive pseudo-remainders -------------------------
@@ -260,10 +326,9 @@ def _variations(chain: list[UPoly], u: int, v: int) -> int:
     return count
 
 
-def sturm_count(chain: list[UPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
-    return (_variations(chain, a.numerator, a.denominator)
-            - _variations(chain, b.numerator, b.denominator))
+def sturm_count(chain: list[UPoly], box: RatInterval) -> int:
+    """Distinct real roots in (lo, hi] of box; its endpoints must not be roots of chain[0]."""
+    return _variations(chain, box.a, box.d) - _variations(chain, box.b, box.d)
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -283,17 +348,16 @@ def _nonroot_point(p: UPoly, u: int, v: int, step: int) -> int:
 
 
 def isolate_squarefree(p: UPoly, eps: Fraction,
-                       chain: list[UPoly] | None = None) -> list[tuple[Fraction, Fraction]]:
+                       chain: list[UPoly] | None = None) -> list[RatInterval]:
     """Disjoint isolating intervals of width <= eps, one per real root.
 
     p must be squarefree; `chain` is its Sturm chain, built here if not
     given.  Endpoints are never roots, so sign evaluation at endpoints
     stays conclusive during later refinement.  Bisection counts roots by
     the chain until an interval holds one; from there, p's signs at the
-    endpoint and the midpoint tell which half holds it.  An interval is a
-    pair of integer numerators A, B over one denominator D > 0; its
-    midpoint is A + B over 2D, nudged right by (B - A)/1024D while it is a
-    root, and only the endpoints returned become Fractions.
+    endpoint and the midpoint tell which half holds it.  The midpoint of
+    A, B over D is A + B over 2D, nudged right by (B - A)/1024D while it is
+    a root.  The intervals come sorted, as (lo, hi) pairs sort.
     """
     if is_zero(p):
         raise ValueError("zero polynomial")
@@ -311,14 +375,14 @@ def isolate_squarefree(p: UPoly, eps: Fraction,
     A = _nonroot_point(p, -7 * bound.numerator, D, -bound.denominator)
     B = _nonroot_point(p, 7 * bound.numerator, D, bound.denominator)
     total = _variations(chain, A, D) - _variations(chain, B, D)
-    out: list[tuple[Fraction, Fraction]] = []
+    out: list[RatInterval] = []
     stack = [(A, B, D, total)]
     while stack:
         a, b, d, n = stack.pop()
         if n == 0:
             continue
         if n == 1 and (b - a) * ed <= en * d:
-            out.append((Fraction(a, d), Fraction(b, d)))
+            out.append(RatInterval(a, b, d))
             continue
         mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
         if not homogeneous_value(p, mid, d):
@@ -330,52 +394,47 @@ def isolate_squarefree(p: UPoly, eps: Fraction,
             n_left = _variations(chain, a, d) - _variations(chain, mid, d)
         stack.append((a, mid, d, n_left))
         stack.append((mid, b, d, n - n_left))
-    out.sort()
+    out.sort(key=tuple)
     # Separate intervals that touch at a shared endpoint, so the closed
     # intervals are pairwise disjoint.
     for i in range(len(out) - 1):
-        while out[i][1] >= out[i + 1][0]:
-            a, b = out[i]
-            out[i] = refine(p, (a, b), (b - a) / 4)
-            a, b = out[i + 1]
-            out[i + 1] = refine(p, (a, b), (b - a) / 4)
+        while out[i].hi >= out[i + 1].lo:
+            out[i] = refine(p, out[i], out[i].width / 4)
+            out[i + 1] = refine(p, out[i + 1], out[i + 1].width / 4)
     return out
 
 
-def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[Fraction, Fraction, int, list[UPoly]]]:
-    """Isolating data (lo, hi, multiplicity, Sturm chain of the squarefree
-    factor) per distinct real root; the chain's first member is the factor."""
+def isolate_with_multiplicity(p: UPoly, eps: Fraction) -> list[tuple[RatInterval, int, list[UPoly]]]:
+    """Isolating data (box, multiplicity, Sturm chain of the squarefree factor)
+    per distinct real root, sorted by box; the chain's first member is the factor."""
     if is_zero(p):
         raise ValueError("zero polynomial")
-    roots: list[tuple[Fraction, Fraction, int, list[UPoly]]] = []
+    roots: list[tuple[RatInterval, int, list[UPoly]]] = []
     for mult, factor in squarefree_decomposition(p):
         chain = sturm_chain(factor)
-        for lo, hi in isolate_squarefree(factor, eps, chain):
-            roots.append((lo, hi, mult, chain))
-    roots.sort(key=lambda r: (r[0], r[1]))
+        roots += [(box, mult, chain) for box in isolate_squarefree(factor, eps, chain)]
+    roots.sort(key=lambda r: tuple(r[0]))
     # Yun factors are pairwise coprime, so overlapping intervals of different
     # factors always separate under refinement.
     changed = True
     while changed:
         changed = False
         for i in range(len(roots) - 1):
-            a1, b1, m1, c1 = roots[i]
-            a2, b2, m2, c2 = roots[i + 1]
-            if b1 >= a2:
-                roots[i] = (*refine(c1[0], (a1, b1), (b1 - a1) / 4), m1, c1)
-                roots[i + 1] = (*refine(c2[0], (a2, b2), (b2 - a2) / 4), m2, c2)
-                roots.sort(key=lambda r: (r[0], r[1]))
+            (x, m1, c1), (y, m2, c2) = roots[i], roots[i + 1]
+            if x.hi >= y.lo:
+                roots[i] = (refine(c1[0], x, x.width / 4), m1, c1)
+                roots[i + 1] = (refine(c2[0], y, y.width / 4), m2, c2)
+                roots.sort(key=lambda r: tuple(r[0]))
                 changed = True
     return roots
 
 
-def refine(p: UPoly, interval: tuple[Fraction, Fraction], eps: Fraction) -> tuple[Fraction, Fraction]:
+def refine(p: UPoly, box: RatInterval, eps: Fraction) -> RatInterval:
     """Shrink an isolating interval of squarefree p to width <= eps by bisection.
 
-    The interval is a pair of integer numerators over one denominator d > 0,
-    as in `isolate_squarefree`; the midpoint of a, b over d is a + b over 2d.
+    As in `isolate_squarefree`, the midpoint of a, b over d is a + b over 2d.
     """
-    (a, b), d = over_common_denominator(interval)
+    a, b, d = box.a, box.b, box.d
     eps = Fraction(eps)
     en, ed = eps.numerator, eps.denominator
     fa = homogeneous_value(p, a, d)
@@ -398,4 +457,4 @@ def refine(p: UPoly, interval: tuple[Fraction, Fraction], eps: Fraction) -> tupl
             a = mid
         else:
             b = mid
-    return Fraction(a, d), Fraction(b, d)
+    return RatInterval(a, b, d)

@@ -54,6 +54,10 @@ class VI:
     def scalar(cls, lo: float, hi: float, n: int) -> "VI":
         return cls(np.full(n, lo), np.full(n, hi))
 
+    def __getitem__(self, index) -> "VI":
+        """The intervals at a numpy index (a slice, a mask, an index array)."""
+        return VI(self.lo[index], self.hi[index])
+
     def __add__(self, o: "VI") -> "VI":
         return VI(down(self.lo + o.lo), up(self.hi + o.hi))
 

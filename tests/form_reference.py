@@ -54,7 +54,7 @@ def wedge(a: ff.Form, b: ff.Form) -> ff.Form:
 
 def d_coeff(coeff: ff.FactoredFn) -> ff.Form:
     """d of a coefficient in l1..l4: d l_j = sum_i h_jji w_i, quotient rule over the gaps."""
-    out = ff.Form.zero()
+    out = ff.Form()
     for j in _W:
         dj = ff.FactoredFn(ff.GAP_BASE, coeff.num.derivative(f"l{j}"), coeff.den)
         for k, (a, b) in enumerate(((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))):
@@ -70,7 +70,7 @@ def d_coeff(coeff: ff.FactoredFn) -> ff.Form:
 
 def d_generator(g: int, mode: str) -> ff.Form:
     """d w_i = sum_j w_ij ^ w_j;  d w_ij = sum_k w_ik ^ w_kj - R_ijij w_i ^ w_j."""
-    out = ff.Form.zero()
+    out = ff.Form()
     if g < 10:
         for j in _W:
             if j != g:
@@ -86,7 +86,7 @@ def d_generator(g: int, mode: str) -> ff.Form:
 def exterior_derivative(form: ff.Form, mode: str = "symbolic") -> ff.Form:
     """d(c w_g1 ^ ... ^ w_gr) = dc ^ w_g1 ^ ... + sum_pos (-1)^pos c ... ^ d w_g ^ ..."""
     one = ff.GAP_BASE.one()
-    out = ff.Form.zero()
+    out = ff.Form()
     for m, coeff in form.terms.items():
         out = add(out, wedge(d_coeff(coeff), ff.Form({m: one})))
         for pos, g in enumerate(m):

@@ -1,5 +1,5 @@
-"""The Fraction kernel that `isocert.upoly` and `configsolve`'s integer
-intervals replaced: the reference the integer kernel is tested against.
+"""The Fraction kernel that `isocert.upoly` and its integer `RatInterval`
+replaced: the reference the integer kernel is tested against.
 
 A polynomial here is a tuple of Fractions, lowest degree first, with no
 trailing zero, and an interval a `RatInterval` with Fraction endpoints.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from isocert.algebraic import QuadExt, _sqrt_bounds
+from isocert.algebraic import QuadExt
 
 UPoly = tuple  # tuple[Fraction, ...]
 
@@ -325,13 +325,27 @@ def eval_on_interval(poly: UPoly, box: RatInterval) -> RatInterval:
     return acc
 
 
+def sqrt_bounds(d, eps) -> tuple[Fraction, Fraction]:
+    """Bisect [0, max(1, d)] until the width is at most eps: lo <= sqrt(d) <= hi
+    for d >= 0, and lo = 0 (it never moves) for d < 0."""
+    if d == 0:
+        return Fraction(0), Fraction(0)
+    lo, hi = Fraction(0), max(Fraction(1), Fraction(d))
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if mid * mid <= d:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def sqrt_enclosure(box: RatInterval, eps: Fraction) -> RatInterval:
-    """Rational enclosure of sqrt over a nonnegative-leaning interval."""
+    """Rational enclosure of sqrt over an interval: the lower bisection bound
+    of max(lo, 0) and the upper one of hi."""
     lo = max(box.lo, Fraction(0))
-    hi = max(box.hi, Fraction(0))
-    lo_s = _sqrt_bounds(lo, eps)[0] if lo > 0 else Fraction(0)
-    hi_s = _sqrt_bounds(hi, eps)[1]
-    return RatInterval(lo_s, hi_s)
+    lo_s = sqrt_bounds(lo, eps)[0] if lo > 0 else Fraction(0)
+    return RatInterval(lo_s, sqrt_bounds(box.hi, eps)[1])
 
 
 def interval_power(iv: RatInterval, n: int) -> RatInterval:

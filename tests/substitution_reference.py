@@ -18,7 +18,7 @@ def coefficient(form: ff.Form, gens) -> ff.FactoredFn:
     key, sign = ff._sort_gens(gens)
     c = form.terms.get(key) if sign else None
     if c is None:
-        return ff.GAP_BASE.zero()
+        return ff.GAP_BASE.sum([])
     return c if sign > 0 else -c
 
 
@@ -26,7 +26,7 @@ def connection_form(i: int, j: int) -> ff.Form:
     """w_ij expanded on the coframe: sum_k h_ijk w_k / (l_i - l_j)."""
     if i == j:
         raise ValueError("w_ii is undefined: the expansion requires i != j")
-    out = ff.Form.zero()
+    out = ff.Form()
     inv_gap = ff.over_gaps(1, [(i, j)])
     for k in (1, 2, 3, 4):
         out = out + ff.Form.monomial((k,), ff.h_coeff(i, j, k) * inv_gap)
@@ -39,7 +39,7 @@ def substitute_connections(form: ff.Form) -> ff.Form:
     Generators sort with coframe legs first, so splitting a monomial into
     its legs and its generators keeps the stored sign.
     """
-    out = ff.Form.zero()
+    out = ff.Form()
     for m, coeff in form.terms.items():
         ws = tuple(g for g in m if g < 10)
         piece = ff.Form({ws: coeff})

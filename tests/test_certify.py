@@ -14,11 +14,17 @@ from hypothesis import assume, given, settings, strategies as st
 from isocert import certify as ct
 from isocert import frameforms as ff
 from isocert import identities as idn
-from isocert.algebraic import QuadExt, _sqrt_bounds, quad_sign
+from isocert.algebraic import QuadExt, quad_sign, sqrt_enclosure
 from isocert.configsolve import parse_value
 from isocert.exactalg import MultiPoly
+from isocert.upoly import RatInterval
 from isocert.vinterval import VI, float_down, float_up
 from normal_form import value
+
+
+def _sqrt(q, eps) -> RatInterval:
+    """The enclosure of sqrt(q), q rational, that the certifiers use."""
+    return sqrt_enclosure(RatInterval.of(q), eps)
 
 
 def test_li_certificate_wide_collar():
@@ -84,7 +90,7 @@ def test_one_flipped_coefficient_is_refused():
     for poly, sign in _certified_forms():
         for m, c in poly.terms.items():
             assert not ct._coefficient_signs(MultiPoly(poly.table, {**poly.terms, m: -c}), sign)[0]
-    assert not ct._coefficient_signs(MultiPoly.zero(ct.GAP_TABLE), 1)[0]
+    assert not ct._coefficient_signs(MultiPoly(ct.GAP_TABLE), 1)[0]
 
 
 @given(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=4, max_size=4))
@@ -178,7 +184,7 @@ def _li_cross_check_reference(S, tau, count=100_000, seed=20260808) -> dict:
     S = F(S)
     tau = F(tau).limit_denominator(10**6)
     rng = random.Random(seed)
-    bound = _sqrt_bounds(S, F(1, 1000))[1]
+    bound = _sqrt(S, F(1, 1000)).hi
     den = 2**12
     q = den * bound.denominator * S.denominator
     bn = bound.numerator * S.denominator
@@ -578,19 +584,19 @@ def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
         return ct._b_sign_certificate(quantity, side, key, region)
     a3_lo, a3_hi = (float(x) for x in A3.interval(F(1, 10**15)))
     a3_lo, a3_hi = np.nextafter(a3_lo, -np.inf), np.nextafter(a3_hi, np.inf)
-    sqrt_eps0_lo = float_down(_sqrt_bounds(eps0, F(1, 10**12))[0])
-    sqrt_delta1_hi = float(_sqrt_bounds(delta1, F(1, 10**12))[1]) * (1 + 1e-12)
+    sqrt_eps0_lo = float_down(_sqrt(eps0, F(1, 10**12)).lo)
+    sqrt_delta1_hi = float(_sqrt(delta1, F(1, 10**12)).hi) * (1 + 1e-12)
     ratfn = idn.gap_band_quantities(side)[key]
     program = None if key == "m" else ct._SideProgram([(ratfn.num, ratfn.den_poly())])
-    bound = float(_sqrt_bounds(S, F(1, 10**9))[1]) * (1 + 1e-12)
+    bound = float(_sqrt(S, F(1, 10**9)).hi) * (1 + 1e-12)
     tighten_depth = min(14, max_depth)
-    cells = ct.CellBatch([-bound], [0.0], [-bound], [bound])
+    l1, l2 = VI([-bound], [0.0]), VI([-bound], [bound])
     depth = processed = feasible_seen = 0
     sup = 0.0
     open_cells = []
-    while len(cells):
-        processed += len(cells)
-        ch = ct.Chamber(cells, ct._s_bounds(S))
+    while len(l1.lo):
+        processed += len(l1.lo)
+        ch = ct.Chamber(l1, l2, ct._s_bounds(S))
         small, big = (ch.g21, ch.g32) if side == "g" else (ch.g32, ch.g21)
         p3 = ch.p3()
         feasible = ((ch.disc.hi >= 0) & (small.hi >= 0) & (small.lo <= sqrt_delta1_hi)
@@ -598,25 +604,24 @@ def _band_walk_per_quantity(quantity, S, A3, eps0, delta1, max_depth=30):
         feasible_seen += int(feasible.sum())
         if not feasible.any():
             break
-        sub = cells.select(feasible)
-        ch = ct.Chamber(sub, ct._s_bounds(S))
+        l1, l2 = l1[feasible], l2[feasible]
+        ch = ct.Chamber(l1, l2, ct._s_bounds(S))
         if program is None:
             val, ok = ct._slope_value(side, ch, sqrt_eps0_lo)
         else:
             val, ok = program([ch.l1, ch.l2, ch.l3, ch.l4])
-            val, ok = VI(val.lo[0], val.hi[0]), ok[0]
+            val, ok = val[0], ok[0]
         if depth >= max_depth:
             if ok.any():
                 sup = max(sup, float(val.mag()[ok].max()))
-            open_cells = sub.select(~ok).rows()
+            open_cells = np.stack([l1.lo, l1.hi, l2.lo, l2.hi], axis=1)[~ok].tolist()
             break
         done = ok & (depth >= tighten_depth)
         if done.any():
             sup = max(sup, float(val.mag()[done].max()))
-        rest = sub.select(~done)
-        if not len(rest):
+        if done.all():
             break
-        cells = rest.split()
+        l1, l2 = ct._split(l1[~done], l2[~done])
         depth += 1
     stats = {"claim": f"band_{quantity}", "region": region, "margin": 0.0,
              "cells_processed": processed, "max_depth_reached": depth}
@@ -674,7 +679,7 @@ def test_band_walk_encloses_only_what_a_decision_reads(monkeypatch, S, A3, eps0,
 
     The depth of a call is read off its cells: a depth-d cell is 1/2^d of
     the first cell, [-bound, 0] x [-bound, bound]."""
-    bound = float(_sqrt_bounds(F(S), F(1, 10**9))[1]) * (1 + 1e-12)
+    bound = float(_sqrt(F(S), F(1, 10**9)).hi) * (1 + 1e-12)
     calls = []
 
     def depth_of(l1, l2):
@@ -835,10 +840,9 @@ def test_band_sign_factors_multiply_out_to_B():
 def test_chamber_constraints_hold_exactly():
     # Points of a cell with real branch satisfy p1 = 0 and p2 = S by
     # construction; check via the enclosure of p1 and p2 on a sample cell.
-    from isocert.certify import CellBatch, Chamber, _s_bounds
+    from isocert.certify import Chamber, _s_bounds
 
-    cb = CellBatch([-2.0], [-1.9], [0.1], [0.2])
-    ch = Chamber(cb, _s_bounds(8))
+    ch = Chamber(VI([-2.0], [-1.9]), VI([0.1], [0.2]), _s_bounds(8))
     p1 = ch.l1 + ch.l2 + ch.l3 + ch.l4
     assert p1.lo[0] <= 0 <= p1.hi[0]
     p2 = ch.l1.sq() + ch.l2.sq() + ch.l3.sq() + ch.l4.sq()
@@ -863,7 +867,7 @@ def _chart_cells(draw):
             col.append(v)
         t1, t2 = (F(draw(st.integers(0, 12)), 12) for _ in range(2))
         points.append((F(a1) + (F(b1) - F(a1)) * t1, F(a2) + (F(b2) - F(a2)) * t2))
-    return S, ct.CellBatch(*cols), points
+    return S, (VI(cols[0], cols[1]), VI(cols[2], cols[3])), points
 
 
 @given(_chart_cells())
@@ -872,7 +876,7 @@ def test_chamber_encloses_exact_chart_values(drawn):
     """At every chart point with disc >= 0, l3, l4, the six gaps (exact in
     Q(sqrt(disc))) and p3 (rational) lie inside the Chamber enclosures."""
     S, cells, points = drawn
-    ch = ct.Chamber(cells, ct._s_bounds(S))
+    ch = ct.Chamber(*cells, ct._s_bounds(S))
     checked = 0
     for k, (x1, x2) in enumerate(points):
         s = -(x1 + x2)

@@ -47,12 +47,12 @@ def _is_root_of_shifted(alg, base, a3) -> bool:
     """
     cur = alg
     while True:
-        enc = cs.eval_on_interval(base, cs.RatInterval.of(cur.lo, cur.hi))
+        enc = cs.eval_on_interval(base, cur.box)
         if not enc.contains(a3):
             return False
         if not enc.contains(-a3):
             return True
-        cur = cur.refine((cur.hi - cur.lo) / 16)
+        cur = cur.refine(cur.box.width / 16)
 
 
 @st.composite
@@ -79,8 +79,8 @@ def test_radical_roots_by_sign_match_the_interval_route(point):
     for tag in ("I", "II", "III"):
         base = cs._cubic_coeffs(tag, params.S)
         sextic = up.sub(up.mul(base, base), up.upoly([(a3 * a3).rational_value()]))
-        every = [AlgebraicNumber(chain[0], lo, hi, chain)
-                 for lo, hi, _m, chain in up.isolate_with_multiplicity(sextic, F(1, 2**20))]
+        every = [AlgebraicNumber(chain[0], box, chain)
+                 for box, _m, chain in up.isolate_with_multiplicity(sextic, F(1, 2**20))]
         kept = [r for r in every if _is_root_of_shifted(r, base, a3)]
         defining, roots = cs._cubic_roots(tag, params)
         if a3.is_rational():
@@ -90,7 +90,7 @@ def test_radical_roots_by_sign_match_the_interval_route(point):
             assert len(roots) == len(kept) and all(r.compare(k) == 0 for r, k in zip(roots, kept))
         else:
             assert defining == sextic
-            assert [(r.lo, r.hi) for r in roots] == [(r.lo, r.hi) for r in kept]
+            assert [tuple(r.box) for r in roots] == [tuple(r.box) for r in kept]
 
 
 def test_system_I_even_spacing():

@@ -70,10 +70,10 @@ def test_ratfn_cancels_common_factor():
 
 
 def test_ratfn_zero_numerator():
-    r = FactoredFn(GAPS, MultiPoly.zero(T), (0, 1, 2)).normalize()
+    r = FactoredFn(GAPS, MultiPoly(T), (0, 1, 2)).normalize()
     assert r.is_zero()
     assert r.den_poly() == MultiPoly.const(T, 1)
-    assert r.num == MultiPoly.zero(T) and r.den == GAPS.zero_den
+    assert r.num == MultiPoly(T) and r.den == GAPS.zero_den
 
 
 def test_str_renders_num_over_den_poly():
@@ -121,7 +121,7 @@ def test_ratfn_subtraction_cross_cancel():
     # (a/b) - (a/b) must be the canonical zero, denominator 1.
     r = FactoredFn(GAPS, L[1] ** 2 + L[2], (1, 0, 1))
     zero = (r - r).normalize()
-    assert zero.num == MultiPoly.zero(T) and zero.den == GAPS.zero_den
+    assert zero.num == MultiPoly(T) and zero.den == GAPS.zero_den
 
 
 def test_negative_power_rejected():
@@ -138,7 +138,7 @@ _vars = [MultiPoly.var(_small_table, n) for n in ("x", "y", "z")]
 @st.composite
 def small_polys(draw):
     n_terms = draw(st.integers(0, 4))
-    p = MultiPoly.zero(_small_table)
+    p = MultiPoly(_small_table)
     for _ in range(n_terms):
         coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
         mono = MultiPoly.const(_small_table, coeff)
@@ -449,7 +449,7 @@ def _lifted_sum(fns) -> FactoredFn:
     """
     fns = list(fns)
     den = functools.reduce(lambda x, y: tuple(map(max, x, y)), (f.den for f in fns), _SMALL_GAPS.zero_den)
-    total = MultiPoly.zero(_small_table)
+    total = MultiPoly(_small_table)
     for f in fns:
         cofactor = _SMALL_GAPS.factor_power(tuple(c - e for e, c in zip(f.den, den)))
         for m, c in f.num.terms.items():
@@ -498,7 +498,7 @@ def test_sum_over_equal_denominators_adds_the_numerators_as_chained_addition_doe
     # of the chain of MultiPoly.__add__, zero numerators included.
     fns = [FactoredFn(_SMALL_GAPS, p, d) for p in nums]
     got = _SMALL_GAPS.sum(fns)
-    want = FactoredFn(_SMALL_GAPS, functools.reduce(operator.add, nums, MultiPoly.zero(_small_table)), d)
+    want = FactoredFn(_SMALL_GAPS, functools.reduce(operator.add, nums, MultiPoly(_small_table)), d)
     assert (_typed_items(got.num), got.den) == (_typed_items(want.num), want.den)
 
 
@@ -506,7 +506,7 @@ def test_sum_of_nothing_and_of_cancelling_pieces_is_zero():
     assert _SMALL_GAPS.sum([]).is_zero()
     f = FactoredFn(_SMALL_GAPS, _x * _y + 3, (1, 0, 2))
     g = FactoredFn(_SMALL_GAPS, _z, (0, 2, 0))
-    total = _SMALL_GAPS.sum([f, g, -f, _SMALL_GAPS.zero(), -g])
+    total = _SMALL_GAPS.sum([f, g, -f, _SMALL_GAPS.sum([]), -g])
     assert total.is_zero() and total.den == _SMALL_GAPS.zero_den
 
 

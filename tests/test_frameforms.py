@@ -136,7 +136,7 @@ def test_diagonal_relations_satisfy_linear_constraints():
             terms.append(cleared * h44)
         terms.append(vdm * h44)
         for power in (0, 1, 2):
-            total = MultiPoly.zero(ff.GEOMETRY)
+            total = MultiPoly(ff.GEOMETRY)
             for j, t in enumerate(terms, start=1):
                 total = total + t * L[j] ** power
             assert total.is_zero()
@@ -301,7 +301,7 @@ def test_dphi_isoparametric_specialization():
         m: c for m, c in num.terms.items()
         if not any(num.exponents(m)[i] for i in h_fields)
     })
-    expected = MultiPoly.zero(ff.GEOMETRY)
+    expected = MultiPoly(ff.GEOMETRY)
     for i in range(1, 5):
         for j in range(i + 1, 5):
             expected = expected - ff.rsym(i, j)
@@ -410,7 +410,7 @@ _LAMBDA_SYMBOLS = [f"l{i}" for i in range(1, 5)]
 def _gap_coefficients(draw, symbols=_COEFF_SYMBOLS):
     """A small polynomial in the given symbols (l and h by default) over a
     product of gaps in any orientation."""
-    num = MultiPoly.zero(ff.GEOMETRY)
+    num = MultiPoly(ff.GEOMETRY)
     for _ in range(draw(st.integers(1, 3))):
         mono = MultiPoly.const(ff.GEOMETRY, draw(st.integers(-3, 3)))
         for name in draw(st.lists(st.sampled_from(symbols), max_size=2)):
@@ -424,7 +424,7 @@ def _gap_coefficients(draw, symbols=_COEFF_SYMBOLS):
 @st.composite
 def _top_degree_forms(draw):
     """Sums of monomials w_ws ^ w_g1 ^ ... ^ w_gr of degree 4, in any generator order."""
-    form = ff.Form.zero()
+    form = ff.Form()
     for _ in range(draw(st.integers(0, 4))):
         r = draw(st.integers(0, 4))
         legs = draw(st.lists(st.sampled_from(_GEN_ORDER[:4]), min_size=4 - r, max_size=4 - r, unique=True))
@@ -444,7 +444,7 @@ def test_vol_coefficient_of_random_top_degree_forms(form):
 def _forms(draw, symbols=_COEFF_SYMBOLS):
     """Sums of up to five monomials of legs and connection generators, of any
     degree and in any order, so that like terms meet and cancel."""
-    form = ff.Form.zero()
+    form = ff.Form()
     for _ in range(draw(st.integers(0, 5))):
         gens = draw(st.lists(st.sampled_from(_GEN_ORDER), max_size=3, unique=True))
         form = form_reference.add(form, ff.Form.monomial(gens, draw(_gap_coefficients(symbols))))
@@ -465,7 +465,7 @@ def test_sums_wedges_and_derivatives_match_the_term_by_term_reference(a, b, c):
     assert _same_form(a.wedge(b), form_reference.wedge(a, b))
     for mode in ff.MODES:
         assert _same_form(ff.exterior_derivative(c, mode), form_reference.exterior_derivative(c, mode))
-    assert (a - a).terms == ff.Form.zero().terms
+    assert (a - a).terms == ff.Form().terms
 
 
 def test_vol_coefficient_needs_a_top_degree_form():
@@ -476,4 +476,4 @@ def test_vol_coefficient_needs_a_top_degree_form():
         vol.wedge(ff.connection_generator(1, 2)).vol_coefficient()
     with pytest.raises(ValueError):
         (vol + ff.theta(3, 4)).vol_coefficient()
-    assert ff.Form.zero().vol_coefficient().is_zero()
+    assert ff.Form().vol_coefficient().is_zero()

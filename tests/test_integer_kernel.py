@@ -1,5 +1,6 @@
-"""The integer kernel of `upoly` and `configsolve`'s integer intervals against
-the Fraction kernel they replaced (`fraction_reference`).
+"""The integer kernel of `upoly`, its `RatInterval` and the interval
+arithmetic of `configsolve` and `algebraic` over it, against the Fraction
+kernel they replaced (`fraction_reference`).
 
 Values, signs, interval enclosures, root counts and isolating intervals
 must be the same rationals; Sturm chain members, gcds and squarefree
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import fraction_reference as ref
 from isocert import configsolve as cs
 from isocert import upoly as up
-from isocert.algebraic import AlgebraicNumber, QuadExt
+from isocert.algebraic import AlgebraicNumber, QuadExt, sqrt_enclosure
 
 _BIG = 10**30
 
@@ -75,7 +76,7 @@ def test_values_and_signs_match_fraction_horner(p, x):
     expect = ref.evaluate(p, x)
     h = up.homogeneous_value(P, x.numerator, x.denominator)
     assert F(h, P.den * x.denominator ** max(up.degree(P), 0)) == expect
-    assert up.sign_at(P, x) == _sign(expect)
+    assert up.end_signs(P, up.RatInterval.of(x)) == (_sign(expect), _sign(expect))
 
 
 _INTERVALS = st.tuples(_RATIONALS, _RATIONALS).map(lambda t: ref.RatInterval(min(t), max(t)))
@@ -87,13 +88,13 @@ _QUADS = st.builds(QuadExt.make, _RATIONALS, st.fractions(-5, 5, max_denominator
                    st.sampled_from([2, 3, F(5, 4)]))
 
 
-def _integer(iv: ref.RatInterval, k: int = 1) -> cs.RatInterval:
+def _integer(iv: ref.RatInterval, k: int = 1) -> up.RatInterval:
     """The same interval as integers over k times the lcm of its denominators."""
     (a, b), d = up.over_common_denominator((iv.lo, iv.hi))
-    return cs.RatInterval(a * k, b * k, d * k)
+    return up.RatInterval(a * k, b * k, d * k)
 
 
-def _same(got: cs.RatInterval, expect: ref.RatInterval) -> bool:
+def _same(got: up.RatInterval, expect: ref.RatInterval) -> bool:
     return (got.lo, got.hi) == (expect.lo, expect.hi)
 
 
@@ -136,7 +137,7 @@ def test_member_enclosure_matches_fraction_intervals(p, q, box, root, k, j):
 @example(ref.RatInterval(-3, 0), 5, F(1, 7))                 # clamped to [0, 0]
 @example(ref.RatInterval(F(-1, 2), F(9, 4)), 2, F(1, 10**9))  # lo clamped, hi a square
 def test_sqrt_enclosure_matches_fraction_bounds(box, k, eps):
-    assert _same(cs.sqrt_enclosure(_integer(box, k), eps), ref.sqrt_enclosure(box, eps))
+    assert _same(sqrt_enclosure(_integer(box, k), eps), ref.sqrt_enclosure(box, eps))
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,15 +162,17 @@ def test_isolation_and_refinement_endpoints_match(p, eps, fine):
         return
     P = up.upoly(sf)
     got = up.isolate_squarefree(P, eps)
-    assert got == ref.isolate_squarefree(sf, eps)
-    assert [up.refine(P, iv, fine) for iv in got] == [ref.refine(sf, iv, fine) for iv in got]
+    assert [tuple(box) for box in got] == ref.isolate_squarefree(sf, eps)
+    for box in got:
+        assert tuple(up.refine(P, box, fine)) == ref.refine(sf, tuple(box), fine)
 
 
 def test_refinement_nudges_off_a_root_midpoint_like_fraction_bisection():
     # 1/2 is the first midpoint of [0, 1]; 3/8 is the second one of [0, 1/2].
     for root, iv in ((F(1, 2), (F(0), F(1))), (F(3, 8), (F(0), F(1, 2)))):
         p = _product([ref.upoly([-root, 1]), ref.upoly([-2, 0, 1])], F(-3))
-        assert up.refine(up.upoly(p), iv, F(1, 10**9)) == ref.refine(p, iv, F(1, 10**9))
+        got = up.refine(up.upoly(p), up.RatInterval.of(*iv), F(1, 10**9))
+        assert tuple(got) == ref.refine(p, iv, F(1, 10**9))
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,9 +185,9 @@ def test_sturm_chains_and_counts_match(p, a, b, c):
     a, b = min(a, b), max(a, b)
     if ref.evaluate(p, a) and ref.evaluate(p, b):
         count = ref.sturm_count(expect, a, b)
-        assert up.sturm_count(chain, a, b) == count
+        assert up.sturm_count(chain, up.RatInterval.of(a, b)) == count
         # A positive multiple has the same chain signs, so the same count.
-        assert up.sturm_count(up.sturm_chain(up.scale(P, c)), a, b) == count
+        assert up.sturm_count(up.sturm_chain(up.scale(P, c)), up.RatInterval.of(a, b)) == count
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,9 +220,9 @@ def test_gcd_zero_decisions_match(p, q):
     # Each isolating interval holds one root of p, so q vanishes there
     # exactly when gcd(p, q) has a root in it.
     g = ref.gcd(p, q)
-    for lo, hi, _m, chain in up.isolate_with_multiplicity(up.upoly(p), F(1, 2**10)):
-        root = AlgebraicNumber(chain[0], lo, hi, chain)
-        vanishes = ref.degree(g) > 0 and _ref_root_in_closed(g, lo, hi)
+    for box, _m, chain in up.isolate_with_multiplicity(up.upoly(p), F(1, 2**10)):
+        root = AlgebraicNumber(chain[0], box, chain)
+        vanishes = ref.degree(g) > 0 and _ref_root_in_closed(g, box.lo, box.hi)
         assert (root.sign_of(up.upoly(q)) == 0) == vanishes
 
 
@@ -233,10 +236,15 @@ def test_isolation_with_multiplicity_matches(p, eps, c):
         return
     got = up.isolate_with_multiplicity(up.upoly(p), eps)
     expect = ref.isolate_with_multiplicity(p, eps)
-    assert [r[:3] for r in got] == [r[:3] for r in expect]
+    assert _ends(got) == [r[:3] for r in expect]
     for (*_, chain), (*_, ref_chain) in zip(got, expect):
         assert all(_positive_multiple(m, e) for m, e in zip(chain, ref_chain))
     # The intervals depend on signs and on the ratio-only root bound alone,
     # so a positive multiple of p isolates the same way.
     scaled = up.isolate_with_multiplicity(up.scale(up.upoly(p), c), eps)
-    assert [r[:3] for r in scaled] == [r[:3] for r in got]
+    assert _ends(scaled) == _ends(got)
+
+
+def _ends(roots) -> list[tuple]:
+    """(lo, hi, multiplicity) of each (box, multiplicity, chain)."""
+    return [(*box, mult) for box, mult, _chain in roots]

@@ -164,7 +164,7 @@ def _program_cases(draw):
 
     def poly(terms):
         return sum((c * L[1] ** e[0] * L[2] ** e[1] * L[3] ** e[2] * L[4] ** e[3] for e, c in terms),
-                   MultiPoly.zero(T))
+                   MultiPoly(T))
 
     polys = [poly(t) for t in draw(st.lists(st.lists(term, min_size=1, max_size=12),
                                             min_size=1, max_size=5))]

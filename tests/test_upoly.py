@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 
 import fraction_reference as ref
 from isocert import upoly as up
-from isocert.algebraic import (AlgebraicNumber, QuadExt, _sqrt_bounds, cubic_bound_sign, power_sums,
-                               quad_sign)
+from isocert.algebraic import (AlgebraicNumber, QuadExt, cubic_bound_sign, power_sums, quad_sign,
+                               sqrt_enclosure)
 
 
 def test_isolate_sqrt_two():
@@ -38,8 +38,8 @@ def test_multiplicity_via_squarefree_decomposition():
     # (x - 1)^2 (x + 1)
     p = up.mul(up.mul(up.upoly([-1, 1]), up.upoly([-1, 1])), up.upoly([1, 1]))
     roots = up.isolate_with_multiplicity(p, F(1, 1000))
-    assert [m for _, _, m, _ in roots] == [1, 2]
-    (lo1, hi1, _, _), (lo2, hi2, _, _) = roots
+    assert [m for _, m, _ in roots] == [1, 2]
+    ((lo1, hi1), _, _), ((lo2, hi2), _, _) = roots
     assert lo1 <= -1 <= hi1
     assert lo2 <= 1 <= hi2
     assert hi1 < lo2  # pairwise disjoint
@@ -50,12 +50,12 @@ def test_isolating_intervals_disjoint_for_close_roots():
     p = up.mul(up.upoly([0, 1]), up.upoly([-F(1, 128), 1]))
     roots = up.isolate_squarefree(p, F(1, 4))
     assert len(roots) == 2
-    assert roots[0][1] < roots[1][0]
+    assert roots[0].hi < roots[1].lo
 
 
 def _nudge(p, x, step):
     """Move x by step until it is not a root of p."""
-    while up.sign_at(p, x) == 0:
+    while up.homogeneous_value(p, x.numerator, x.denominator) == 0:
         x += step
     return x
 
@@ -66,7 +66,7 @@ def _isolate_by_sturm_counts(p, eps):
     bound = up.root_bound(p)
     lo = _nudge(p, -bound, F(-1, 7))
     hi = _nudge(p, bound, F(1, 7))
-    out, stack = [], [(lo, hi, up.sturm_count(chain, lo, hi))]
+    out, stack = [], [(lo, hi, up.sturm_count(chain, up.RatInterval.of(lo, hi)))]
     while stack:
         a, b, n = stack.pop()
         if n == 0:
@@ -75,13 +75,14 @@ def _isolate_by_sturm_counts(p, eps):
             out.append((a, b))
             continue
         mid = _nudge(p, (a + b) / 2, (b - a) / 1024)
-        n_left = up.sturm_count(chain, a, mid)
+        n_left = up.sturm_count(chain, up.RatInterval.of(a, mid))
         stack += [(a, mid, n_left), (mid, b, n - n_left)]
     out.sort()
     for i in range(len(out) - 1):
         while out[i][1] >= out[i + 1][0]:
-            out[i] = up.refine(p, out[i], (out[i][1] - out[i][0]) / 4)
-            out[i + 1] = up.refine(p, out[i + 1], (out[i + 1][1] - out[i + 1][0]) / 4)
+            out[i] = tuple(up.refine(p, up.RatInterval.of(*out[i]), (out[i][1] - out[i][0]) / 4))
+            out[i + 1] = tuple(up.refine(p, up.RatInterval.of(*out[i + 1]),
+                                         (out[i + 1][1] - out[i + 1][0]) / 4))
     return out
 
 
@@ -113,14 +114,14 @@ def test_isolation_matches_all_sturm_bisection(roots, with_sqrt2, eps):
 
     with mock.patch.object(up, "homogeneous_value", bounded):
         got = up.isolate_squarefree(p, eps)
-    assert got == expected
+    assert [tuple(box) for box in got] == expected
     assert len(got) == len(roots) + 2 * with_sqrt2
 
 
 def test_refine_to_tolerance():
     p = up.upoly([-2, 0, 1])
-    (lo, hi) = up.isolate_squarefree(p, F(1, 4))[1]
-    lo, hi = up.refine(p, (lo, hi), F(1, 10**14))
+    box = up.isolate_squarefree(p, F(1, 4))[1]
+    lo, hi = up.refine(p, box, F(1, 10**14))
     assert hi - lo <= F(1, 10**14)
     assert lo * lo < 2 < hi * hi
 
@@ -128,8 +129,8 @@ def test_refine_to_tolerance():
 def test_sturm_counts_distinct_roots():
     p = up.mul(up.mul(up.upoly([0, 1]), up.upoly([-1, 1])), up.upoly([-4, 1]))
     chain = up.sturm_chain(p)
-    assert up.sturm_count(chain, F(-1, 2), F(9, 2)) == 3
-    assert up.sturm_count(chain, F(1, 2), F(9, 2)) == 2
+    assert up.sturm_count(chain, up.RatInterval.of(F(-1, 2), F(9, 2))) == 3
+    assert up.sturm_count(chain, up.RatInterval.of(F(1, 2), F(9, 2))) == 2
 
 
 def test_yun_decomposition():
@@ -145,10 +146,40 @@ def test_yun_decomposition():
     assert dec[3] == up.upoly(ref.monic(ref.upoly([-1, 1])))
 
 
+def test_every_exact_enclosure_is_a_ratinterval():
+    """One interval type per number domain: every exact enclosure the package
+    returns is a `upoly.RatInterval`, and the float side has only `VI`."""
+    import importlib
+    import pkgutil
+
+    import isocert
+    from isocert import certify, configsolve, geomex
+
+    p = up.mul(up.upoly([-2, 0, 1]), up.mul(up.upoly([-1, 1]), up.upoly([-1, 1])))
+    boxes = up.isolate_squarefree(up.squarefree_part(p), F(1, 8))
+    roots = up.isolate_with_multiplicity(p, F(1, 8))
+    enclosures = [*boxes, *(box for box, _m, _chain in roots),
+                  up.refine(up.squarefree_part(p), boxes[0], F(1, 10**6)),
+                  sqrt_enclosure(up.RatInterval(-1, 5, 2), F(1, 100)),
+                  QuadExt.make(1, 2, 3).interval(F(1, 10**6)), QuadExt.rational(F(1, 3)).interval(F(1, 10)),
+                  *geomex.get_model("g4").power_sum_intervals().values()]
+    cfg = configsolve.solve_system("I", configsolve.ScalarParams.make(12, 0))[0]
+    enclosures += [cfg.x0.box, *cfg.lambdas, *cfg.lambda_intervals(F(1, 10**6)),
+                   *cfg.power_sum_intervals(F(1, 10**6)).values()]
+    assert all(type(e) is up.RatInterval for e in enclosures)
+    modules = [importlib.import_module(f"isocert.{info.name}")
+               for info in pkgutil.iter_modules(isocert.__path__) if info.name != "__main__"]
+    classes = {name for mod in modules
+               for name, obj in vars(mod).items()
+               if isinstance(obj, type) and obj.__module__ == mod.__name__}
+    assert {name for name in classes if "Interval" in name or name == "VI"} == {"RatInterval", "VI"}
+    assert not hasattr(certify, "CellBatch") and "CellBatch" not in certify.__all__
+
+
 def test_algebraic_compare_and_sign():
-    sqrt2 = AlgebraicNumber(up.upoly([-2, 0, 1]), F(1), F(2))
-    sqrt2_again = AlgebraicNumber(up.upoly([-2, 0, 1]), F(5, 4), F(3, 2))
-    minus = AlgebraicNumber(up.upoly([-2, 0, 1]), F(-2), F(-1))
+    sqrt2 = AlgebraicNumber(up.upoly([-2, 0, 1]), up.RatInterval.of(1, 2))
+    sqrt2_again = AlgebraicNumber(up.upoly([-2, 0, 1]), up.RatInterval.of(F(5, 4), F(3, 2)))
+    minus = AlgebraicNumber(up.upoly([-2, 0, 1]), up.RatInterval.of(-2, -1))
     assert sqrt2.compare(sqrt2_again) == 0
     assert minus.compare(sqrt2) == -1
     # sign of x^2 - 2 at sqrt(2) is exactly zero
@@ -160,9 +191,9 @@ def test_algebraic_number_needs_an_isolating_interval():
     # (x-1)(x-2)(x-3) changes sign over [0, 4] but has three roots there.
     cubic = up.upoly([-6, 11, -6, 1])
     with pytest.raises(ValueError):
-        AlgebraicNumber(cubic, F(0), F(4))
-    two = AlgebraicNumber(cubic, F(3, 2), F(5, 2))
-    assert two.refine(F(1, 1000)).compare(AlgebraicNumber(up.upoly([-2, 1]), F(2), F(2))) == 0
+        AlgebraicNumber(cubic, up.RatInterval.of(0, 4))
+    two = AlgebraicNumber(cubic, up.RatInterval.of(F(3, 2), F(5, 2)))
+    assert two.refine(F(1, 1000)).compare(AlgebraicNumber(up.upoly([-2, 1]), up.RatInterval.of(2))) == 0
 
 
 def test_refined_numbers_share_the_sturm_chain(monkeypatch):
@@ -179,25 +210,11 @@ def test_refined_numbers_share_the_sturm_chain(monkeypatch):
 
     monkeypatch.setattr(up, "sturm_chain", counted("chain", chain))
     monkeypatch.setattr(up, "sturm_count", counted("count", count))
-    root = cur = AlgebraicNumber(up.upoly([-6, 11, -6, 1]), F(3, 2), F(5, 2))
+    root = cur = AlgebraicNumber(up.upoly([-6, 11, -6, 1]), up.RatInterval.of(F(3, 2), F(5, 2)))
     for _ in range(5):
-        cur = cur.refine((cur.hi - cur.lo) / 16)
+        cur = cur.refine(cur.box.width / 16)
     assert calls == {"chain": 1, "count": 6}
-    assert cur.chain is root.chain and cur.hi - cur.lo <= F(1, 16**5)
-
-
-def _bisected_sqrt_bounds(d, eps):
-    """Reference: bisect [0, max(1, d)] until the width is at most eps."""
-    if d == 0:
-        return F(0), F(0)
-    lo, hi = F(0), max(F(1), F(d))
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid * mid <= d:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    assert cur.chain is root.chain and cur.box.width <= F(1, 16**5)
 
 
 _RADICANDS = (st.fractions(min_value=-5, max_value=10**6, max_denominator=10**4)
@@ -216,8 +233,9 @@ _PRECISIONS = (st.fractions(min_value=F(1, 10**15), max_value=1, max_denominator
 @example(F(5), F(5))               # eps = H: no halving
 @example(F(1, 4), F(3))
 def test_sqrt_bounds_match_bisection(d, eps):
-    lo, hi = _sqrt_bounds(d, eps)
-    assert (lo, hi) == _bisected_sqrt_bounds(d, eps)
+    # On a point box [d, d], sqrt_enclosure is the cell bisection leaves.
+    lo, hi = sqrt_enclosure(up.RatInterval.of(d), eps)
+    assert (lo, hi) == ref.sqrt_bounds(d, eps)
     assert hi - lo <= eps
     if d >= 0:
         assert lo * lo <= d <= hi * hi
